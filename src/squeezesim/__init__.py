@@ -19,9 +19,7 @@ from .algebra import (
     fock_coefficients,
     lambda_coeffs,
     quadrature_variance,
-    reset_saturation_clamps,
     rho_of,
-    saturation_clamp_count,
     variance_cross_basis,
 )
 from .analytic import (
@@ -114,10 +112,8 @@ __all__ = [
     "propagate_converged",
     "quadrature_variance",
     "reference_sweep_data",
-    "reset_saturation_clamps",
     "rho_of",
     "sampled_profile",
-    "saturation_clamp_count",
     "step_coeffs",
     "sweep_final_sp",
     "tanh_profile",

@@ -14,7 +14,8 @@ Conventions
   complex variable c use r = artanh|c| and phi = arg(c) + pi wrapped back to
   the principal branch, so the vacuum (c = 0) reports phi = pi.
 * Magnitudes that graze 1 from above by at most 1e-12 (rounding) are clamped
-  to 1 - 1e-15 and counted; anything further out raises SaturationError.
+  to 1 - 1e-15 with a SaturationWarning; anything further out raises
+  SaturationError.
 """
 
 from __future__ import annotations
@@ -31,19 +32,6 @@ _CLAMP_TO = 1.0 - 1e-15
 _IDENTITY_TOL = 1e-12
 _UNITARITY_TOL = 1e-10
 
-_saturation_clamps = 0
-
-
-def saturation_clamp_count() -> int:
-    """Number of magnitude clamps applied since the last reset."""
-    return _saturation_clamps
-
-
-def reset_saturation_clamps() -> None:
-    global _saturation_clamps
-    _saturation_clamps = 0
-
-
 def _wrap_angle(x):
     """Wrap an angle (or array of angles) to the interval (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(x), 2.0 * np.pi)
@@ -51,7 +39,6 @@ def _wrap_angle(x):
 
 def _clamped_magnitude(mag, what: str):
     """Clamp magnitudes grazing 1; raise beyond the clamping window."""
-    global _saturation_clamps
     mag = np.asarray(mag, dtype=float)
     over = mag > 1.0 + _CLAMP_WINDOW
     if np.any(over):
@@ -62,7 +49,6 @@ def _clamped_magnitude(mag, what: str):
     near = mag >= 1.0
     n_near = int(np.count_nonzero(near))
     if n_near:
-        _saturation_clamps += n_near
         warnings.warn(
             f"{what} magnitude reached 1; clamped {n_near} value(s)",
             SaturationWarning,

@@ -10,12 +10,10 @@ decay constants of the secant ansatz to sweep data.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateDataError, FitConditionWarning, ValidityWarning
 from .evolution import SimulationConfig, post_transition_summary, propagate_converged
@@ -103,8 +101,9 @@ class SweepPoint(NamedTuple):
     error: str | None = None
 
 
-def _sweep_cell(args) -> SweepPoint:
-    omega0, omegaf, eps, cfg = args
+def _sweep_cell(
+    omega0: float, omegaf: float, eps: float, cfg: SimulationConfig
+) -> SweepPoint:
     try:
         p = tanh_profile(omega0, omegaf, epsilon=eps)
         traj = propagate_converged(p, cfg)
@@ -114,35 +113,24 @@ def _sweep_cell(args) -> SweepPoint:
         return SweepPoint(eps, float("nan"), f"{type(exc).__name__}: {exc}")
 
 
-def _run_cells(cells, jobs):
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(c) for c in cells]
-
-
 def sweep_final_sp(
     omega0: float,
     omegaf: float,
     epsilons,
     cfg: SimulationConfig | None = None,
-    jobs: int | None = None,
 ) -> list[SweepPoint]:
     """Final squeezing across ramp widths for one frequency pair.
 
     Each cell owns a converged propagation; epsilon = 0 runs the jump
     profile.  Failures are reported in the returned points rather than
-    aborting the sweep.  jobs > 1 distributes cells over processes; the
-    result order is independent of it.
+    aborting the sweep.
     """
     cfg = cfg or SimulationConfig()
-    cells = [(omega0, omegaf, float(e), cfg) for e in epsilons]
-    return _run_cells(cells, jobs)
+    return [_sweep_cell(omega0, omegaf, float(e), cfg) for e in epsilons]
 
 
 def reference_sweep_data(
     cfg: SimulationConfig | None = None,
-    jobs: int | None = None,
     source: str = "simulation",
     ratios=SWEEP_RATIOS,
     epsilons=SWEEP_EPSILONS,
@@ -166,7 +154,7 @@ def reference_sweep_data(
         return data
     cfg = cfg or SimulationConfig()
     for omegaf in pairs:
-        for point in sweep_final_sp(1.0, omegaf, epsilons, cfg, jobs):
+        for point in sweep_final_sp(1.0, omegaf, epsilons, cfg):
             if point.error is not None:
                 warnings.warn(
                     f"sweep cell (omegaf={omegaf}, eps={point.epsilon}) failed: "
@@ -197,6 +185,9 @@ def fit_ansatz(sweep_data) -> FitResult:
     taken in R and minimised by Levenberg-Marquardt from the starting point
     (1, 0.5).  The model is even in c1, so its sign is normalised to +.
     """
+    # imported here: scipy.optimize is most of the CLI's import time
+    from scipy.optimize import least_squares
+
     pts = [(float(o0), float(of), float(e), float(r)) for o0, of, e, r in sweep_data]
     if len(pts) < 2:
         raise DegenerateDataError(f"need at least 2 data points, got {len(pts)}")
@@ -262,7 +253,6 @@ def contour_grid(
     mode: str = "above-unity",
     source: str = "formula",
     cfg: SimulationConfig | None = None,
-    jobs: int | None = None,
 ) -> ContourGrid:
     """Tensor grid of final squeezing versus ratio and ramp width.
 
@@ -295,14 +285,14 @@ def contour_grid(
             big_r[i] = fitted_sp(1.0, float(k), xs)
     else:
         cfg = cfg or SimulationConfig()
-        cells = [(1.0, float(k), float(x), cfg) for k in ratios for x in xs]
-        points = _run_cells(cells, jobs)
-        for idx, point in enumerate(points):
-            if point.error is not None:
-                warnings.warn(
-                    f"contour cell {cells[idx][1], cells[idx][2]} failed: {point.error}",
-                    UserWarning,
-                    stacklevel=2,
-                )
-            big_r[idx // n_eps, idx % n_eps] = point.R_final
+        for i, k in enumerate(ratios.tolist()):
+            for j, x in enumerate(xs.tolist()):
+                point = _sweep_cell(1.0, k, x, cfg)
+                if point.error is not None:
+                    warnings.warn(
+                        f"contour cell {k, x} failed: {point.error}",
+                        UserWarning,
+                        stacklevel=2,
+                    )
+                big_r[i, j] = point.R_final
     return ContourGrid(ratios, xs, big_r, mode, source)

@@ -50,7 +50,6 @@ _DEFAULTS = {
     "n": 4096,
     "tol": 1e-4,
     "stride": 1,
-    "jobs": 1,
     "threshold": 0.1,
     "midpoint": False,
     "mode": "above-unity",
@@ -67,7 +66,7 @@ _FLOAT_KEYS = {
     "omega0", "omegaf", "t0", "t_end", "tol", "threshold",
     "ratio_min", "ratio_max", "eps_min", "eps_max",
 }
-_INT_KEYS = {"n", "stride", "jobs", "n_ratio", "n_eps"}
+_INT_KEYS = {"n", "stride", "n_ratio", "n_eps"}
 _BOOL_KEYS = {"midpoint"}
 
 
@@ -131,7 +130,6 @@ def _add_common(sub: argparse.ArgumentParser, need_omegaf: bool) -> None:
     sub.add_argument("--out", type=str, default=None, help="output file path")
     sub.add_argument("--config", type=str, default=None,
                      help="config file, key = value per line, '#' comments")
-    sub.add_argument("--jobs", type=int, default=None, help="worker processes for grid cells")
     sub.add_argument("--threshold", type=float, default=None,
                      help="adiabaticity classification cutoff")
     sub.add_argument("--midpoint", action="store_const", const=True, default=None,
@@ -252,9 +250,7 @@ def run_sweep(merged: dict) -> int:
         epsilons = [float(eps_text)]
     if not epsilons:
         raise ValueError("--eps must list at least one ramp width")
-    points = analytic.sweep_final_sp(
-        merged["omega0"], omegaf, epsilons, _sim_config(merged), merged["jobs"]
-    )
+    points = analytic.sweep_final_sp(merged["omega0"], omegaf, epsilons, _sim_config(merged))
     for pt in points:
         if pt.error is not None:
             print(f"warning: eps = {pt.epsilon:g} failed: {pt.error}", file=sys.stderr)
@@ -278,22 +274,19 @@ def run_contour(merged: dict) -> int:
         mode=mode,
         source=merged["source"],
         cfg=_sim_config(merged),
-        jobs=merged["jobs"],
     )
     _emit(output.contour_csv(grid), merged["out"], "contour")
     return EXIT_OK
 
 
 def run_fit(merged: dict) -> int:
-    data = analytic.reference_sweep_data(
-        cfg=_sim_config(merged), jobs=merged["jobs"], source=merged["source"]
-    )
+    data = analytic.reference_sweep_data(cfg=_sim_config(merged), source=merged["source"])
     fit = analytic.fit_ansatz(data)
     _emit(output.fit_text(fit), merged["out"], "fit")
     return EXIT_OK
 
 
-def _verify_checks(tol_unit: float):
+def _verify_checks(tol_unit: float, flip_b_sign: bool):
     """Yield (name, passed, detail) for each built-in check."""
     from .frequency import jump_profile
 
@@ -303,7 +296,7 @@ def _verify_checks(tol_unit: float):
     # inter-resolution deltas understate the boundary-offset error here)
     p_jump = jump_profile(omega0, omegaf, t0)
     cfg_jump = SimulationConfig(n_slices=1 << 16, record_stride=16, convergence_tol=1e-4)
-    traj_j = evolution.propagate(p_jump, cfg_jump)
+    traj_j = evolution.propagate(p_jump, cfg_jump, flip_b_sign=flip_b_sign)
     mask = traj_j.t >= t0
     ref = analytic.jump_sp_closed_form(omega0, omegaf, traj_j.t[mask] - t0)
     supdev = float(np.max(np.abs(traj_j.r[mask] - ref)))
@@ -322,7 +315,7 @@ def _verify_checks(tol_unit: float):
 
     p_smooth = tanh_profile(omega0, omegaf, t0, 0.5)
     cfg_smooth = SimulationConfig(n_slices=4096, record_stride=4, convergence_tol=1e-4)
-    traj_s = propagate_converged(p_smooth, cfg_smooth)
+    traj_s = propagate_converged(p_smooth, cfg_smooth, flip_b_sign=flip_b_sign)
     summary_s = post_transition_summary(traj_s, p_smooth)
     mid_err = abs(summary_s.r_midpoint - 0.5 * math.log(3.0))
     yield "midpoint", mid_err <= 1e-2, f"|r_mid - ln(3)/2| = {mid_err:.3e} (tol 1.0e-02)"
@@ -356,21 +349,16 @@ def _verify_checks(tol_unit: float):
 def run_verify(merged: dict, flip_b_sign: bool, explicit_tol: float | None) -> int:
     # --tol here tightens the unitarity gate, not the ladder tolerance
     tol_unit = explicit_tol if explicit_tol is not None else 1e-10
-    if flip_b_sign:
-        evolution._flip_b_sign = True
-    try:
-        failures = 0
-        for name, passed, detail in _verify_checks(tol_unit):
-            tag = "PASS" if passed else "FAIL"
-            print(f"[{tag}] {name}: {detail}")
-            failures += 0 if passed else 1
-        if failures:
-            print(f"{failures} check(s) failed")
-            return EXIT_CHECK_FAILED
-        print("all checks passed")
-        return EXIT_OK
-    finally:
-        evolution._flip_b_sign = False
+    failures = 0
+    for name, passed, detail in _verify_checks(tol_unit, flip_b_sign):
+        tag = "PASS" if passed else "FAIL"
+        print(f"[{tag}] {name}: {detail}")
+        failures += 0 if passed else 1
+    if failures:
+        print(f"{failures} check(s) failed")
+        return EXIT_CHECK_FAILED
+    print("all checks passed")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -387,8 +375,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return run_fit(merged)
         if args.command == "verify":
-            explicit_tol = args.tol if args.tol is not None else None
-            return run_verify(merged, getattr(args, "flip_b_sign", False), explicit_tol)
+            return run_verify(merged, args.flip_b_sign, args.tol)
         raise ValueError(f"unknown command {args.command!r}")
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

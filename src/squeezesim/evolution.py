@@ -24,10 +24,6 @@ from .frequency import FrequencyProfile, eval_omega, transition_interval
 
 _CHUNK = 1 << 18
 
-# Test hook: flipping the sign of the phase coefficient breaks the propagator
-# in a way every downstream oracle check must catch.
-_flip_b_sign = False
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -170,7 +166,9 @@ def _resolve_t_end(p: FrequencyProfile, cfg: SimulationConfig) -> float:
     return float(t_end)
 
 
-def _propagate_raw(p: FrequencyProfile, cfg: SimulationConfig, n: int, t_end: float):
+def _propagate_raw(
+    p: FrequencyProfile, cfg: SimulationConfig, n: int, t_end: float, flip_b_sign: bool
+):
     """Run the recurrence with n steps; return the recorded chi values."""
     t_start = cfg.t_start
     tau = (t_end - t_start) / n
@@ -188,7 +186,7 @@ def _propagate_raw(p: FrequencyProfile, cfg: SimulationConfig, n: int, t_end: fl
         ts = t_start + (idx - 0.5) * tau if cfg.midpoint else t_start + idx * tau
         om = eval_omega(p, ts)
         a_arr, b_arr = _step_arrays(om, p.omega0, tau)
-        if _flip_b_sign:
+        if flip_b_sign:
             b_arr = -b_arr
         al = a_arr.tolist()
         bl = b_arr.tolist()
@@ -246,30 +244,39 @@ def _finalize(
     )
 
 
-def propagate(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
-    """Propagate the vacuum with the configured fixed step count."""
+def propagate(
+    p: FrequencyProfile, cfg: SimulationConfig, *, flip_b_sign: bool = False
+) -> Trajectory:
+    """Propagate the vacuum with the configured fixed step count.
+
+    flip_b_sign negates the phase coefficient of every step, a deliberately
+    broken propagator that every downstream oracle check must catch.
+    """
     t_end = _resolve_t_end(p, cfg)
-    t_rec, chi_rec = _propagate_raw(p, cfg, cfg.n_slices, t_end)
+    t_rec, chi_rec = _propagate_raw(p, cfg, cfg.n_slices, t_end, flip_b_sign)
     return _finalize(p, cfg, cfg.n_slices, t_rec, chi_rec, None, None, [])
 
 
-def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
+def propagate_converged(
+    p: FrequencyProfile, cfg: SimulationConfig, *, flip_b_sign: bool = False
+) -> Trajectory:
     """Propagate with step doubling until the recorded squeeze stabilises.
 
     Consecutive refinements share every record time of the coarser run, so
     the sup norm of the squeeze magnitude difference is taken over exactly
     aligned records.  Returns the finer trajectory of the last comparison,
     flagged converged when the difference dropped below convergence_tol.
+    flip_b_sign is passed to every level, as in propagate.
     """
     t_end = _resolve_t_end(p, cfg)
     n = cfg.n_slices
-    t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end)
+    t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end, flip_b_sign)
     r_prev = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
     history: list[float] = []
     converged = False
     while 2 * n <= cfg.n_max:
         n *= 2
-        t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end)
+        t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end, flip_b_sign)
         r_next = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
         delta = float(np.max(np.abs(r_next[::2] - r_prev)))
         history.append(delta)

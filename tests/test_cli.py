@@ -185,10 +185,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL] jump-oracle" in out
         assert code == EXIT_CHECK_FAILED
-        # the hook must not leak into later runs
-        from squeezesim import evolution
-
-        assert evolution._flip_b_sign is False
+        # the corrupted step must not leak into later runs
+        assert main(["verify"]) == EXIT_OK
 
 
 class TestEntryPoint:
@@ -199,6 +197,19 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is only needed by the fit and dominates import time
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, squeezesim.cli; sys.exit('scipy.optimize' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_help(self):
         proc = subprocess.run(

@@ -88,7 +88,7 @@ def is_adiabatic(
     omega0: float, omegaf: float, epsilon: float, threshold: float = 0.1
 ) -> bool:
     """Whether the ramp is slow at the given cutoff on the adiabaticity measure."""
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     return adiabaticity_measure(omega0, omegaf, epsilon) < threshold
 

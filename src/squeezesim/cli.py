@@ -2,9 +2,10 @@
 
 Subcommands: evolve (one trajectory), sweep (ramp widths at a fixed
 frequency pair), contour (ratio by ramp-width grid), fit (decay-constant
-recovery), verify (built-in check suite).  Flags override config-file
-values, which override built-in defaults.  Each error family maps to its
-own exit status; see the README table.
+recovery), verify (built-in check suite).  Each subcommand takes only the
+flags it reads, and its parser holds their defaults.  Flags override
+config-file values, which override those defaults.  Each error family maps
+to its own exit status; see the README table.
 """
 
 from __future__ import annotations
@@ -41,36 +42,21 @@ EXIT_COMPOSITION = 7
 EXIT_DEGENERATE_DATA = 8
 EXIT_NAN = 9
 
-_DEFAULTS = {
-    "omega0": 1.0,
-    "omegaf": None,
-    "t0": 10.0,
-    "eps": 0.5,
-    "t_end": None,
-    "n": 4096,
-    "tol": 1e-4,
-    "stride": 1,
-    "threshold": 0.1,
-    "midpoint": False,
-    "mode": "above-unity",
-    "source": "formula",
-    "ratio_min": None,
-    "ratio_max": None,
-    "eps_min": 0.0,
-    "eps_max": 2.0,
-    "n_ratio": 25,
-    "n_eps": 21,
-}
-
-_FLOAT_KEYS = {
-    "omega0", "omegaf", "t0", "t_end", "tol", "threshold",
-    "ratio_min", "ratio_max", "eps_min", "eps_max",
-}
-_INT_KEYS = {"n", "stride", "n_ratio", "n_eps"}
-_BOOL_KEYS = {"midpoint"}
+# parser destinations that a config file may not set
+_NOT_CONFIG_KEYS = {"help", "config", "flip_b_sign"}
 
 
-def _parse_config_file(path: str) -> dict:
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make the values of a `key = value` file the defaults of one subcommand.
+
+    Each value is converted by the type of its flag.  Keys that only another
+    subcommand takes are skipped, so one file can serve several subcommands.
+    """
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {a.dest: a for a in sub._actions if a.dest not in _NOT_CONFIG_KEYS}
+        for name, sub in subs.choices.items()
+    }
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -82,58 +68,38 @@ def _parse_config_file(path: str) -> dict:
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
             text = text.strip()
-            if key in _FLOAT_KEYS:
-                values[key] = float(text)
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _BOOL_KEYS:
+            action = flags[command].get(key)
+            if action is None:
+                if not any(key in other for other in flags.values()):
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            elif action.nargs == 0:  # on/off flag
                 if text.lower() not in ("true", "false"):
                     raise ValueError(f"{path}:{lineno}: {key} must be true or false")
                 values[key] = text.lower() == "true"
-            elif key in ("eps", "mode", "source", "out", "profile_file"):
-                values[key] = text
             else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    return values
+                try:
+                    values[key] = (action.type or str)(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    subs.choices[command].set_defaults(**values)
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    # precedence: command line > config file > built-in defaults
-    cfg_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-        elif key in cfg_values:
-            merged[key] = cfg_values[key]
-        else:
-            merged[key] = default
-    for key in ("out", "profile_file"):
-        val = getattr(args, key, None)
-        merged[key] = val if val is not None else cfg_values.get(key)
-    return merged
-
-
-def _add_common(sub: argparse.ArgumentParser, need_omegaf: bool) -> None:
-    sub.add_argument("--omega0", type=float, default=None, help="initial frequency")
-    sub.add_argument("--omegaf", type=float, default=None, required=False,
-                     help="final frequency" + ("" if need_omegaf else " (ratio axis ignores it)"))
-    sub.add_argument("--t0", type=float, default=None, help="transition centre time")
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """Ladder, record, output and config flags of the subcommands that propagate."""
     sub.add_argument("--t-end", type=float, default=None, dest="t_end",
                      help="simulation end time (default: transition end plus three periods)")
-    sub.add_argument("--n", type=int, default=None,
+    sub.add_argument("--n", type=int, default=SimulationConfig.n_slices,
                      help="starting slice count for the convergence ladder")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="convergence tolerance on the squeeze magnitude")
-    sub.add_argument("--stride", type=int, default=None, help="record every this many slices")
+    sub.add_argument("--tol", type=float, default=1e-4,
+                     help="convergence tolerance on the squeeze magnitude "
+                          "(default 1e-4; the library default is 1e-6)")
+    sub.add_argument("--stride", type=int, default=SimulationConfig.record_stride,
+                     help="record every this many slices")
+    sub.add_argument("--midpoint", action="store_true",
+                     help="sample the frequency at slice midpoints instead of right endpoints")
     sub.add_argument("--out", type=str, default=None, help="output file path")
     sub.add_argument("--config", type=str, default=None,
                      help="config file, key = value per line, '#' comments")
-    sub.add_argument("--threshold", type=float, default=None,
-                     help="adiabaticity classification cutoff")
-    sub.add_argument("--midpoint", action="store_const", const=True, default=None,
-                     help="sample the frequency at slice midpoints instead of right endpoints")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,50 +110,65 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     ev = subs.add_parser("evolve", help="run one trajectory, write CSV and summary")
-    _add_common(ev, need_omegaf=True)
-    ev.add_argument("--eps", type=float, default=None, help="ramp width (0 = sudden jump)")
+    ev.set_defaults(run=run_evolve)
+    ev.add_argument("--omega0", type=float, default=1.0, help="initial frequency")
+    ev.add_argument("--omegaf", type=float, default=None, help="final frequency")
+    ev.add_argument("--t0", type=float, default=10.0, help="transition centre time")
+    ev.add_argument("--eps", type=float, default=0.5, help="ramp width (0 = sudden jump)")
+    ev.add_argument("--threshold", type=float, default=0.1,
+                    help="adiabaticity classification cutoff")
     ev.add_argument("--profile-file", type=str, default=None, dest="profile_file",
                     help="two-column (t, omega) sample file; overrides the ramp flags")
+    _add_run_flags(ev)
 
     sw = subs.add_parser("sweep", help="final squeezing across ramp widths")
-    _add_common(sw, need_omegaf=True)
-    sw.add_argument("--eps", type=str, default=None,
+    sw.set_defaults(run=run_sweep)
+    sw.add_argument("--omega0", type=float, default=1.0, help="initial frequency")
+    sw.add_argument("--omegaf", type=float, default=None, help="final frequency")
+    sw.add_argument("--eps", type=str, default="0.5",
                     help="comma-separated ramp widths, e.g. 0,0.1,0.4")
+    _add_run_flags(sw)
 
     co = subs.add_parser("contour", help="final squeezing over a ratio/ramp-width grid")
-    _add_common(co, need_omegaf=False)
-    co.add_argument("--mode", choices=("above-unity", "below-unity"), default=None)
-    co.add_argument("--source", choices=("formula", "simulation"), default=None)
+    co.set_defaults(run=run_contour)
+    co.add_argument("--mode", choices=("above-unity", "below-unity"), default="above-unity")
+    co.add_argument("--source", choices=("formula", "simulation"), default="formula")
     co.add_argument("--ratio-min", type=float, default=None, dest="ratio_min")
     co.add_argument("--ratio-max", type=float, default=None, dest="ratio_max")
-    co.add_argument("--eps-min", type=float, default=None, dest="eps_min")
-    co.add_argument("--eps-max", type=float, default=None, dest="eps_max")
-    co.add_argument("--n-ratio", type=int, default=None, dest="n_ratio")
-    co.add_argument("--n-eps", type=int, default=None, dest="n_eps")
+    co.add_argument("--eps-min", type=float, default=0.0, dest="eps_min")
+    co.add_argument("--eps-max", type=float, default=2.0, dest="eps_max")
+    co.add_argument("--n-ratio", type=int, default=25, dest="n_ratio")
+    co.add_argument("--n-eps", type=int, default=21, dest="n_eps")
+    _add_run_flags(co)
 
     ft = subs.add_parser("fit", help="recover the secant decay constants from a sweep")
-    _add_common(ft, need_omegaf=False)
-    ft.add_argument("--source", choices=("formula", "simulation"), default=None)
+    ft.set_defaults(run=run_fit)
+    ft.add_argument("--source", choices=("formula", "simulation"), default="formula")
+    _add_run_flags(ft)
 
     ve = subs.add_parser("verify", help="run the built-in check suite")
-    _add_common(ve, need_omegaf=False)
+    ve.set_defaults(run=run_verify)
+    ve.add_argument("--tol", type=float, default=1e-10,
+                    help="unitarity gate: largest allowed defect |alpha|^2 + |beta| - 1 "
+                         "(default 1e-10)")
     ve.add_argument("--flip-b-sign", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
-def _require(merged: dict, key: str, command: str):
-    if merged[key] is None:
+def _require(args: argparse.Namespace, key: str, command: str):
+    value = getattr(args, key)
+    if value is None:
         raise _CliUsageError(f"--{key.replace('_', '-')} is required for {command}")
-    return merged[key]
+    return value
 
 
-def _sim_config(merged: dict) -> SimulationConfig:
+def _sim_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig(
-        t_end=merged["t_end"],
-        n_slices=merged["n"],
-        record_stride=merged["stride"],
-        convergence_tol=merged["tol"],
-        midpoint=merged["midpoint"],
+        t_end=args.t_end,
+        n_slices=args.n,
+        record_stride=args.stride,
+        convergence_tol=args.tol,
+        midpoint=args.midpoint,
     )
 
 
@@ -210,14 +191,13 @@ def _emit(text: str, out_path, label: str) -> None:
         sys.stdout.write(text)
 
 
-def run_evolve(merged: dict) -> int:
-    if merged["profile_file"]:
-        profile = load_samples(merged["profile_file"])
+def run_evolve(args: argparse.Namespace) -> int:
+    if args.profile_file:
+        profile = load_samples(args.profile_file)
     else:
-        omegaf = _require(merged, "omegaf", "evolve")
-        eps = float(merged["eps"])
-        profile = tanh_profile(merged["omega0"], omegaf, merged["t0"], eps)
-    traj = propagate_converged(profile, _sim_config(merged))
+        omegaf = _require(args, "omegaf", "evolve")
+        profile = tanh_profile(args.omega0, omegaf, args.t0, args.eps)
+    traj = propagate_converged(profile, _sim_config(args))
     _check_finite(traj)
     summary = None
     try:
@@ -230,59 +210,57 @@ def run_evolve(merged: dict) -> int:
             profile.omega0, profile.omegaf, profile.epsilon
         )
         text += f"adiabaticity_measure = {output.format_float(measure)}\n"
-        adiabatic = measure < merged["threshold"]
+        adiabatic = analytic.is_adiabatic(
+            profile.omega0, profile.omegaf, profile.epsilon, args.threshold
+        )
         text += f"adiabatic = {'true' if adiabatic else 'false'}\n"
-    if merged["out"]:
-        output.write_text(merged["out"], output.trajectory_csv(traj))
-        output.write_text(merged["out"] + ".summary", text)
-        print(f"wrote trajectory to {merged['out']}")
-        print(f"wrote summary to {merged['out']}.summary")
+    if args.out:
+        output.write_text(args.out, output.trajectory_csv(traj))
+        output.write_text(args.out + ".summary", text)
+        print(f"wrote trajectory to {args.out}")
+        print(f"wrote summary to {args.out}.summary")
     sys.stdout.write(text)
     return EXIT_OK
 
 
-def run_sweep(merged: dict) -> int:
-    omegaf = _require(merged, "omegaf", "sweep")
-    eps_text = merged["eps"]
-    if isinstance(eps_text, str):
-        epsilons = [float(tok) for tok in eps_text.split(",") if tok.strip()]
-    else:
-        epsilons = [float(eps_text)]
+def run_sweep(args: argparse.Namespace) -> int:
+    omegaf = _require(args, "omegaf", "sweep")
+    epsilons = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     if not epsilons:
         raise ValueError("--eps must list at least one ramp width")
-    points = analytic.sweep_final_sp(merged["omega0"], omegaf, epsilons, _sim_config(merged))
+    points = analytic.sweep_final_sp(args.omega0, omegaf, epsilons, _sim_config(args))
     for pt in points:
         if pt.error is not None:
             print(f"warning: eps = {pt.epsilon:g} failed: {pt.error}", file=sys.stderr)
-    _emit(output.sweep_csv(points, merged["omega0"], omegaf), merged["out"], "sweep")
+    _emit(output.sweep_csv(points, args.omega0, omegaf), args.out, "sweep")
     return EXIT_OK
 
 
-def run_contour(merged: dict) -> int:
-    mode = merged["mode"]
-    ratio_min = merged["ratio_min"]
-    ratio_max = merged["ratio_max"]
+def run_contour(args: argparse.Namespace) -> int:
+    mode = args.mode
+    ratio_min = args.ratio_min
+    ratio_max = args.ratio_max
     if ratio_min is None:
         ratio_min = 1.5 if mode == "above-unity" else 0.1
     if ratio_max is None:
         ratio_max = 10.0 if mode == "above-unity" else 0.9
     grid = analytic.contour_grid(
         (ratio_min, ratio_max),
-        (merged["eps_min"], merged["eps_max"]),
-        merged["n_ratio"],
-        merged["n_eps"],
+        (args.eps_min, args.eps_max),
+        args.n_ratio,
+        args.n_eps,
         mode=mode,
-        source=merged["source"],
-        cfg=_sim_config(merged),
+        source=args.source,
+        cfg=_sim_config(args),
     )
-    _emit(output.contour_csv(grid), merged["out"], "contour")
+    _emit(output.contour_csv(grid), args.out, "contour")
     return EXIT_OK
 
 
-def run_fit(merged: dict) -> int:
-    data = analytic.reference_sweep_data(cfg=_sim_config(merged), source=merged["source"])
+def run_fit(args: argparse.Namespace) -> int:
+    data = analytic.reference_sweep_data(cfg=_sim_config(args), source=args.source)
     fit = analytic.fit_ansatz(data)
-    _emit(output.fit_text(fit), merged["out"], "fit")
+    _emit(output.fit_text(fit), args.out, "fit")
     return EXIT_OK
 
 
@@ -346,11 +324,10 @@ def _verify_checks(tol_unit: float, flip_b_sign: bool):
     )
 
 
-def run_verify(merged: dict, flip_b_sign: bool, explicit_tol: float | None) -> int:
-    # --tol here tightens the unitarity gate, not the ladder tolerance
-    tol_unit = explicit_tol if explicit_tol is not None else 1e-10
+def run_verify(args: argparse.Namespace) -> int:
+    # --tol here is the unitarity gate, not the ladder tolerance
     failures = 0
-    for name, passed, detail in _verify_checks(tol_unit, flip_b_sign):
+    for name, passed, detail in _verify_checks(args.tol, args.flip_b_sign):
         tag = "PASS" if passed else "FAIL"
         print(f"[{tag}] {name}: {detail}")
         failures += 0 if passed else 1
@@ -365,18 +342,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        merged = _resolve(args)
-        if args.command == "evolve":
-            return run_evolve(merged)
-        if args.command == "sweep":
-            return run_sweep(merged)
-        if args.command == "contour":
-            return run_contour(merged)
-        if args.command == "fit":
-            return run_fit(merged)
-        if args.command == "verify":
-            return run_verify(merged, args.flip_b_sign, args.tol)
-        raise ValueError(f"unknown command {args.command!r}")
+        if getattr(args, "config", None):
+            _apply_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)  # command line > config file > defaults
+        return args.run(args)
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,7 +63,7 @@ class SimulationConfig:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
-        if self.convergence_tol <= 0.0:
+        if not self.convergence_tol > 0.0:
             raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
         if self.n_max < self.n_slices:
             raise ValueError(
@@ -159,7 +159,7 @@ def _step_arrays(omega, omega0: float, tau: float):
     return a, b
 
 
-def _resolve_t_end(p: FrequencyProfile, cfg: SimulationConfig) -> float:
+def _effective_t_end(p: FrequencyProfile, cfg: SimulationConfig) -> float:
     t_end = default_t_end(p) if cfg.t_end is None else cfg.t_end
     if t_end <= cfg.t_start:
         raise ValueError(f"t_end {t_end} must exceed t_start {cfg.t_start}")
@@ -252,7 +252,7 @@ def propagate(
     flip_b_sign negates the phase coefficient of every step, a deliberately
     broken propagator that every downstream oracle check must catch.
     """
-    t_end = _resolve_t_end(p, cfg)
+    t_end = _effective_t_end(p, cfg)
     t_rec, chi_rec = _propagate_raw(p, cfg, cfg.n_slices, t_end, flip_b_sign)
     return _finalize(p, cfg, cfg.n_slices, t_rec, chi_rec, None, None, [])
 
@@ -268,7 +268,7 @@ def propagate_converged(
     flagged converged when the difference dropped below convergence_tol.
     flip_b_sign is passed to every level, as in propagate.
     """
-    t_end = _resolve_t_end(p, cfg)
+    t_end = _effective_t_end(p, cfg)
     n = cfg.n_slices
     t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end, flip_b_sign)
     r_prev = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))

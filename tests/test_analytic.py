@@ -126,6 +126,8 @@ class TestAdiabaticityMeasure:
         assert is_adiabatic(1.0, 3.0, 0.5, threshold=1.0)
         with pytest.raises(ValueError):
             is_adiabatic(1.0, 3.0, 0.5, threshold=0.0)
+        with pytest.raises(ValueError):
+            is_adiabatic(1.0, 3.0, 0.5, threshold=float("nan"))
 
 
 FAST = SimulationConfig(n_slices=2048, record_stride=8, convergence_tol=1e-3)

@@ -39,6 +39,8 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
+            SimulationConfig(convergence_tol=float("nan"))
+        with pytest.raises(ValueError):
             SimulationConfig(t_end=-1.0, t_start=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(n_max=2048, n_slices=4096)

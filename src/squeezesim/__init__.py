@@ -52,7 +52,6 @@ from .evolution import (
     Trajectory,
     default_t_end,
     post_transition_summary,
-    propagate,
     propagate_converged,
     step_coeffs,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "lambda_coeffs",
     "load_samples",
     "post_transition_summary",
-    "propagate",
     "propagate_converged",
     "quadrature_variance",
     "reference_sweep_data",

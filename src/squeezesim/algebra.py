@@ -161,10 +161,10 @@ def bogoliubov_coeffs(rho: float) -> BogoliubovCoeffs:
     return BogoliubovCoeffs(float(np.cosh(rho)), float(np.sinh(rho)), float(rho))
 
 
-def _squeeze_of(c):
-    """Magnitude and phase arrays (r, phi) for complex squeeze variables c."""
+def _squeeze_of(c, what: str):
+    """Magnitude and phase arrays (r, phi) of complex squeeze variables c; what labels clamps."""
     c = np.asarray(c, dtype=complex)
-    mag = _clamped_magnitude(np.abs(c), "squeeze")
+    mag = _clamped_magnitude(np.abs(c), what)
     return np.arctanh(mag), _wrap_angle(np.angle(c) + np.pi)
 
 
@@ -183,7 +183,7 @@ def chi_to_squeeze(chi: complex) -> SqueezeParams:
     """
     if not (np.isfinite(chi.real) and np.isfinite(chi.imag)):
         raise ValueError(f"chi must be finite, got {chi}")
-    r, phi = _squeeze_of(chi)
+    r, phi = _squeeze_of(chi, "squeeze")
     return SqueezeParams(float(r), float(phi))
 
 
@@ -255,10 +255,8 @@ def compose_bch(z: SqueezeParams, g: BogoliubovCoeffs) -> BchCoeffs:
 
 def bch_to_inst(c: BchCoeffs) -> InstSqueezeParams:
     """Instantaneous-basis squeeze parameters from composition coefficients."""
-    mag = float(_clamped_magnitude(abs(c.alpha), "instantaneous squeeze"))
-    big_r = float(np.arctanh(mag))
-    big_phi = float(_wrap_angle(np.angle(c.alpha) + np.pi))
-    return InstSqueezeParams(big_r, big_phi, abs(c.beta), float(np.angle(c.beta)))
+    big_r, big_phi = _squeeze_of(c.alpha, "instantaneous squeeze")
+    return InstSqueezeParams(float(big_r), float(big_phi), abs(c.beta), float(np.angle(c.beta)))
 
 
 def quadrature_variance(s, lam: float) -> float:

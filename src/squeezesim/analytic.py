@@ -182,12 +182,11 @@ def fit_ansatz(sweep_data) -> FitResult:
     """Least-squares fit of the secant decay constants (c1, c2).
 
     sweep_data rows are (omega0, omegaf, epsilon, R_final).  Residuals are
-    taken in R and minimised by Levenberg-Marquardt from the starting point
-    (1, 0.5).  The model is even in c1, so its sign is normalised to +.
+    taken in R and minimised by damped Gauss-Newton from the starting point
+    (1, 0.5), with the analytic Jacobian and Levenberg's damping on the
+    diagonal of the normal matrix (Marquardt's scaling).  The model is even
+    in c1, so its sign is normalised to +.
     """
-    # imported here: scipy.optimize is most of the CLI's import time
-    from scipy.optimize import least_squares
-
     pts = [(float(o0), float(of), float(e), float(r)) for o0, of, e, r in sweep_data]
     if len(pts) < 2:
         raise DegenerateDataError(f"need at least 2 data points, got {len(pts)}")
@@ -204,28 +203,45 @@ def fit_ansatz(sweep_data) -> FitResult:
             stacklevel=2,
         )
 
-    o0s = np.array([p[0] for p in pts])
-    ofs = np.array([p[1] for p in pts])
-    eps = np.array([p[2] for p in pts])
-    robs = np.array([p[3] for p in pts])
+    o0s, ofs, eps, robs = np.array(pts).T
     rfs = np.abs(0.5 * np.log(ofs / o0s))
     wmin = np.minimum(o0s, ofs)
 
     def residuals(c):
-        # cosh overflow during step exploration is benign: the model value
-        # underflows to 0 and the optimizer backs off
+        """Residuals in R and their Jacobian in (c1, c2)."""
+        # cosh overflow in a trial step is benign: the model value
+        # underflows to 0, the cost rises and the step is rejected
         with np.errstate(over="ignore"):
-            return rfs / np.cosh(c[0] * (rfs + c[1]) * wmin * eps) - robs
+            z = c[0] * (rfs + c[1]) * wmin * eps
+            f = rfs / np.cosh(z)
+        g = -f * np.tanh(z) * wmin * eps
+        return f - robs, np.column_stack([g * (rfs + c[1]), g * c[0]])
 
-    res = least_squares(residuals, x0=(1.0, 0.5), method="lm")
-    c1, c2 = float(abs(res.x[0])), float(res.x[1])
-    if res.jac is not None and np.linalg.cond(res.jac) > 1e8:
+    c, lam = np.array([1.0, 0.5]), 1e-3
+    res, jac = residuals(c)
+    if not np.isfinite(res).all():
+        raise ValueError("fit residuals are not finite at the starting point")
+    for _ in range(200):
+        jtj = jac.T @ jac
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jac.T @ res)
+        except np.linalg.LinAlgError:  # singular: a failed step raises the damping
+            step = np.full(2, np.nan)
+        trial, trial_jac = residuals(c + step)
+        if trial @ trial < res @ res:
+            c, res, jac, lam = c + step, trial, trial_jac, lam / 10.0
+        elif lam > 1e12:  # no descent even along the scaled gradient
+            break
+        else:
+            lam *= 10.0
+    c1, c2 = float(abs(c[0])), float(c[1])
+    if np.linalg.cond(jac) > 1e8:
         warnings.warn(
             "fit Jacobian nearly rank deficient; c1 and c2 trade off freely",
             FitConditionWarning,
             stacklevel=2,
         )
-    rms = float(np.sqrt(np.mean(res.fun**2)))
+    rms = float(np.sqrt(np.mean(res**2)))
     grid = (
         f"{len(pts)} points, ratio in [{float(np.min(ofs / o0s)):.6g}, "
         f"{float(np.max(ofs / o0s)):.6g}], eps in [{float(np.min(eps)):.6g}, "

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, evolution, output
+from . import analytic, output
 from .errors import (
     CompositionError,
     DegenerateDataError,
@@ -25,7 +25,7 @@ from .errors import (
     WindowError,
 )
 from .evolution import SimulationConfig, post_transition_summary, propagate_converged
-from .frequency import load_samples, tanh_profile
+from .frequency import jump_profile, load_samples, tanh_profile
 
 class _CliUsageError(ValueError):
     """Missing or inconsistent flags, as opposed to domain errors."""
@@ -192,6 +192,8 @@ def _emit(text: str, out_path, label: str) -> None:
 
 
 def run_evolve(args: argparse.Namespace) -> int:
+    if not args.threshold > 0.0:
+        raise ValueError(f"threshold must be > 0, got {args.threshold}")
     if args.profile_file:
         profile = load_samples(args.profile_file)
     else:
@@ -266,15 +268,13 @@ def run_fit(args: argparse.Namespace) -> int:
 
 def _verify_checks(tol_unit: float, flip_b_sign: bool):
     """Yield (name, passed, detail) for each built-in check."""
-    from .frequency import jump_profile
-
     omega0, omegaf, t0 = 1.0, 3.0, 10.0
 
-    # sudden switch against the closed form, fixed fine grid (no ladder:
-    # inter-resolution deltas understate the boundary-offset error here)
+    # sudden switch against the closed form, fixed fine grid (n_max = n_slices,
+    # no ladder: inter-resolution deltas understate the boundary-offset error here)
     p_jump = jump_profile(omega0, omegaf, t0)
-    cfg_jump = SimulationConfig(n_slices=1 << 16, record_stride=16, convergence_tol=1e-4)
-    traj_j = evolution.propagate(p_jump, cfg_jump, flip_b_sign=flip_b_sign)
+    cfg_jump = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
+    traj_j = propagate_converged(p_jump, cfg_jump, flip_b_sign=flip_b_sign)
     mask = traj_j.t >= t0
     ref = analytic.jump_sp_closed_form(omega0, omegaf, traj_j.t[mask] - t0)
     supdev = float(np.max(np.abs(traj_j.r[mask] - ref)))

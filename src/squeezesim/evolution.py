@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _bch_arrays, _clamped_magnitude, _wrap_angle
+from .algebra import _bch_arrays, _clamped_magnitude, _squeeze_of, _wrap_angle
 from .errors import StepSingularityError, WindowError
 from .frequency import FrequencyProfile, eval_omega, transition_interval
 
@@ -32,9 +32,10 @@ class SimulationConfig:
     t_end = None resolves to t0 + 3*epsilon + three post-transition periods
     of the final frequency.  n_slices is the seed step count; the convergence
     ladder doubles it until the recorded squeeze magnitudes are stable to
-    convergence_tol in sup norm or n_max is hit.  Records are kept every
-    record_stride steps.  midpoint switches the frequency sampling from the
-    right endpoint to the middle of each step.
+    convergence_tol in sup norm or n_max is hit; n_max = n_slices runs the
+    single fixed grid of n_slices steps.  Records are kept every record_stride
+    steps.  midpoint switches the frequency sampling from the right endpoint
+    to the middle of each step.
     """
 
     t_start: float = 0.0
@@ -78,7 +79,9 @@ class Trajectory:
     Arrays are aligned per record: time, driving frequency, basis exponent
     rho, propagator variable chi, initial-basis squeeze (r, phi),
     instantaneous-basis squeeze (R, Phi) and the central composition
-    coefficient (beta_mod, upsilon).
+    coefficient (beta_mod, upsilon), recorded at the last ladder level of
+    n_slices steps.  delta_history holds one sup-norm difference per level
+    comparison; converged is None when no comparison was made.
     """
 
     t: np.ndarray
@@ -211,19 +214,14 @@ def _finalize(
     t_rec: np.ndarray,
     chi_rec: np.ndarray,
     converged: bool | None,
-    achieved_delta: float | None,
-    delta_history: list[float],
+    history: list[float],
 ) -> Trajectory:
     """Convert recorded chi values into the full squeeze trajectory."""
     omega_rec = np.asarray(eval_omega(p, t_rec), dtype=float)
     rho_rec = 0.5 * np.log(omega_rec / p.omega0)
-    mag = _clamped_magnitude(np.abs(chi_rec), "squeeze")
-    r = np.arctanh(mag)
-    phi = _wrap_angle(np.angle(chi_rec) + np.pi)
+    r, phi = _squeeze_of(chi_rec, "squeeze")
     alpha, beta, _ = _bch_arrays(r, phi, rho_rec)
-    amag = _clamped_magnitude(np.abs(alpha), "instantaneous squeeze")
-    big_r = np.arctanh(amag)
-    big_phi = _wrap_angle(np.angle(alpha) + np.pi)
+    big_r, big_phi = _squeeze_of(alpha, "instantaneous squeeze")
     return Trajectory(
         t=t_rec,
         omega=omega_rec,
@@ -239,22 +237,9 @@ def _finalize(
         config=cfg,
         n_slices=n,
         converged=converged,
-        achieved_delta=achieved_delta,
-        delta_history=delta_history,
+        achieved_delta=history[-1] if history else None,
+        delta_history=history,
     )
-
-
-def propagate(
-    p: FrequencyProfile, cfg: SimulationConfig, *, flip_b_sign: bool = False
-) -> Trajectory:
-    """Propagate the vacuum with the configured fixed step count.
-
-    flip_b_sign negates the phase coefficient of every step, a deliberately
-    broken propagator that every downstream oracle check must catch.
-    """
-    t_end = _effective_t_end(p, cfg)
-    t_rec, chi_rec = _propagate_raw(p, cfg, cfg.n_slices, t_end, flip_b_sign)
-    return _finalize(p, cfg, cfg.n_slices, t_rec, chi_rec, None, None, [])
 
 
 def propagate_converged(
@@ -262,30 +247,28 @@ def propagate_converged(
 ) -> Trajectory:
     """Propagate with step doubling until the recorded squeeze stabilises.
 
-    Consecutive refinements share every record time of the coarser run, so
-    the sup norm of the squeeze magnitude difference is taken over exactly
-    aligned records.  Returns the finer trajectory of the last comparison,
-    flagged converged when the difference dropped below convergence_tol.
-    flip_b_sign is passed to every level, as in propagate.
+    Levels run n_slices, 2 n_slices, ... steps up to n_max, and consecutive
+    levels share every record time of the coarser one, so the sup norm of
+    the squeeze magnitude difference is taken over exactly aligned records.
+    Returns the last level, converged once a difference drops below
+    convergence_tol.  n_max = n_slices runs one fixed grid (converged None).
+    flip_b_sign negates the phase coefficient of every step, a deliberately
+    broken propagator that every downstream oracle check must catch.
     """
     t_end = _effective_t_end(p, cfg)
     n = cfg.n_slices
-    t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end, flip_b_sign)
-    r_prev = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
     history: list[float] = []
-    converged = False
-    while 2 * n <= cfg.n_max:
-        n *= 2
+    converged = r_prev = None
+    while True:
         t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end, flip_b_sign)
         r_next = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-        delta = float(np.max(np.abs(r_next[::2] - r_prev)))
-        history.append(delta)
-        r_prev = r_next
-        if delta < cfg.convergence_tol:
-            converged = True
+        if r_prev is not None:
+            history.append(float(np.max(np.abs(r_next[::2] - r_prev))))
+            converged = history[-1] < cfg.convergence_tol
+        if converged or 2 * n > cfg.n_max:
             break
-    achieved = history[-1] if history else None
-    return _finalize(p, cfg, n, t_rec, chi_rec, converged, achieved, history)
+        r_prev, n = r_next, 2 * n
+    return _finalize(p, cfg, n, t_rec, chi_rec, converged, history)
 
 
 def post_transition_summary(

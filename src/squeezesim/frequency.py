@@ -38,14 +38,15 @@ class FrequencyProfile:
     def __post_init__(self):
         if self.kind not in ("tanh", "jump", "sampled"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.omega0 <= 0.0 or self.omegaf <= 0.0:
+        freqs = np.array([self.omega0, self.omegaf])
+        if not np.all(freqs > 0.0) or not np.isfinite(freqs).all():
             raise ValueError(
-                f"frequencies must be positive, got {self.omega0}, {self.omegaf}"
+                f"frequencies must be positive and finite, got {self.omega0}, {self.omegaf}"
             )
-        if self.t0 < 0.0:
-            raise ValueError(f"t0 must be >= 0, got {self.t0}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not self.t0 >= 0.0 or not np.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite and >= 0, got {self.t0}")
+        if not self.epsilon >= 0.0 or not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     def __call__(self, t):
         return eval_omega(self, t)
@@ -86,10 +87,10 @@ def sampled_profile(
         raise ValueError(f"need at least 2 samples, got {len(pts)}")
     times = np.array([t for t, _ in pts])
     omegas = np.array([w for _, w in pts])
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
-    if np.any(omegas <= 0.0):
-        raise ValueError("sampled frequencies must be positive")
+    if not np.all(np.diff(times) > 0.0) or not np.isfinite(times).all():
+        raise ValueError("sample times must be finite and strictly increasing")
+    if not np.all(omegas > 0.0) or not np.isfinite(omegas).all():
+        raise ValueError("sampled frequencies must be positive and finite")
     ref = float(omegas[0]) if omega0 is None else float(omega0)
     return FrequencyProfile("sampled", ref, float(omegas[-1]), 0.0, 0.0, pts)
 

@@ -18,7 +18,6 @@ from squeezesim import (
     SimulationConfig,
     jump_profile,
     post_transition_summary,
-    propagate,
     propagate_converged,
     reference_sweep_data,
     tanh_profile,
@@ -31,8 +30,8 @@ OMEGA0, OMEGAF, T0 = 1.0, 3.0, 10.0
 def jump_run():
     """Sudden switch on a fixed fine grid; steps are exact between samples."""
     p = jump_profile(OMEGA0, OMEGAF, T0)
-    cfg = SimulationConfig(n_slices=1 << 16, record_stride=16, convergence_tol=1e-4)
-    traj = propagate(p, cfg)
+    cfg = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
+    traj = propagate_converged(p, cfg)
     return p, traj, post_transition_summary(traj, p)
 
 

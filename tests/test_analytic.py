@@ -194,10 +194,21 @@ class TestFitAnsatz:
         with pytest.raises(DegenerateDataError):
             fit_ansatz([(1.0, 3.0, 0.5, 0.2)])
 
+    def test_non_finite_data_rejected(self):
+        good = (1.0, 2.0, 0.5, 0.2)
+        for bad in ((1.0, 3.0, 0.5, float("nan")), (1.0, 3.0, 0.5, float("inf"))):
+            with pytest.raises(ValueError, match="not finite"):
+                fit_ansatz([bad, good])
+
     def test_single_ratio_warns(self):
         data = [(1.0, 3.0, e, fitted_sp(1.0, 3.0, e)) for e in (0.0, 0.2, 0.5, 1.0)]
-        with pytest.warns(FitConditionWarning, match="single frequency ratio"):
+        with pytest.warns(FitConditionWarning) as record:
             fit_ansatz(data)
+        messages = [str(w.message) for w in record]
+        assert any("single frequency ratio" in m for m in messages)
+        # at one ratio the model depends on c1 (|rho_f| + c2) alone, so the
+        # Jacobian columns are parallel wherever the fit stops
+        assert any("rank deficient" in m for m in messages)
 
     def test_noise_tolerance(self):
         rng = np.random.default_rng(7)

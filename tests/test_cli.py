@@ -44,15 +44,39 @@ class TestEvolve:
         assert code == EXIT_USAGE
         assert "--omegaf" in capsys.readouterr().err
 
-    def test_domain_error_exit(self, capsys):
+    def test_domain_error_exit(self, tmp_path, capsys):
         code = main(["evolve", "--omegaf", "-3", "--eps", "0.5"])
         assert code == EXIT_DOMAIN
         assert "positive" in capsys.readouterr().err
+        # non-finite ramp parameters are rejected before any stepping
+        prof = tmp_path / "omega.txt"
+        prof.write_text("0 1\n1 nan\n2 2\n")
+        for flags in (
+            ["--omegaf", "nan"],
+            ["--omegaf", "inf"],
+            ["--omegaf", "3", "--omega0", "nan"],
+            ["--omegaf", "3", "--eps", "nan"],
+            ["--omegaf", "3", "--t0", "nan"],
+            ["--profile-file", str(prof)],
+        ):
+            assert main(["evolve"] + FAST_EVOLVE + flags) == EXIT_DOMAIN, flags
+            assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--threshold", "0"], ["--threshold", "nan"], ["--tol", "nan"]]
+        "flags",
+        [
+            ["--threshold", "0"],
+            ["--threshold", "nan"],
+            ["--tol", "nan"],
+            ["--profile-file", "{profile}", "--threshold", "-5"],
+            ["--omegaf", "1", "--threshold", "nan"],
+        ],
     )
-    def test_threshold_and_tol_must_be_positive(self, flags, capsys):
+    def test_threshold_and_tol_must_be_positive(self, flags, tmp_path, capsys):
+        # checked before propagating, also where no adiabaticity is reported
+        prof = tmp_path / "omega.txt"
+        prof.write_text("0 1\n20 2\n")
+        flags = [f.format(profile=prof) for f in flags]
         code = main(["evolve", "--omegaf", "3"] + FAST_EVOLVE + flags)
         assert code == EXIT_DOMAIN
         assert "must be > 0" in capsys.readouterr().err
@@ -229,15 +253,18 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_USAGE
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize is only needed by the fit and dominates import time
+        # the runtime needs numpy alone: with scipy unimportable, the fit
+        # and a small evolve still run and nothing loads scipy.optimize
+        script = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from squeezesim.cli import main\n"
+            "assert main(['fit', '--source', 'formula']) == 0\n"
+            "assert main(['evolve', '--omegaf', '3', '--n', '1024', '--stride', '8',"
+            " '--tol', '1e-3']) == 0\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n"
+        )
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, squeezesim.cli; sys.exit('scipy.optimize' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
+            [sys.executable, "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -11,7 +11,6 @@ from squeezesim import (
     default_t_end,
     jump_profile,
     post_transition_summary,
-    propagate,
     propagate_converged,
     sampled_profile,
     step_coeffs,
@@ -75,15 +74,20 @@ class TestStepCoeffs:
 class TestPropagate:
     def test_constant_profile_stays_vacuum(self):
         p = sampled_profile([(0.0, 1.0), (5.0, 1.0)])
-        cfg = SimulationConfig(t_end=5.0, n_slices=512)
-        traj = propagate(p, cfg)
+        cfg = SimulationConfig(t_end=5.0, n_slices=512, n_max=512)
+        traj = propagate_converged(p, cfg)
         assert np.max(traj.r) <= 1e-14
         assert np.max(traj.R) <= 1e-14
 
     def test_record_layout(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        cfg = SimulationConfig(t_end=14.0, n_slices=1024, record_stride=8)
-        traj = propagate(p, cfg)
+        cfg = SimulationConfig(t_end=14.0, n_slices=1024, record_stride=8, n_max=1024)
+        traj = propagate_converged(p, cfg)
+        # one level: the fixed grid, with no comparison to report
+        assert traj.n_slices == 1024
+        assert traj.converged is None
+        assert traj.achieved_delta is None
+        assert traj.delta_history == []
         assert len(traj) == 1024 // 8 + 1
         assert traj.t[0] == 0.0
         assert traj.t[-1] == pytest.approx(14.0, abs=1e-12)
@@ -91,25 +95,27 @@ class TestPropagate:
 
     def test_first_record_is_vacuum(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        traj = propagate(p, SimulationConfig(t_end=14.0, n_slices=256))
+        traj = propagate_converged(p, SimulationConfig(t_end=14.0, n_slices=256, n_max=256))
         assert traj.r[0] == 0.0
         assert traj.chi[0] == 0.0
 
     def test_rho_column_tracks_profile(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        traj = propagate(p, SimulationConfig(t_end=14.0, n_slices=256))
+        traj = propagate_converged(p, SimulationConfig(t_end=14.0, n_slices=256, n_max=256))
         np.testing.assert_allclose(traj.rho, 0.5 * np.log(traj.omega), atol=1e-14)
 
     def test_unitarity_defect_small(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        traj = propagate(p, SimulationConfig(t_end=14.0, n_slices=2048))
+        traj = propagate_converged(p, SimulationConfig(t_end=14.0, n_slices=2048, n_max=2048))
         assert traj.unitarity_defect() <= 1e-12
 
     def test_midpoint_sampling_changes_little(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        right = propagate(p, SimulationConfig(t_end=14.0, n_slices=4096))
-        mid = propagate(
-            p, SimulationConfig(t_end=14.0, n_slices=4096, midpoint=True)
+        right = propagate_converged(
+            p, SimulationConfig(t_end=14.0, n_slices=4096, n_max=4096)
+        )
+        mid = propagate_converged(
+            p, SimulationConfig(t_end=14.0, n_slices=4096, n_max=4096, midpoint=True)
         )
         assert np.max(np.abs(right.r - mid.r)) < 5e-3
         assert np.max(np.abs(right.r - mid.r)) > 0.0
@@ -135,8 +141,12 @@ class TestPropagateConverged:
         # doubling slices with a fixed stride doubles the record count and
         # keeps the coarse instants as every second fine record
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        coarse = propagate(p, SimulationConfig(t_end=14.0, n_slices=512, record_stride=4))
-        fine = propagate(p, SimulationConfig(t_end=14.0, n_slices=1024, record_stride=4))
+        coarse = propagate_converged(
+            p, SimulationConfig(t_end=14.0, n_slices=512, record_stride=4, n_max=512)
+        )
+        fine = propagate_converged(
+            p, SimulationConfig(t_end=14.0, n_slices=1024, record_stride=4, n_max=1024)
+        )
         np.testing.assert_allclose(fine.t[::2], coarse.t, atol=1e-12)
 
     def test_gives_up_at_cap(self):
@@ -151,9 +161,9 @@ class TestPropagateConverged:
     def test_flip_hook_breaks_physics(self):
         # the corrupted-step hook must visibly damage the result
         p = jump_profile(1.0, 3.0, 10.0)
-        cfg = SimulationConfig(n_slices=1 << 14, record_stride=16)
-        clean = propagate(p, cfg)
-        broken = propagate(p, cfg, flip_b_sign=True)
+        cfg = SimulationConfig(n_slices=1 << 14, record_stride=16, n_max=1 << 14)
+        clean = propagate_converged(p, cfg)
+        broken = propagate_converged(p, cfg, flip_b_sign=True)
         assert np.max(np.abs(clean.r - broken.r)) > 0.1
 
 
@@ -169,13 +179,13 @@ class TestPostTransitionSummary:
 
     def test_window_too_short_raises(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        traj = propagate(p, SimulationConfig(t_end=12.0, n_slices=1024))
+        traj = propagate_converged(p, SimulationConfig(t_end=12.0, n_slices=1024, n_max=1024))
         with pytest.raises(WindowError):
             post_transition_summary(traj, p)
 
     def test_sampled_needs_explicit_window(self):
         p = sampled_profile([(0.0, 1.0), (20.0, 1.0)])
-        traj = propagate(p, SimulationConfig(n_slices=2048))
+        traj = propagate_converged(p, SimulationConfig(n_slices=2048, n_max=2048))
         with pytest.raises(ValueError, match="window_start"):
             post_transition_summary(traj, p)
         summary = post_transition_summary(traj, p, window_start=5.0)

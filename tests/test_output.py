@@ -8,7 +8,7 @@ import pytest
 from squeezesim import (
     SimulationConfig,
     post_transition_summary,
-    propagate,
+    propagate_converged,
     tanh_profile,
 )
 from squeezesim.analytic import (
@@ -35,8 +35,8 @@ from squeezesim.output import (
 @pytest.fixture(scope="module")
 def small_run():
     p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-    cfg = SimulationConfig(n_slices=2048, record_stride=32)
-    traj = propagate(p, cfg)
+    cfg = SimulationConfig(n_slices=2048, record_stride=32, n_max=2048)
+    traj = propagate_converged(p, cfg)
     return p, traj, post_transition_summary(traj, p)
 
 

@@ -14,12 +14,13 @@ Conventions
   complex variable c use r = artanh|c| and phi = arg(c) + pi wrapped back to
   the principal branch, so the vacuum (c = 0) reports phi = pi.
 * Magnitudes that graze 1 from above by at most 1e-12 (rounding) are clamped
-  to 1 - 1e-15 with a SaturationWarning; anything further out raises
-  SaturationError.
+  to 1 - 1e-15 with a SaturationWarning, which names the first calling line
+  outside the package; anything further out raises SaturationError.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -49,10 +50,16 @@ def _clamped_magnitude(mag, what: str):
     near = mag >= 1.0
     n_near = int(np.count_nonzero(near))
     if n_near:
+        # name the first frame outside this package
+        level, frame = 2, sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(
+            __package__ + "."
+        ):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{what} magnitude reached 1; clamped {n_near} value(s)",
             SaturationWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
         mag = np.where(near, _CLAMP_TO, mag)
     return mag

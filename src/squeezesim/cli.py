@@ -11,12 +11,12 @@ to its own exit status; see the README table.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import analytic, output
+from .checks import physics_checks, reference_runs
 from .errors import (
     CompositionError,
     DegenerateDataError,
@@ -25,7 +25,7 @@ from .errors import (
     WindowError,
 )
 from .evolution import SimulationConfig, post_transition_summary, propagate_converged
-from .frequency import jump_profile, load_samples, tanh_profile
+from .frequency import load_samples, tanh_profile
 
 class _CliUsageError(ValueError):
     """Missing or inconsistent flags, as opposed to domain errors."""
@@ -90,9 +90,9 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="simulation end time (default: transition end plus three periods)")
     sub.add_argument("--n", type=int, default=SimulationConfig.n_slices,
                      help="starting slice count for the convergence ladder")
-    sub.add_argument("--tol", type=float, default=1e-4,
+    sub.add_argument("--tol", type=float, default=SimulationConfig.convergence_tol,
                      help="convergence tolerance on the squeeze magnitude "
-                          "(default 1e-4; the library default is 1e-6)")
+                          "(default %(default)g)")
     sub.add_argument("--stride", type=int, default=SimulationConfig.record_stride,
                      help="record every this many slices")
     sub.add_argument("--midpoint", action="store_true",
@@ -266,68 +266,10 @@ def run_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(tol_unit: float, flip_b_sign: bool):
-    """Yield (name, passed, detail) for each built-in check."""
-    omega0, omegaf, t0 = 1.0, 3.0, 10.0
-
-    # sudden switch against the closed form, fixed fine grid (n_max = n_slices,
-    # no ladder: inter-resolution deltas understate the boundary-offset error here)
-    p_jump = jump_profile(omega0, omegaf, t0)
-    cfg_jump = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
-    traj_j = propagate_converged(p_jump, cfg_jump, flip_b_sign=flip_b_sign)
-    mask = traj_j.t >= t0
-    ref = analytic.jump_sp_closed_form(omega0, omegaf, traj_j.t[mask] - t0)
-    supdev = float(np.max(np.abs(traj_j.r[mask] - ref)))
-    yield "jump-oracle", supdev <= 1e-3, f"sup deviation {supdev:.3e} (tol 1.0e-03)"
-
-    summary_j = post_transition_summary(traj_j, p_jump)
-    rmax_err = abs(summary_j.r_max - math.log(3.0))
-    period_err = abs(summary_j.period - math.pi / 3.0) / (math.pi / 3.0)
-    ok = rmax_err <= 1e-3 and summary_j.r_min <= 1e-3 and period_err <= 0.01
-    yield (
-        "jump-extrema",
-        ok,
-        f"r_max err {rmax_err:.3e}, r_min {summary_j.r_min:.3e}, "
-        f"period rel err {period_err:.3e}",
-    )
-
-    p_smooth = tanh_profile(omega0, omegaf, t0, 0.5)
-    cfg_smooth = SimulationConfig(n_slices=4096, record_stride=4, convergence_tol=1e-4)
-    traj_s = propagate_converged(p_smooth, cfg_smooth, flip_b_sign=flip_b_sign)
-    summary_s = post_transition_summary(traj_s, p_smooth)
-    mid_err = abs(summary_s.r_midpoint - 0.5 * math.log(3.0))
-    yield "midpoint", mid_err <= 1e-2, f"|r_mid - ln(3)/2| = {mid_err:.3e} (tol 1.0e-02)"
-
-    yield (
-        "instantaneous-constancy",
-        summary_s.R_std < 1e-3,
-        f"post-transition R std {summary_s.R_std:.3e} (tol 1.0e-03)",
-    )
-
-    defect = max(traj_j.unitarity_defect(), traj_s.unitarity_defect())
-    yield "unitarity", defect <= tol_unit, f"max defect {defect:.3e} (tol {tol_unit:.1e})"
-
-    data = analytic.reference_sweep_data(source="formula")
-    fit = analytic.fit_ansatz(data)
-    fit_ok = abs(fit.c1 - 2.0) <= 1e-6 and abs(fit.c2 - 1.0) <= 1e-6
-    yield "fit-recovery", fit_ok, f"c1 = {fit.c1:.8f}, c2 = {fit.c2:.8f}"
-
-    anchor_a = analytic.fitted_sp(1.0, 5.0, 0.4)
-    anchor_b = analytic.fitted_sp(1.0, 0.2, 0.4)
-    a_ok = 0.3 < anchor_a < 0.4
-    b_ok = 0.7 < anchor_b < 0.8
-    yield (
-        "contour-anchors",
-        a_ok and b_ok,
-        f"R(ratio 5, 0.4) = {anchor_a:.6f} in (0.3, 0.4): {a_ok}; "
-        f"R(ratio 0.2, 0.4) = {anchor_b:.6f} in (0.7, 0.8): {b_ok}",
-    )
-
-
 def run_verify(args: argparse.Namespace) -> int:
     # --tol here is the unitarity gate, not the ladder tolerance
     failures = 0
-    for name, passed, detail in _verify_checks(args.tol, args.flip_b_sign):
+    for name, passed, detail in physics_checks(reference_runs(args.flip_b_sign), args.tol):
         tag = "PASS" if passed else "FAIL"
         print(f"[{tag}] {name}: {detail}")
         failures += 0 if passed else 1

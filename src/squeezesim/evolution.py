@@ -1,7 +1,8 @@
 """Propagation of the vacuum through a frequency ramp.
 
-The evolution operator over [t_start, t_end] is approximated by a product of
-piecewise-constant steps of width tau = (t_end - t_start)/n.  Each step is
+A run starts at t = 0, or at the first sample time of a tabulated profile,
+and ends at t_end.  The evolution operator over that span is approximated by
+a product of n piecewise-constant steps of equal width tau.  Each step is
 exact for a constant frequency, so the only approximation is sampling
 omega(t) once per step (right endpoint by default).  The whole product is
 tracked through a single complex variable chi obeying a Moebius recurrence;
@@ -29,20 +30,21 @@ _CHUNK = 1 << 18
 class SimulationConfig:
     """Stepping and convergence controls for one propagation.
 
+    A run starts at t = 0, or at the first sample time of a sampled profile.
     t_end = None resolves to t0 + 3*epsilon + three post-transition periods
-    of the final frequency.  n_slices is the seed step count; the convergence
-    ladder doubles it until the recorded squeeze magnitudes are stable to
-    convergence_tol in sup norm or n_max is hit; n_max = n_slices runs the
-    single fixed grid of n_slices steps.  Records are kept every record_stride
-    steps.  midpoint switches the frequency sampling from the right endpoint
-    to the middle of each step.
+    of the final frequency, or to the last sample time of a sampled profile;
+    an explicit t_end must be positive.  n_slices is the seed step count;
+    the convergence ladder doubles it until the recorded squeeze magnitudes
+    are stable to convergence_tol in sup norm or n_max is hit; n_max =
+    n_slices runs the single fixed grid of n_slices steps.  Records are kept
+    every record_stride steps.  midpoint switches the frequency sampling
+    from the right endpoint to the middle of each step.
     """
 
-    t_start: float = 0.0
     t_end: float | None = None
     n_slices: int = 4096
     record_stride: int = 1
-    convergence_tol: float = 1e-6
+    convergence_tol: float = 1e-4
     n_max: int = 1 << 24
     midpoint: bool = False
 
@@ -56,14 +58,8 @@ class SimulationConfig:
                 f"n_slices ({self.n_slices}) must be a multiple of "
                 f"record_stride ({self.record_stride})"
             )
-        if not np.isfinite(self.t_start):
-            raise ValueError(f"t_start must be finite, got {self.t_start}")
-        if self.t_end is not None and (
-            not np.isfinite(self.t_end) or self.t_end <= self.t_start
-        ):
-            raise ValueError(
-                f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
-            )
+        if self.t_end is not None and not (np.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not self.convergence_tol > 0.0:
             raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
         if self.n_max < self.n_slices:
@@ -132,6 +128,15 @@ def default_t_end(p: FrequencyProfile) -> float:
     return p.t0 + 3.0 * p.epsilon + 3.0 * np.pi / p.omegaf
 
 
+def _time_span(p: FrequencyProfile, cfg: SimulationConfig) -> tuple[float, float]:
+    """(t_start, t_end) of a run: the first sample time of a sampled profile, else 0."""
+    t_start = p.samples[0][0] if p.kind == "sampled" else 0.0
+    t_end = default_t_end(p) if cfg.t_end is None else cfg.t_end
+    if t_end <= t_start:
+        raise ValueError(f"t_end {t_end} must exceed t_start {t_start}")
+    return float(t_start), float(t_end)
+
+
 def step_coeffs(omega_j: float, omega0: float, tau: float) -> tuple[complex, complex]:
     """Moebius coefficients (a_j, b_j) of one constant-frequency step.
 
@@ -162,18 +167,15 @@ def _step_arrays(omega, omega0: float, tau: float):
     return a, b
 
 
-def _effective_t_end(p: FrequencyProfile, cfg: SimulationConfig) -> float:
-    t_end = default_t_end(p) if cfg.t_end is None else cfg.t_end
-    if t_end <= cfg.t_start:
-        raise ValueError(f"t_end {t_end} must exceed t_start {cfg.t_start}")
-    return float(t_end)
-
-
 def _propagate_raw(
-    p: FrequencyProfile, cfg: SimulationConfig, n: int, t_end: float, flip_b_sign: bool
+    p: FrequencyProfile,
+    cfg: SimulationConfig,
+    n: int,
+    span: tuple[float, float],
+    flip_b_sign: bool,
 ):
     """Run the recurrence with n steps; return the recorded chi values."""
-    t_start = cfg.t_start
+    t_start, t_end = span
     tau = (t_end - t_start) / n
     stride = cfg.record_stride
     n_rec = n // stride
@@ -255,12 +257,12 @@ def propagate_converged(
     flip_b_sign negates the phase coefficient of every step, a deliberately
     broken propagator that every downstream oracle check must catch.
     """
-    t_end = _effective_t_end(p, cfg)
+    span = _time_span(p, cfg)
     n = cfg.n_slices
     history: list[float] = []
     converged = r_prev = None
     while True:
-        t_rec, chi_rec = _propagate_raw(p, cfg, n, t_end, flip_b_sign)
+        t_rec, chi_rec = _propagate_raw(p, cfg, n, span, flip_b_sign)
         r_next = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
         if r_prev is not None:
             history.append(float(np.max(np.abs(r_next[::2] - r_prev))))

@@ -1,10 +1,10 @@
 """Shared heavy fixtures: the reference runs reused across test modules.
 
-Each converged propagation is computed once per session; individual tests
-read arrays out of these instead of re-propagating.  The mode-function
-oracle integrates the classical equation of motion directly and shares no
-code with the package, so it can tell a wrong propagator from a wrong
-reference value.
+The reference runs and the checks on them come from squeezesim.checks,
+which `squeezesim verify` runs too; they are computed once per session.
+The mode-function oracle integrates the classical equation of motion
+directly and shares no code with the package, so it can tell a wrong
+propagator from a wrong reference value.
 """
 
 import functools
@@ -14,46 +14,21 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from squeezesim import (
-    SimulationConfig,
-    jump_profile,
-    post_transition_summary,
-    propagate_converged,
-    reference_sweep_data,
-    tanh_profile,
-)
+from squeezesim import SimulationConfig, checks, reference_sweep_data
 
-OMEGA0, OMEGAF, T0 = 1.0, 3.0, 10.0
+T0 = 10.0  # ramp centre of the oracle
 
 
 @pytest.fixture(scope="session")
-def jump_run():
-    """Sudden switch on a fixed fine grid; steps are exact between samples."""
-    p = jump_profile(OMEGA0, OMEGAF, T0)
-    cfg = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
-    traj = propagate_converged(p, cfg)
-    return p, traj, post_transition_summary(traj, p)
+def reference_runs():
+    """The jump and tanh-ramp runs of squeezesim.checks, keyed "jump" and by width."""
+    return checks.reference_runs()
 
 
 @pytest.fixture(scope="session")
-def eps_small_run():
-    """Near-sudden smooth ramp (eps = 1e-3), converged."""
-    p = tanh_profile(OMEGA0, OMEGAF, T0, 1e-3)
-    cfg = SimulationConfig(n_slices=4096, record_stride=16, convergence_tol=1e-4)
-    traj = propagate_converged(p, cfg)
-    return p, traj, post_transition_summary(traj, p)
-
-
-@pytest.fixture(scope="session")
-def smooth_runs():
-    """Converged ramps at eps in {0.5, 1.0, 1.5}, keyed by eps."""
-    out = {}
-    cfg = SimulationConfig(n_slices=4096, record_stride=4, convergence_tol=1e-4)
-    for eps in (0.5, 1.0, 1.5):
-        p = tanh_profile(OMEGA0, OMEGAF, T0, eps)
-        traj = propagate_converged(p, cfg)
-        out[eps] = (p, traj, post_transition_summary(traj, p))
-    return out
+def physics_checks(reference_runs):
+    """The squeezesim.checks verdicts on the reference runs, keyed by name."""
+    return {c.name: c for c in checks.physics_checks(reference_runs)}
 
 
 @pytest.fixture(scope="session")

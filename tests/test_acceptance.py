@@ -1,14 +1,14 @@
 """Acceptance suite: one test per headline requirement.
 
 Each test prints a [PASS]/[FAIL] line with its measured values before
-asserting, so the verdicts survive into the captured output.  The heavy
-propagations come from session fixtures (see conftest).
+asserting, so the verdicts survive into the captured output.  Criteria 1-5
+and the formula halves of 7 and 8 are the squeezesim.checks verdicts that
+`squeezesim verify` prints; their runs and bounds live there.
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,111 +20,47 @@ from squeezesim import (
     fit_ansatz,
     fitted_sp,
     fock_coefficients,
-    jump_sp_closed_form,
     lambda_coeffs,
     quadrature_variance,
-    reference_sweep_data,
     variance_cross_basis,
 )
-
-LN3 = math.log(3.0)
-RHO_F = 0.5 * LN3
+from squeezesim.checks import ANCHORS
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
 
 
-def test_criterion_01_jump_oracle_equivalence(eps_small_run):
+def _check_verdict(num: int, check) -> None:
+    _verdict(num, check.passed, check.detail)
+    assert check.passed, check.detail
+
+
+def test_criterion_01_jump_oracle_equivalence(physics_checks):
     """Near-sudden ramp tracks the sudden-switch closed form to 1e-3."""
-    p, traj, _ = eps_small_run
-    t_open = p.t0 + 3.0 * p.epsilon
-    mask = traj.t >= t_open
-    ref = jump_sp_closed_form(p.omega0, p.omegaf, traj.t[mask] - p.t0)
-    supdev = float(np.max(np.abs(traj.r[mask] - ref)))
-    ok = supdev <= 1e-3
-    _verdict(1, ok, f"sup |r - closed form| = {supdev:.3e} (tol 1.0e-03)")
-    assert ok, f"sup-norm deviation {supdev:.6e} exceeds 1e-3"
+    _check_verdict(1, physics_checks["near-sudden-oracle"])
 
 
-def test_criterion_02_jump_extrema_and_period(jump_run):
+def test_criterion_02_jump_extrema_and_period(physics_checks):
     """Sudden switch: maximum ln 3, minimum 0, period pi/3."""
-    _, _, summary = jump_run
-    rmax_err = abs(summary.r_max - LN3)
-    period_rel = abs(summary.period - math.pi / 3.0) / (math.pi / 3.0)
-    ok = rmax_err <= 1e-3 and summary.r_min <= 1e-3 and period_rel <= 0.01
-    _verdict(
-        2,
-        ok,
-        f"|r_max - ln3| = {rmax_err:.3e}, r_min = {summary.r_min:.3e}, "
-        f"period rel err = {period_rel:.3e}",
-    )
-    assert rmax_err <= 1e-3
-    assert summary.r_min <= 1e-3
-    assert period_rel <= 0.01
+    _check_verdict(2, physics_checks["jump-extrema"])
 
 
-def test_criterion_03_midpoint_universality(smooth_runs):
+def test_criterion_03_midpoint_universality(physics_checks):
     """Oscillation midpoint sits at half the log-ratio for every ramp width."""
-    mids = {}
-    amps = {}
-    for eps in (0.5, 1.0, 1.5):
-        _, _, summary = smooth_runs[eps]
-        mids[eps] = abs(summary.r_midpoint - RHO_F)
-        amps[eps] = summary.amplitude
-    mids_ok = all(v <= 1e-2 for v in mids.values())
-    amps_ok = amps[0.5] > amps[1.0] > amps[1.5]
-    ok = mids_ok and amps_ok
-    _verdict(
-        3,
-        ok,
-        "midpoint errors "
-        + ", ".join(f"eps {e}: {v:.2e}" for e, v in mids.items())
-        + "; amplitudes "
-        + " > ".join(f"{amps[e]:.4f}" for e in (0.5, 1.0, 1.5)),
-    )
-    assert mids_ok, f"midpoint errors {mids}"
-    assert amps_ok, f"amplitudes not strictly decreasing: {amps}"
+    _check_verdict(3, physics_checks["midpoint"])
 
 
-def test_criterion_04_instantaneous_basis_constancy(smooth_runs, eps_small_run):
+def test_criterion_04_instantaneous_basis_constancy(physics_checks):
     """Post-transition R is flat, decays with ramp width, and the sudden
     limit reaches half the log-ratio."""
-    stds = {}
-    finals = {}
-    for eps in (0.5, 1.0, 1.5):
-        _, _, summary = smooth_runs[eps]
-        stds[eps] = summary.R_std
-        finals[eps] = summary.R_final
-    _, _, sudden = eps_small_run
-    stds_ok = all(v < 1e-3 for v in stds.values())
-    dec_ok = finals[0.5] > finals[1.0] > finals[1.5]
-    sudden_err = abs(sudden.R_final - RHO_F)
-    sudden_ok = sudden_err <= 1e-2
-    ok = stds_ok and dec_ok and sudden_ok
-    _verdict(
-        4,
-        ok,
-        "R std "
-        + ", ".join(f"{v:.1e}" for v in stds.values())
-        + "; R_final "
-        + " > ".join(f"{finals[e]:.4f}" for e in (0.5, 1.0, 1.5))
-        + f"; sudden-limit error {sudden_err:.2e}",
-    )
-    assert stds_ok, f"R not constant: {stds}"
-    assert dec_ok, f"R_final not strictly decreasing: {finals}"
-    assert sudden_ok, f"sudden-limit R_final off by {sudden_err:.6e}"
+    _check_verdict(4, physics_checks["instantaneous-constancy"])
 
 
-def test_criterion_05_unitarity(jump_run, eps_small_run, smooth_runs):
+def test_criterion_05_unitarity(physics_checks):
     """Composition identity holds to 1e-10 at every recorded step of every
     reference run."""
-    defects = [jump_run[1].unitarity_defect(), eps_small_run[1].unitarity_defect()]
-    defects += [smooth_runs[e][1].unitarity_defect() for e in (0.5, 1.0, 1.5)]
-    worst = max(defects)
-    ok = worst <= 1e-10
-    _verdict(5, ok, f"max |tanh(R)^2 + beta_mod - 1| = {worst:.3e} (tol 1.0e-10)")
-    assert ok, f"unitarity defect {worst:.3e}"
+    _check_verdict(5, physics_checks["unitarity"])
 
 
 def test_criterion_06_formula_agreement(design_sweep, mode_function_oracle):
@@ -178,51 +114,41 @@ def test_criterion_06_formula_agreement(design_sweep, mode_function_oracle):
     )
 
 
-def test_criterion_07_contour_anchors(mode_function_oracle):
+def test_criterion_07_contour_anchors(physics_checks, mode_function_oracle):
     """Formula-mode contour hits the two quoted level intervals, and so does
     the mode-function oracle at the same points.
 
     At ratio 0.2 no ramp exceeds the sudden-limit value ln(5)/2 = 0.805, so
     the second anchor sits in the band (0.7, 0.8) rather than (0.8, 0.9).
     """
-    anchors = (
-        ("ratio 5, 0.4", 5.0, (0.3, 0.4)),
-        ("ratio 0.2, 0.4", 0.2, (0.7, 0.8)),
-    )
-    ok = True
-    parts = []
-    for label, omegaf, (lo, hi) in anchors:
-        formula = fitted_sp(1.0, omegaf, 0.4)
-        oracle = mode_function_oracle(1.0, omegaf, 0.4)
-        inside = lo < formula < hi and lo < oracle < hi
+    formula = physics_checks["contour-anchors"]
+    ok = formula.passed
+    parts = [f"formula {formula.detail}"]
+    for omegaf, width, (lo, hi) in ANCHORS:
+        oracle = mode_function_oracle(1.0, omegaf, width)
+        inside = lo < oracle < hi
         ok = ok and inside
-        parts.append(f"R({label}) formula {formula:.6f}, oracle {oracle:.6f} "
+        parts.append(f"oracle R(ratio {omegaf:g}, {width:g}) = {oracle:.6f} "
                      f"in ({lo}, {hi}): {inside}")
     detail = "; ".join(parts)
     _verdict(7, ok, detail)
     assert ok, detail
 
 
-def test_criterion_08_fit_recovery(design_sweep):
+def test_criterion_08_fit_recovery(design_sweep, physics_checks):
     """Decay-constant fit: near (2, 1) from simulated data, exactly (2, 1)
     from formula data."""
     sim_fit = fit_ansatz(design_sweep)
-    formula_fit = fit_ansatz(reference_sweep_data(source="formula"))
+    formula = physics_checks["fit-recovery"]
     sim_ok = 1.8 <= sim_fit.c1 <= 2.2 and 0.85 <= sim_fit.c2 <= 1.15
-    formula_ok = (
-        abs(formula_fit.c1 - 2.0) <= 1e-6 and abs(formula_fit.c2 - 1.0) <= 1e-6
-    )
-    ok = sim_ok and formula_ok
+    ok = sim_ok and formula.passed
     _verdict(
         8,
         ok,
         f"simulation ({sim_fit.c1:.4f}, {sim_fit.c2:.4f}) in "
-        f"[1.8, 2.2]x[0.85, 1.15]: {sim_ok}; "
-        f"formula ({formula_fit.c1:.8f}, {formula_fit.c2:.8f}): {formula_ok}",
+        f"[1.8, 2.2]x[0.85, 1.15]: {sim_ok}; {formula.detail}: {formula.passed}",
     )
-    assert formula_ok, (
-        f"formula-data fit ({formula_fit.c1}, {formula_fit.c2}) not (2, 1)"
-    )
+    assert formula.passed, formula.detail
     assert sim_ok, (
         f"simulation-data fit ({sim_fit.c1:.4f}, {sim_fit.c2:.4f}) outside "
         f"[1.8, 2.2] x [0.85, 1.15]"

@@ -94,6 +94,11 @@ class TestEvolve:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "profile_kind = sampled" in out
+        # the run starts at the first sample time
+        prof.write_text("5 1\n25 2\n")
+        code = main(["evolve", "--profile-file", str(prof)] + FAST_EVOLVE)
+        assert code == EXIT_OK
+        assert "t_start = 5.00000000000e+00" in capsys.readouterr().out
 
     def test_determinism(self, tmp_path):
         args = ["evolve", "--omegaf", "3", "--eps", "0.5"] + FAST_EVOLVE
@@ -220,6 +225,7 @@ class TestVerify:
         out = capsys.readouterr().out
         for name in (
             "jump-oracle",
+            "near-sudden-oracle",
             "jump-extrema",
             "midpoint",
             "instantaneous-constancy",
@@ -253,14 +259,15 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_USAGE
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the runtime needs numpy alone: with scipy unimportable, the fit
-        # and a small evolve still run and nothing loads scipy.optimize
+        # the runtime needs numpy alone: with scipy unimportable, the fit,
+        # a small evolve and verify still run and nothing loads scipy.optimize
         script = (
             "import sys; sys.modules['scipy'] = None\n"
             "from squeezesim.cli import main\n"
             "assert main(['fit', '--source', 'formula']) == 0\n"
             "assert main(['evolve', '--omegaf', '3', '--n', '1024', '--stride', '8',"
             " '--tol', '1e-3']) == 0\n"
+            "assert main(['verify']) == 0\n"
             "sys.exit('scipy.optimize' in sys.modules)\n"
         )
         proc = subprocess.run(

@@ -20,13 +20,17 @@ Conventions
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositionError, SaturationError, SaturationWarning
+from .errors import (
+    CompositionError,
+    SaturationError,
+    SaturationWarning,
+    caller_stacklevel,
+)
 
 _CLAMP_WINDOW = 1e-12
 _CLAMP_TO = 1.0 - 1e-15
@@ -50,16 +54,10 @@ def _clamped_magnitude(mag, what: str):
     near = mag >= 1.0
     n_near = int(np.count_nonzero(near))
     if n_near:
-        # name the first frame outside this package
-        level, frame = 2, sys._getframe(1)
-        while frame is not None and frame.f_globals.get("__name__", "").startswith(
-            __package__ + "."
-        ):
-            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{what} magnitude reached 1; clamped {n_near} value(s)",
             SaturationWarning,
-            stacklevel=level,
+            stacklevel=caller_stacklevel(),
         )
         mag = np.where(near, _CLAMP_TO, mag)
     return mag

@@ -15,9 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, FitConditionWarning, ValidityWarning
+from .errors import (
+    DegenerateDataError,
+    FitConditionWarning,
+    ValidityWarning,
+    caller_stacklevel,
+)
 from .evolution import SimulationConfig, post_transition_summary, propagate_converged
-from .frequency import tanh_profile
+from .frequency import tanh_profile, transition_interval
 
 _VALIDITY_RATIO = 10.0
 
@@ -104,13 +109,22 @@ class SweepPoint(NamedTuple):
 def _sweep_cell(
     omega0: float, omegaf: float, eps: float, cfg: SimulationConfig
 ) -> SweepPoint:
+    """R_final of one ramp, its ladder converged on the post-transition window."""
     try:
         p = tanh_profile(omega0, omegaf, epsilon=eps)
-        traj = propagate_converged(p, cfg)
-        summary = post_transition_summary(traj, p)
-        return SweepPoint(eps, summary.R_final)
+        traj = propagate_converged(p, cfg, window_start=transition_interval(p)[1])
+        r_final = post_transition_summary(traj, p).R_final
     except Exception as exc:  # surfaced per cell, the sweep keeps going
         return SweepPoint(eps, float("nan"), f"{type(exc).__name__}: {exc}")
+    if traj.converged is False:
+        warnings.warn(
+            f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) did not converge: "
+            f"n_slices {traj.n_slices}, last delta {traj.achieved_delta:.3g} "
+            f"(tol {cfg.convergence_tol:g})",
+            UserWarning,
+            stacklevel=caller_stacklevel(),
+        )
+    return SweepPoint(eps, r_final)
 
 
 def sweep_final_sp(
@@ -121,9 +135,13 @@ def sweep_final_sp(
 ) -> list[SweepPoint]:
     """Final squeezing across ramp widths for one frequency pair.
 
-    Each cell owns a converged propagation; epsilon = 0 runs the jump
-    profile.  Failures are reported in the returned points rather than
-    aborting the sweep.
+    Each cell owns a propagation whose ladder tests what the cell reports:
+    R over the post-transition window and its mean, R_final (see
+    propagate_converged's window_start).  A window shorter than three
+    periods pi/omegaf fails the cell before any step is taken, and a cell
+    whose ladder reaches n_max unconverged keeps its value with a
+    UserWarning.  epsilon = 0 runs the jump profile.  Failures are reported
+    in the returned points rather than aborting the sweep.
     """
     cfg = cfg or SimulationConfig()
     return [_sweep_cell(omega0, omegaf, float(e), cfg) for e in epsilons]

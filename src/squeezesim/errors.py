@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import sys
+
 
 class SimulationError(Exception):
     """Base class for failures raised by the numerical layers."""
@@ -40,3 +42,14 @@ class FitConditionWarning(UserWarning):
 
 class ValidityWarning(UserWarning):
     """Inputs are outside the range where the fitted formula was calibrated."""
+
+
+def caller_stacklevel() -> int:
+    """stacklevel at which a warning issued by the calling function names
+    the first frame outside this package, the user's line."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(
+        __package__ + "."
+    ):
+        level, frame = level + 1, frame.f_back
+    return level

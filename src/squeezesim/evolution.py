@@ -8,8 +8,11 @@ omega(t) once per step (right endpoint by default).  The whole product is
 tracked through a single complex variable chi obeying a Moebius recurrence;
 the squeeze parameters of the state follow from chi at the recorded steps.
 
-Convergence is assessed by doubling n until the recorded squeeze magnitudes
-move by less than a sup-norm tolerance between consecutive refinements.
+Convergence is assessed by doubling n until the quantity the caller reads
+moves by less than a tolerance between consecutive refinements: the squeeze
+magnitude r(t) at every record, or, for a run that reports the
+post-transition window (a sweep cell), the instantaneous-basis R at the
+records after the window start together with its window mean.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ class SimulationConfig:
     t_end = None resolves to t0 + 3*epsilon + three post-transition periods
     of the final frequency, or to the last sample time of a sampled profile;
     an explicit t_end must be positive.  n_slices is the seed step count;
-    the convergence ladder doubles it until the recorded squeeze magnitudes
-    are stable to convergence_tol in sup norm or n_max is hit; n_max =
-    n_slices runs the single fixed grid of n_slices steps.  Records are kept
-    every record_stride steps.  midpoint switches the frequency sampling
-    from the right endpoint to the middle of each step.
+    the convergence ladder doubles it until the quantity it compares (r(t),
+    or R over the post-transition window and its mean; see
+    propagate_converged) moves by less than convergence_tol or n_max is
+    hit; n_max = n_slices runs the single fixed grid of n_slices steps.
+    Records are kept every record_stride steps.  midpoint switches the
+    frequency sampling from the right endpoint to the middle of each step.
     """
 
     t_end: float | None = None
@@ -76,8 +80,10 @@ class Trajectory:
     rho, propagator variable chi, initial-basis squeeze (r, phi),
     instantaneous-basis squeeze (R, Phi) and the central composition
     coefficient (beta_mod, upsilon), recorded at the last ladder level of
-    n_slices steps.  delta_history holds one sup-norm difference per level
-    comparison; converged is None when no comparison was made.
+    n_slices steps.  delta_history holds one difference per level
+    comparison: the sup-norm change of r(t), or, for a windowed run, the
+    larger of the sup-norm change of R over the window and the change of
+    its mean.  converged is None when no comparison was made.
     """
 
     t: np.ndarray
@@ -244,33 +250,90 @@ def _finalize(
     )
 
 
+def _ladder_quantity(
+    p: FrequencyProfile,
+    cfg: SimulationConfig,
+    n: int,
+    t_rec: np.ndarray,
+    chi_rec: np.ndarray,
+    window_start: float | None,
+) -> np.ndarray:
+    """The array the ladder compares between levels.
+
+    r at every record, or, given window_start, R at the records after it
+    (a suffix of the records that always holds the last one), computed as
+    the trajectory's R column is.
+    """
+    if window_start is None:
+        return np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
+    after = t_rec > window_start
+    return _finalize(p, cfg, n, t_rec[after], chi_rec[after], None, []).R
+
+
+def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
+    """Change of the ladder quantity from the coarser level to the finer one.
+
+    Both arrays end at t_end and the coarse records are every second fine
+    record, so they are aligned counting back from the last record.  For a
+    windowed R the change of its mean, which is R_final, counts as well.
+    """
+    f, c = fine[::-2], coarse[::-1]
+    m = min(len(f), len(c))
+    delta = float(np.max(np.abs(f[:m] - c[:m])))
+    if windowed:
+        delta = max(delta, abs(float(np.mean(fine)) - float(np.mean(coarse))))
+    return delta
+
+
 def propagate_converged(
-    p: FrequencyProfile, cfg: SimulationConfig, *, flip_b_sign: bool = False
+    p: FrequencyProfile,
+    cfg: SimulationConfig,
+    *,
+    flip_b_sign: bool = False,
+    window_start: float | None = None,
 ) -> Trajectory:
-    """Propagate with step doubling until the recorded squeeze stabilises.
+    """Propagate with step doubling until the quantity the caller reads stabilises.
 
     Levels run n_slices, 2 n_slices, ... steps up to n_max, and consecutive
-    levels share every record time of the coarser one, so the sup norm of
-    the squeeze magnitude difference is taken over exactly aligned records.
+    levels share every record time of the coarser one, so differences are
+    taken over exactly aligned records.  Without window_start the ladder
+    compares r(t) in sup norm over all records.  With it, the run is read
+    through the post-transition window (t > window_start): the ladder
+    compares R in sup norm over the shared window records and the change of
+    its window mean, R_final, and takes the larger; the window must span
+    three periods pi/omega_f, which is checked before the first level.
     Returns the last level, converged once a difference drops below
     convergence_tol.  n_max = n_slices runs one fixed grid (converged None).
     flip_b_sign negates the phase coefficient of every step, a deliberately
     broken propagator that every downstream oracle check must catch.
     """
     span = _time_span(p, cfg)
+    if window_start is not None:
+        _check_window(window_start, span[1], p.omegaf)
     n = cfg.n_slices
     history: list[float] = []
-    converged = r_prev = None
+    converged = q_prev = None
     while True:
         t_rec, chi_rec = _propagate_raw(p, cfg, n, span, flip_b_sign)
-        r_next = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-        if r_prev is not None:
-            history.append(float(np.max(np.abs(r_next[::2] - r_prev))))
+        q_next = _ladder_quantity(p, cfg, n, t_rec, chi_rec, window_start)
+        if q_prev is not None:
+            history.append(_level_delta(q_next, q_prev, window_start is not None))
             converged = history[-1] < cfg.convergence_tol
         if converged or 2 * n > cfg.n_max:
             break
-        r_prev, n = r_next, 2 * n
+        q_prev, n = q_next, 2 * n
     return _finalize(p, cfg, n, t_rec, chi_rec, converged, history)
+
+
+def _check_window(window_start: float, t_last: float, omegaf: float) -> None:
+    """Raise WindowError unless [window_start, t_last] spans three periods pi/omegaf."""
+    period_ref = np.pi / omegaf
+    span = t_last - window_start
+    if span < 3.0 * period_ref * (1.0 - 1e-9):
+        raise WindowError(
+            f"window [{window_start}, {t_last}] spans {span:.6g}, "
+            f"need at least three periods ({3.0 * period_ref:.6g})"
+        )
 
 
 def post_transition_summary(
@@ -290,13 +353,7 @@ def post_transition_summary(
             raise ValueError("sampled profile: pass window_start explicitly")
         window_start = transition_interval(p)[1]
     t_last = float(traj.t[-1])
-    period_ref = np.pi / p.omegaf
-    span = t_last - window_start
-    if span < 3.0 * period_ref * (1.0 - 1e-9):
-        raise WindowError(
-            f"window [{window_start}, {t_last}] spans {span:.6g}, "
-            f"need at least three periods ({3.0 * period_ref:.6g})"
-        )
+    _check_window(window_start, t_last, p.omegaf)
     mask = traj.t > window_start
     if np.count_nonzero(mask) < 4:
         raise WindowError("too few records after the transition")

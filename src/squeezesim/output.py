@@ -40,12 +40,13 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None) -> str:
     p = traj.profile
+    sampled = p.kind == "sampled"  # a tabulated profile has no ramp centre or width
     items: list[tuple[str, object]] = [
         ("profile_kind", p.kind),
         ("omega0", p.omega0),
         ("omegaf", p.omegaf),
-        ("epsilon", p.epsilon),
-        ("t0", p.t0),
+        ("epsilon", None if sampled else p.epsilon),
+        ("t0", None if sampled else p.t0),
         ("t_start", traj.t[0]),
         ("t_end", traj.t[-1]),
         ("n_slices", traj.n_slices),

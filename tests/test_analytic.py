@@ -18,9 +18,11 @@ from squeezesim import (
     fitted_sp,
     is_adiabatic,
     jump_sp_closed_form,
+    propagate_converged,
     reference_sweep_data,
     sweep_final_sp,
 )
+from squeezesim import analytic, evolution
 
 LN3 = math.log(3.0)
 
@@ -144,14 +146,55 @@ class TestSweep:
         vals = [p.R_final for p in pts]
         assert vals[0] > vals[1] > vals[2]
 
-    def test_cell_failure_is_reported_not_raised(self):
-        # at eps 0.5 the transition ends at t = 11.5, so t_end = 12 leaves a
-        # window shorter than the three periods the summary needs
+    def test_cell_failure_is_reported_not_raised(self, monkeypatch):
+        # at eps 0.5 the transition ends at t = 11.5 and at eps 1.0 at 13, so
+        # t_end = 12 leaves a window shorter than three periods (negative at
+        # eps 1.0); the window is checked before the first ladder level
+        def no_stepping(*args):
+            raise AssertionError("propagated a cell whose window is too short")
+
+        monkeypatch.setattr(evolution, "_propagate_raw", no_stepping)
         bad = dataclasses.replace(FAST, t_end=12.0)
-        pts = sweep_final_sp(1.0, 3.0, [0.5], bad)
-        assert len(pts) == 1
-        assert math.isnan(pts[0].R_final)
-        assert pts[0].error.startswith("WindowError")
+        pts = sweep_final_sp(1.0, 3.0, [0.5, 1.0], bad)
+        assert len(pts) == 2
+        for pt in pts:
+            assert math.isnan(pt.R_final)
+            assert pt.error.startswith("WindowError: window ["), pt.error
+
+    def test_unconverged_cell_warns_and_keeps_value(self):
+        cfg = SimulationConfig(n_slices=256, n_max=512, convergence_tol=1e-12)
+        with pytest.warns(UserWarning, match="did not converge") as record:
+            pts = sweep_final_sp(1.0, 3.0, [0.5], cfg)
+        message = str(record[0].message)
+        for part in ("omegaf=3", "eps=0.5", "n_slices 512", "last delta"):
+            assert part in message
+        assert record[0].filename == __file__  # names the caller's line
+        assert pts[0].error is None
+        assert pts[0].R_final == pytest.approx(0.2199, abs=1e-3)
+
+    def test_ladder_tests_window_mean(self, monkeypatch, mode_function_oracle):
+        # ratio 5, eps 0.1 at stride 64: the sup of |dR| over the window
+        # falls below 1e-5 at 8192 slices, where the mean of the 20 window
+        # records is still 1.2e-5 off; the mean part carries the ladder on
+        trajectories = []
+
+        def spy(*args, **kwargs):
+            trajectories.append(propagate_converged(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(analytic, "propagate_converged", spy)
+        cfg = SimulationConfig(record_stride=64, convergence_tol=1e-5)
+        (pt,) = sweep_final_sp(1.0, 5.0, [0.1], cfg)
+        assert abs(pt.R_final - mode_function_oracle(1.0, 5.0, 0.1)) <= 1e-5
+        assert 8192 < trajectories[-1].n_slices <= 1 << 16
+        assert trajectories[-1].converged is True
+        # a jump leaves R exactly |rho_f| after it at every resolution (the
+        # right-endpoint step keeps the pre-jump vacuum exact), so the
+        # second level already agrees with the first
+        (jump,) = sweep_final_sp(1.0, 5.0, [0.0], cfg)
+        assert jump.R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
+        assert trajectories[-1].converged is True
+        assert len(trajectories[-1].delta_history) == 1
 
     def test_reference_lattice_shape(self):
         data = reference_sweep_data(source="formula")

@@ -94,11 +94,15 @@ class TestEvolve:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "profile_kind = sampled" in out
-        # the run starts at the first sample time
+        # the run starts at the first sample time; a table has no ramp
+        # centre or width to report
         prof.write_text("5 1\n25 2\n")
         code = main(["evolve", "--profile-file", str(prof)] + FAST_EVOLVE)
         assert code == EXIT_OK
-        assert "t_start = 5.00000000000e+00" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "t_start = 5.00000000000e+00" in out
+        assert "\nepsilon = none\n" in out
+        assert "\nt0 = none\n" in out
 
     def test_determinism(self, tmp_path):
         args = ["evolve", "--omegaf", "3", "--eps", "0.5"] + FAST_EVOLVE

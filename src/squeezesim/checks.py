@@ -44,25 +44,21 @@ class Check(NamedTuple):
     detail: str
 
 
-def _run(p: FrequencyProfile, cfg: SimulationConfig, flip_b_sign: bool) -> Run:
-    traj = propagate_converged(p, cfg, flip_b_sign=flip_b_sign)
+def _run(p: FrequencyProfile, cfg: SimulationConfig) -> Run:
+    traj = propagate_converged(p, cfg)
     return Run(p, traj, post_transition_summary(traj, p))
 
 
-def reference_runs(flip_b_sign: bool = False) -> dict:
-    """The runs the checks read, keyed "jump" and by ramp width.
-
-    flip_b_sign propagates every run with the deliberately broken step of
-    propagate_converged, which the checks must catch.
-    """
-    # sudden switch on a fixed fine grid (n_max = n_slices, no ladder:
-    # inter-resolution deltas understate the boundary-offset error here)
+def reference_runs() -> dict:
+    """The runs the checks read, keyed "jump" and by ramp width."""
+    # a jump is propagated exactly at every n; the fixed 2^16 grid is there
+    # for its record spacing, which r_max and the period are read from
     jump = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
     near = SimulationConfig(n_slices=4096, record_stride=16, convergence_tol=1e-4)
     smooth = SimulationConfig(n_slices=4096, record_stride=4, convergence_tol=1e-4)
-    runs = {"jump": _run(jump_profile(OMEGA0, OMEGAF, T0), jump, flip_b_sign)}
+    runs = {"jump": _run(jump_profile(OMEGA0, OMEGAF, T0), jump)}
     for eps, cfg in [(NEAR_SUDDEN, near)] + [(eps, smooth) for eps in SMOOTH_WIDTHS]:
-        runs[eps] = _run(tanh_profile(OMEGA0, OMEGAF, T0, eps), cfg, flip_b_sign)
+        runs[eps] = _run(tanh_profile(OMEGA0, OMEGAF, T0, eps), cfg)
     return runs
 
 

@@ -43,7 +43,7 @@ EXIT_DEGENERATE_DATA = 8
 EXIT_NAN = 9
 
 # parser destinations that a config file may not set
-_NOT_CONFIG_KEYS = {"help", "config", "flip_b_sign"}
+_NOT_CONFIG_KEYS = {"help", "config"}
 
 
 def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
@@ -95,8 +95,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                           "(default %(default)g)")
     sub.add_argument("--stride", type=int, default=SimulationConfig.record_stride,
                      help="record every this many slices")
-    sub.add_argument("--midpoint", action="store_true",
-                     help="sample the frequency at slice midpoints instead of right endpoints")
     sub.add_argument("--out", type=str, default=None, help="output file path")
     sub.add_argument("--config", type=str, default=None,
                      help="config file, key = value per line, '#' comments")
@@ -119,6 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adiabaticity classification cutoff")
     ev.add_argument("--profile-file", type=str, default=None, dest="profile_file",
                     help="two-column (t, omega) sample file; overrides the ramp flags")
+    # evolve only: sweep cells read R_final, which midpoint sampling barely moves
+    ev.add_argument("--midpoint", action="store_true",
+                    help="sample the frequency at slice midpoints instead of right endpoints")
     _add_run_flags(ev)
 
     sw = subs.add_parser("sweep", help="final squeezing across ramp widths")
@@ -151,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--tol", type=float, default=1e-10,
                     help="unitarity gate: largest allowed defect |alpha|^2 + |beta| - 1 "
                          "(default 1e-10)")
-    ve.add_argument("--flip-b-sign", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -162,13 +162,13 @@ def _require(args: argparse.Namespace, key: str, command: str):
     return value
 
 
-def _sim_config(args: argparse.Namespace) -> SimulationConfig:
+def _sim_config(args: argparse.Namespace, midpoint: bool = False) -> SimulationConfig:
     return SimulationConfig(
         t_end=args.t_end,
         n_slices=args.n,
         record_stride=args.stride,
         convergence_tol=args.tol,
-        midpoint=args.midpoint,
+        midpoint=midpoint,
     )
 
 
@@ -199,7 +199,7 @@ def run_evolve(args: argparse.Namespace) -> int:
     else:
         omegaf = _require(args, "omegaf", "evolve")
         profile = tanh_profile(args.omega0, omegaf, args.t0, args.eps)
-    traj = propagate_converged(profile, _sim_config(args))
+    traj = propagate_converged(profile, _sim_config(args, args.midpoint))
     _check_finite(traj)
     summary = None
     try:
@@ -269,7 +269,7 @@ def run_fit(args: argparse.Namespace) -> int:
 def run_verify(args: argparse.Namespace) -> int:
     # --tol here is the unitarity gate, not the ladder tolerance
     failures = 0
-    for name, passed, detail in physics_checks(reference_runs(args.flip_b_sign), args.tol):
+    for name, passed, detail in physics_checks(reference_runs(), args.tol):
         tag = "PASS" if passed else "FAIL"
         print(f"[{tag}] {name}: {detail}")
         failures += 0 if passed else 1

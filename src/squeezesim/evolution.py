@@ -4,7 +4,8 @@ A run starts at t = 0, or at the first sample time of a tabulated profile,
 and ends at t_end.  The evolution operator over that span is approximated by
 a product of n piecewise-constant steps of equal width tau.  Each step is
 exact for a constant frequency, so the only approximation is sampling
-omega(t) once per step (right endpoint by default).  The whole product is
+omega(t) once per step (right endpoint by default); a jump, whose steps
+start at t0 at the earliest, is exact at every n.  The whole product is
 tracked through a single complex variable chi obeying a Moebius recurrence;
 the squeeze parameters of the state follow from chi at the recorded steps.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _bch_arrays, _clamped_magnitude, _squeeze_of, _wrap_angle
+from .algebra import _bch_arrays, _clamped_magnitude, _squeeze_of
 from .errors import StepSingularityError, WindowError
 from .frequency import FrequencyProfile, eval_omega, transition_interval
 
@@ -42,7 +43,8 @@ class SimulationConfig:
     propagate_converged) moves by less than convergence_tol or n_max is
     hit; n_max = n_slices runs the single fixed grid of n_slices steps.
     Records are kept every record_stride steps.  midpoint switches the
-    frequency sampling from the right endpoint to the middle of each step.
+    frequency sampling from the right endpoint to the middle of each step;
+    a jump profile ignores it.
     """
 
     t_end: float | None = None
@@ -78,8 +80,8 @@ class Trajectory:
 
     Arrays are aligned per record: time, driving frequency, basis exponent
     rho, propagator variable chi, initial-basis squeeze (r, phi),
-    instantaneous-basis squeeze (R, Phi) and the central composition
-    coefficient (beta_mod, upsilon), recorded at the last ladder level of
+    instantaneous-basis squeeze (R, Phi) and the modulus beta_mod of the
+    central composition coefficient, recorded at the last ladder level of
     n_slices steps.  delta_history holds one difference per level
     comparison: the sup-norm change of r(t), or, for a windowed run, the
     larger of the sup-norm change of R over the window and the change of
@@ -95,9 +97,7 @@ class Trajectory:
     R: np.ndarray
     Phi: np.ndarray
     beta_mod: np.ndarray
-    upsilon: np.ndarray
     profile: FrequencyProfile
-    config: SimulationConfig
     n_slices: int
     converged: bool | None = None
     achieved_delta: float | None = None
@@ -158,8 +158,8 @@ def step_coeffs(omega_j: float, omega0: float, tau: float) -> tuple[complex, com
     return complex(a), complex(b)
 
 
-def _step_arrays(omega, omega0: float, tau: float):
-    """Vectorized step coefficients for an array of sampled frequencies."""
+def _step_arrays(omega, omega0: float, tau):
+    """Vectorized step coefficients for arrays of sampled frequencies and widths."""
     ph = omega * tau
     s = np.sin(ph)
     c = np.cos(ph)
@@ -178,7 +178,6 @@ def _propagate_raw(
     cfg: SimulationConfig,
     n: int,
     span: tuple[float, float],
-    flip_b_sign: bool,
 ):
     """Run the recurrence with n steps; return the recorded chi values."""
     t_start, t_end = span
@@ -194,11 +193,14 @@ def _propagate_raw(
     while j < n:
         m = min(chunk, n - j)
         idx = np.arange(j + 1, j + m + 1, dtype=float)
-        ts = t_start + (idx - 0.5) * tau if cfg.midpoint else t_start + idx * tau
-        om = eval_omega(p, ts)
-        a_arr, b_arr = _step_arrays(om, p.omega0, tau)
-        if flip_b_sign:
-            b_arr = -b_arr
+        # right endpoints; j * tau can pass t_end, and a sampled profile, by an ulp
+        ts = np.minimum(t_start + idx * tau, t_end)
+        widths = tau
+        if p.kind == "jump":  # the omega0 vacuum is stationary: step only past t0
+            widths = np.clip(ts - p.t0, 0.0, tau)
+        elif cfg.midpoint:
+            ts = t_start + (idx - 0.5) * tau
+        a_arr, b_arr = _step_arrays(eval_omega(p, ts), p.omega0, widths)
         al = a_arr.tolist()
         bl = b_arr.tolist()
         for b0 in range(0, m, stride):
@@ -211,13 +213,12 @@ def _propagate_raw(
             k += 1
         j += m
     steps = np.arange(n_rec + 1, dtype=float) * stride
-    t_rec = t_start + steps * tau
+    t_rec = np.minimum(t_start + steps * tau, t_end)
     return t_rec, chi_rec
 
 
 def _finalize(
     p: FrequencyProfile,
-    cfg: SimulationConfig,
     n: int,
     t_rec: np.ndarray,
     chi_rec: np.ndarray,
@@ -240,9 +241,7 @@ def _finalize(
         R=big_r,
         Phi=big_phi,
         beta_mod=np.abs(beta),
-        upsilon=_wrap_angle(np.angle(beta)),
         profile=p,
-        config=cfg,
         n_slices=n,
         converged=converged,
         achieved_delta=history[-1] if history else None,
@@ -252,7 +251,6 @@ def _finalize(
 
 def _ladder_quantity(
     p: FrequencyProfile,
-    cfg: SimulationConfig,
     n: int,
     t_rec: np.ndarray,
     chi_rec: np.ndarray,
@@ -267,7 +265,7 @@ def _ladder_quantity(
     if window_start is None:
         return np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
     after = t_rec > window_start
-    return _finalize(p, cfg, n, t_rec[after], chi_rec[after], None, []).R
+    return _finalize(p, n, t_rec[after], chi_rec[after], None, []).R
 
 
 def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
@@ -289,7 +287,6 @@ def propagate_converged(
     p: FrequencyProfile,
     cfg: SimulationConfig,
     *,
-    flip_b_sign: bool = False,
     window_start: float | None = None,
 ) -> Trajectory:
     """Propagate with step doubling until the quantity the caller reads stabilises.
@@ -304,8 +301,6 @@ def propagate_converged(
     three periods pi/omega_f, which is checked before the first level.
     Returns the last level, converged once a difference drops below
     convergence_tol.  n_max = n_slices runs one fixed grid (converged None).
-    flip_b_sign negates the phase coefficient of every step, a deliberately
-    broken propagator that every downstream oracle check must catch.
     """
     span = _time_span(p, cfg)
     if window_start is not None:
@@ -314,15 +309,15 @@ def propagate_converged(
     history: list[float] = []
     converged = q_prev = None
     while True:
-        t_rec, chi_rec = _propagate_raw(p, cfg, n, span, flip_b_sign)
-        q_next = _ladder_quantity(p, cfg, n, t_rec, chi_rec, window_start)
+        t_rec, chi_rec = _propagate_raw(p, cfg, n, span)
+        q_next = _ladder_quantity(p, n, t_rec, chi_rec, window_start)
         if q_prev is not None:
             history.append(_level_delta(q_next, q_prev, window_start is not None))
             converged = history[-1] < cfg.convergence_tol
         if converged or 2 * n > cfg.n_max:
             break
         q_prev, n = q_next, 2 * n
-    return _finalize(p, cfg, n, t_rec, chi_rec, converged, history)
+    return _finalize(p, n, t_rec, chi_rec, converged, history)
 
 
 def _check_window(window_start: float, t_last: float, omegaf: float) -> None:

@@ -188,9 +188,8 @@ class TestSweep:
         assert abs(pt.R_final - mode_function_oracle(1.0, 5.0, 0.1)) <= 1e-5
         assert 8192 < trajectories[-1].n_slices <= 1 << 16
         assert trajectories[-1].converged is True
-        # a jump leaves R exactly |rho_f| after it at every resolution (the
-        # right-endpoint step keeps the pre-jump vacuum exact), so the
-        # second level already agrees with the first
+        # a jump is propagated exactly at every resolution (each step runs
+        # only past t0), so the second level already agrees with the first
         (jump,) = sweep_final_sp(1.0, 5.0, [0.0], cfg)
         assert jump.R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
         assert trajectories[-1].converged is True

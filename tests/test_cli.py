@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from squeezesim import evolution
 from squeezesim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -170,6 +171,10 @@ class TestConfigFile:
         ["fit", "--threshold", "1"],
         ["verify", "--out", "x"],
         ["verify", "--config", "f"],
+        ["sweep", "--omegaf", "3", "--midpoint"],
+        ["contour", "--midpoint"],
+        ["fit", "--midpoint"],
+        ["verify", "--flip-b-sign"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
@@ -244,12 +249,20 @@ class TestVerify:
         main(["verify", "--tol", "1e-12"])
         assert "[PASS] unitarity" in capsys.readouterr().out
 
-    def test_corrupted_step_sign_fails_jump_oracle(self, capsys):
-        code = main(["verify", "--flip-b-sign"])
+    def test_corrupted_step_sign_fails_jump_oracle(self, monkeypatch, capsys):
+        step = evolution._step_arrays
+
+        def flipped(*args):
+            a, b = step(*args)
+            return a, -b
+
+        monkeypatch.setattr(evolution, "_step_arrays", flipped)
+        code = main(["verify"])
         out = capsys.readouterr().out
         assert "[FAIL] jump-oracle" in out
         assert code == EXIT_CHECK_FAILED
         # the corrupted step must not leak into later runs
+        monkeypatch.undo()
         assert main(["verify"]) == EXIT_OK
 
 

@@ -9,7 +9,9 @@ from squeezesim import (
     SimulationConfig,
     WindowError,
     default_t_end,
+    evolution,
     jump_profile,
+    jump_sp_closed_form,
     post_transition_summary,
     propagate_converged,
     sampled_profile,
@@ -120,6 +122,13 @@ class TestPropagate:
         assert np.max(np.abs(right.r - mid.r)) < 5e-3
         assert np.max(np.abs(right.r - mid.r)) > 0.0
 
+    def test_sampled_grid_ends_on_last_sample(self):
+        # 3000 * (7 / 3000) is 7.000000000000001, past the last sample
+        p = sampled_profile([(0.0, 1.0), (7.0, 2.0)])
+        traj = propagate_converged(p, SimulationConfig(n_slices=3000, n_max=3000))
+        assert traj.t[-1] == 7.0
+        assert traj.omega[-1] == 2.0
+
     def test_default_t_end_covers_three_periods(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         assert default_t_end(p) == pytest.approx(10.0 + 1.5 + 3.0 * math.pi / 3.0)
@@ -158,13 +167,32 @@ class TestPropagateConverged:
         assert traj.converged is False
         assert traj.n_slices == 1024
 
-    def test_flip_hook_breaks_physics(self):
-        # the corrupted-step hook must visibly damage the result
+    def test_flip_hook_breaks_physics(self, monkeypatch):
+        # a step with the sign of its phase coefficient flipped must
+        # visibly damage the result
         p = jump_profile(1.0, 3.0, 10.0)
         cfg = SimulationConfig(n_slices=1 << 14, record_stride=16, n_max=1 << 14)
         clean = propagate_converged(p, cfg)
-        broken = propagate_converged(p, cfg, flip_b_sign=True)
+        step = evolution._step_arrays
+
+        def flipped(*args):
+            a, b = step(*args)
+            return a, -b
+
+        monkeypatch.setattr(evolution, "_step_arrays", flipped)
+        broken = propagate_converged(p, cfg)
         assert np.max(np.abs(clean.r - broken.r)) > 0.1
+
+    @pytest.mark.parametrize("n_slices", [4096, 5000])
+    def test_jump_is_exact_at_every_level(self, n_slices):
+        # neither grid puts a step boundary on t0; each step runs only past
+        # t0, so the ladder stops at its second level on the exact answer
+        p = jump_profile(1.0, 3.0, 10.0)
+        traj = propagate_converged(p, SimulationConfig(n_slices=n_slices))
+        assert traj.converged is True
+        after = traj.t >= p.t0
+        exact = jump_sp_closed_form(1.0, 3.0, traj.t[after] - p.t0)
+        assert np.max(np.abs(traj.r[after] - exact)) <= 1e-9
 
 
 class TestPostTransitionSummary:

@@ -13,29 +13,39 @@ from .analytic import ContourGrid, FitResult, SweepPoint, fitted_sp
 from .evolution import PostTransitionSummary, Trajectory
 
 
+FLOAT_FORMAT = "%.11e"
+
+
 def format_float(x: float) -> str:
-    return f"{float(x):.11e}"
+    return FLOAT_FORMAT % float(x)
 
 
 TRAJECTORY_HEADER = "t,omega,rho,chi_re,chi_im,r,phi,R,Phi"
+_TRAJECTORY_ROW = ",".join([FLOAT_FORMAT] * len(TRAJECTORY_HEADER.split(",")))
+_BLOCK_ROWS = 4096
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    cols = (
-        traj.t,
-        traj.omega,
-        traj.rho,
-        traj.chi.real,
-        traj.chi.imag,
-        traj.r,
-        traj.phi,
-        traj.R,
-        traj.Phi,
+    table = np.column_stack(
+        (
+            traj.t,
+            traj.omega,
+            traj.rho,
+            traj.chi.real,
+            traj.chi.imag,
+            traj.r,
+            traj.phi,
+            traj.R,
+            traj.Phi,
+        )
     )
-    lines = [TRAJECTORY_HEADER]
-    for row in zip(*cols):
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    blocks = [TRAJECTORY_HEADER]
+    for i in range(0, len(table), _BLOCK_ROWS):
+        rows = table[i : i + _BLOCK_ROWS]
+        template = "\n".join([_TRAJECTORY_ROW] * len(rows))
+        blocks.append(template % tuple(rows.ravel().tolist()))
+    blocks.append("")  # the final newline, without copying the whole text again
+    return "\n".join(blocks)
 
 
 def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None) -> str:

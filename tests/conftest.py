@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from squeezesim import SimulationConfig, checks, reference_sweep_data
+from squeezesim import SimulationConfig, checks, evolution, reference_sweep_data
 
 T0 = 10.0  # ramp centre of the oracle
 
@@ -29,6 +29,30 @@ def reference_runs():
 def physics_checks(reference_runs):
     """The squeezesim.checks verdicts on the reference runs, keyed by name."""
     return {c.name: c for c in checks.physics_checks(reference_runs)}
+
+
+@pytest.fixture
+def nan_steps_from(monkeypatch):
+    """Install a step coefficient a that is nan from a given step on.
+
+    Steps count from 1 across every call of evolution._step_arrays after
+    the install, so the count follows one run through its chunks and levels.
+    """
+
+    def install(first_bad: int) -> None:
+        step = evolution._step_arrays
+        done = 0
+
+        def poisoned(omega, omega0, tau):
+            nonlocal done
+            a, b = step(omega, omega0, tau)
+            a[max(0, first_bad - 1 - done) :] = np.nan
+            done += len(a)
+            return a, b
+
+        monkeypatch.setattr(evolution, "_step_arrays", poisoned)
+
+    return install
 
 
 @pytest.fixture(scope="session")

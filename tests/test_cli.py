@@ -10,6 +10,7 @@ from squeezesim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
+    EXIT_STEP_SINGULARITY,
     EXIT_USAGE,
     main,
 )
@@ -39,6 +40,14 @@ class TestEvolve:
         out = capsys.readouterr().out
         assert "converged = " in out
         assert "r_end = " in out
+
+    def test_step_singularity_exit(self, nan_steps_from, capsys):
+        nan_steps_from(700)
+        code = main(["evolve", "--omegaf", "3", "--eps", "0.5"] + FAST_EVOLVE)
+        assert code == EXIT_STEP_SINGULARITY == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: step singularity")
+        assert "at step 704" in err
 
     def test_missing_omegaf_is_usage_error(self, capsys):
         code = main(["evolve", "--eps", "0.5"])

@@ -7,6 +7,7 @@ import pytest
 
 from squeezesim import (
     SimulationConfig,
+    StepSingularityError,
     WindowError,
     default_t_end,
     evolution,
@@ -193,6 +194,51 @@ class TestPropagateConverged:
         after = traj.t >= p.t0
         exact = jump_sp_closed_form(1.0, 3.0, traj.t[after] - p.t0)
         assert np.max(np.abs(traj.r[after] - exact)) <= 1e-9
+
+
+class TestRecurrence:
+    # 1536 steps hold whole records at strides 1, 3 and 64
+    N = 1536
+
+    def _records(self, p, stride, n=N):
+        cfg = SimulationConfig(t_end=14.0, n_slices=n, record_stride=stride, n_max=n)
+        return evolution._propagate_raw(p, cfg, n, evolution._time_span(p, cfg))[1]
+
+    @pytest.mark.parametrize(
+        "p", [tanh_profile(1.0, 3.0, 10.0, 0.5), jump_profile(1.0, 3.0, 10.0)]
+    )
+    @pytest.mark.parametrize("stride", [1, 3, 64])
+    def test_records_independent_of_chunking_and_stride(self, monkeypatch, p, stride):
+        default = self._records(p, stride)
+        for chunk in (1, 5, 64):
+            monkeypatch.setattr(evolution, "_CHUNK", chunk)
+            assert np.array_equal(self._records(p, stride), default)
+        monkeypatch.undo()
+        assert len(default) == self.N // stride + 1
+        assert np.array_equal(default, self._records(p, 1)[::stride])
+
+    @pytest.mark.parametrize(
+        "chunk, stride, first_bad, n",
+        [
+            (None, 1, 70_001, 1 << 17),
+            (None, 8, 70_001, 1 << 17),
+            (1000, 1, 1001, 4096),
+            (1000, 8, 2000, 4096),
+            (1000, 8, 2003, 4096),
+        ],
+    )
+    def test_singular_step_names_first_nonfinite_record(
+        self, monkeypatch, nan_steps_from, chunk, stride, first_bad, n
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(evolution, "_CHUNK", chunk)
+        nan_steps_from(first_bad)
+        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
+        cfg = SimulationConfig(t_end=14.0, n_slices=n, record_stride=stride, n_max=n)
+        with pytest.raises(StepSingularityError) as info:
+            propagate_converged(p, cfg)
+        # the record that closes the stride holding the first nan step
+        assert info.value.step == -(-first_bad // stride) * stride
 
 
 class TestPostTransitionSummary:

@@ -7,6 +7,7 @@ import pytest
 
 from squeezesim import (
     SimulationConfig,
+    Trajectory,
     post_transition_summary,
     propagate_converged,
     tanh_profile,
@@ -70,6 +71,36 @@ class TestTrajectoryCsv:
         text = trajectory_csv(traj)
         parsed = np.loadtxt(text.splitlines()[1:], delimiter=",")
         np.testing.assert_allclose(parsed[:, 5], traj.r, rtol=1e-11, atol=1e-14)
+
+    def test_matches_per_field_reference(self):
+        # every column repeats the edge values, shuffled, over more rows
+        # than one formatting block
+        edge = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 - 1e-16, 1e300, -2.5e-13]
+        rng = np.random.default_rng(7)
+        n = 4099
+        cols = [
+            rng.permutation(np.resize(edge + list(rng.normal(size=5)), n))
+            for _ in range(9)
+        ]
+        chi = np.empty(n, dtype=complex)
+        chi.real, chi.imag = cols[3], cols[4]
+        traj = Trajectory(
+            t=cols[0],
+            omega=cols[1],
+            rho=cols[2],
+            chi=chi,
+            r=cols[5],
+            phi=cols[6],
+            R=cols[7],
+            Phi=cols[8],
+            beta_mod=np.zeros(n),
+            profile=tanh_profile(1.0, 3.0, 10.0, 0.5),
+            n_slices=n - 1,
+        )
+        lines = trajectory_csv(traj).split("\n")
+        assert lines[0] == TRAJECTORY_HEADER
+        assert lines[-1] == ""
+        assert lines[1:-1] == [",".join(format_float(v) for v in row) for row in zip(*cols)]
 
     def test_byte_determinism(self, small_run):
         _, traj, _ = small_run

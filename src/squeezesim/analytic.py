@@ -10,7 +10,7 @@ decay constants of the secant ansatz to sweep data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -112,7 +112,11 @@ def _sweep_cell(
     """R_final of one ramp, its ladder converged on the post-transition window."""
     try:
         p = tanh_profile(omega0, omegaf, epsilon=eps)
-        traj = propagate_converged(p, cfg, window_start=transition_interval(p)[1])
+        # R_final is a window mean: over sparse records it is a coarser
+        # quadrature, whose error in n is erratic
+        traj = propagate_converged(
+            p, replace(cfg, record_stride=1), window_start=transition_interval(p)[1]
+        )
         r_final = post_transition_summary(traj, p).R_final
     except Exception as exc:  # surfaced per cell, the sweep keeps going
         return SweepPoint(eps, float("nan"), f"{type(exc).__name__}: {exc}")
@@ -140,8 +144,9 @@ def sweep_final_sp(
     propagate_converged's window_start).  A window shorter than three
     periods pi/omegaf fails the cell before any step is taken, and a cell
     whose ladder reaches n_max unconverged keeps its value with a
-    UserWarning.  epsilon = 0 runs the jump profile.  Failures are reported
-    in the returned points rather than aborting the sweep.
+    UserWarning.  Cells record every slice, so cfg.record_stride does not
+    change a result.  epsilon = 0 runs the jump profile.  Failures are
+    reported in the returned points rather than aborting the sweep.
     """
     cfg = cfg or SimulationConfig()
     return [_sweep_cell(omega0, omegaf, float(e), cfg) for e in epsilons]

@@ -42,6 +42,10 @@ EXIT_COMPOSITION = 7
 EXIT_DEGENERATE_DATA = 8
 EXIT_NAN = 9
 
+# ladder seed of sweep, contour and fit: a CF4 cell converges on R_final
+# from a few hundred slices, and every cell runs at least two levels
+_SWEEP_SLICES = 256
+
 # parser destinations that a config file may not set
 _NOT_CONFIG_KEYS = {"help", "config"}
 
@@ -72,10 +76,6 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
             if action is None:
                 if not any(key in other for other in flags.values()):
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            elif action.nargs == 0:  # on/off flag
-                if text.lower() not in ("true", "false"):
-                    raise ValueError(f"{path}:{lineno}: {key} must be true or false")
-                values[key] = text.lower() == "true"
             else:
                 try:
                     values[key] = (action.type or str)(text)
@@ -84,17 +84,19 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     subs.choices[command].set_defaults(**values)
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser, n_slices: int) -> None:
     """Ladder, record, output and config flags of the subcommands that propagate."""
     sub.add_argument("--t-end", type=float, default=None, dest="t_end",
                      help="simulation end time (default: transition end plus three periods)")
-    sub.add_argument("--n", type=int, default=SimulationConfig.n_slices,
-                     help="starting slice count for the convergence ladder")
+    sub.add_argument("--n", type=int, default=n_slices,
+                     help="starting slice count for the convergence ladder "
+                          "(default %(default)d)")
     sub.add_argument("--tol", type=float, default=SimulationConfig.convergence_tol,
                      help="convergence tolerance on the squeeze magnitude "
                           "(default %(default)g)")
     sub.add_argument("--stride", type=int, default=SimulationConfig.record_stride,
-                     help="record every this many slices")
+                     help="record every this many slices (a sweep cell records "
+                          "every slice, so it does not change a sweep result)")
     sub.add_argument("--out", type=str, default=None, help="output file path")
     sub.add_argument("--config", type=str, default=None,
                      help="config file, key = value per line, '#' comments")
@@ -117,10 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adiabaticity classification cutoff")
     ev.add_argument("--profile-file", type=str, default=None, dest="profile_file",
                     help="two-column (t, omega) sample file; overrides the ramp flags")
-    # evolve only: sweep cells read R_final, which midpoint sampling barely moves
-    ev.add_argument("--midpoint", action="store_true",
-                    help="sample the frequency at slice midpoints instead of right endpoints")
-    _add_run_flags(ev)
+    _add_run_flags(ev, SimulationConfig.n_slices)
 
     sw = subs.add_parser("sweep", help="final squeezing across ramp widths")
     sw.set_defaults(run=run_sweep)
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--omegaf", type=float, default=None, help="final frequency")
     sw.add_argument("--eps", type=str, default="0.5",
                     help="comma-separated ramp widths, e.g. 0,0.1,0.4")
-    _add_run_flags(sw)
+    _add_run_flags(sw, _SWEEP_SLICES)
 
     co = subs.add_parser("contour", help="final squeezing over a ratio/ramp-width grid")
     co.set_defaults(run=run_contour)
@@ -140,12 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--eps-max", type=float, default=2.0, dest="eps_max")
     co.add_argument("--n-ratio", type=int, default=25, dest="n_ratio")
     co.add_argument("--n-eps", type=int, default=21, dest="n_eps")
-    _add_run_flags(co)
+    _add_run_flags(co, _SWEEP_SLICES)
 
     ft = subs.add_parser("fit", help="recover the secant decay constants from a sweep")
     ft.set_defaults(run=run_fit)
     ft.add_argument("--source", choices=("formula", "simulation"), default="formula")
-    _add_run_flags(ft)
+    _add_run_flags(ft, _SWEEP_SLICES)
 
     ve = subs.add_parser("verify", help="run the built-in check suite")
     ve.set_defaults(run=run_verify)
@@ -162,13 +161,16 @@ def _require(args: argparse.Namespace, key: str, command: str):
     return value
 
 
-def _sim_config(args: argparse.Namespace, midpoint: bool = False) -> SimulationConfig:
+def _sim_config(args: argparse.Namespace) -> SimulationConfig:
+    if args.stride < 1:
+        raise ValueError(f"record_stride must be >= 1, got {args.stride}")
     return SimulationConfig(
         t_end=args.t_end,
         n_slices=args.n,
-        record_stride=args.stride,
+        # a sweep cell records every slice (analytic._sweep_cell), so its
+        # --stride need not divide --n
+        record_stride=args.stride if args.command == "evolve" else 1,
         convergence_tol=args.tol,
-        midpoint=midpoint,
     )
 
 
@@ -199,7 +201,7 @@ def run_evolve(args: argparse.Namespace) -> int:
     else:
         omegaf = _require(args, "omegaf", "evolve")
         profile = tanh_profile(args.omega0, omegaf, args.t0, args.eps)
-    traj = propagate_converged(profile, _sim_config(args, args.midpoint))
+    traj = propagate_converged(profile, _sim_config(args))
     _check_finite(traj)
     summary = None
     try:

@@ -1,13 +1,14 @@
 """Propagation of the vacuum through a frequency ramp.
 
 A run starts at t = 0, or at the first sample time of a tabulated profile,
-and ends at t_end.  The evolution operator over that span is approximated by
-a product of n piecewise-constant steps of equal width tau.  Each step is
-exact for a constant frequency, so the only approximation is sampling
-omega(t) once per step (right endpoint by default); a jump, whose steps
-start at t0 at the earliest, is exact at every n.  The whole product is
-tracked through a single complex variable chi obeying a Moebius recurrence;
-the squeeze parameters of the state follow from chi at the recorded steps.
+and ends at t_end.  The span is cut into n slices of equal width tau, each
+run as the fourth-order commutator-free Magnus step (CF4; Blanes & Moan,
+Appl. Numer. Math. 56 (2006)): two exact constant-frequency half-steps whose
+omega^2 combine the samples at the slice's two Gauss nodes, with an error of
+O(tau^4).  A jump, whose steps start at t0 at the earliest, is exact at
+every n.  The whole product is tracked through a single complex variable
+chi obeying a Moebius recurrence; the squeeze parameters of the state
+follow from chi at the recorded slices.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
@@ -26,9 +27,21 @@ from .algebra import _bch_arrays, _clamped_magnitude, _squeeze_of
 from .errors import StepSingularityError, WindowError
 from .frequency import FrequencyProfile, eval_omega, transition_interval
 
-# steps per chunk: the chunk's lists of Python complex values stay small
+# slices per chunk: the chunk's lists of Python complex values stay small
 # enough to sit in cache, which larger chunks measurably lose
 _CHUNK = 1 << 12
+
+# CF4: the Gauss nodes c = 1/2 -+ sqrt(3)/6 of a slice, and the weights
+# beta1,2 = 1/4 +- sqrt(3)/6 that turn omega^2 at the two nodes, w1^2 and
+# w2^2, into the half-step omega^2: first 2 (beta1 w1^2 + beta2 w2^2), then
+# 2 (beta2 w1^2 + beta1 w2^2).  In the other order the scheme is of second
+# order only.
+_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+_BETA1, _BETA2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
+
+# post_transition_summary needs this many window records, and the windowed
+# ladder neither compares nor stops on fewer
+_MIN_WINDOW_RECORDS = 4
 
 
 @dataclass(frozen=True)
@@ -38,14 +51,12 @@ class SimulationConfig:
     A run starts at t = 0, or at the first sample time of a sampled profile.
     t_end = None resolves to t0 + 3*epsilon + three post-transition periods
     of the final frequency, or to the last sample time of a sampled profile;
-    an explicit t_end must be positive.  n_slices is the seed step count;
+    an explicit t_end must be positive.  n_slices is the seed slice count;
     the convergence ladder doubles it until the quantity it compares (r(t),
     or R over the post-transition window and its mean; see
     propagate_converged) moves by less than convergence_tol or n_max is
-    hit; n_max = n_slices runs the single fixed grid of n_slices steps.
-    Records are kept every record_stride steps.  midpoint switches the
-    frequency sampling from the right endpoint to the middle of each step;
-    a jump profile ignores it.
+    hit; n_max = n_slices runs the single fixed grid of n_slices slices.
+    Records are kept every record_stride slices.
     """
 
     t_end: float | None = None
@@ -53,7 +64,6 @@ class SimulationConfig:
     record_stride: int = 1
     convergence_tol: float = 1e-4
     n_max: int = 1 << 24
-    midpoint: bool = False
 
     def __post_init__(self):
         if self.n_slices < 1:
@@ -128,6 +138,11 @@ class PostTransitionSummary:
     R_std: float
 
 
+class _UnresolvedSlice(StepSingularityError):
+    """A CF4 half-step omega^2 that is not positive: omega changes by more
+    than about 3.7x between the two nodes of a slice."""
+
+
 def default_t_end(p: FrequencyProfile) -> float:
     """Transition end plus three periods of the final frequency."""
     if p.kind == "sampled":
@@ -174,17 +189,40 @@ def _step_arrays(omega, omega0: float, tau):
     return a, b
 
 
+def _slice_steps(p: FrequencyProfile, t_start: float, tau: float, first: int, m: int):
+    """Step coefficients (a, b) of slices first+1 .. first+m, one row per slice.
+
+    A row holds the slice's two CF4 half-steps, or for a jump one exact
+    step, run only for the part of the slice past t0 (the omega0 vacuum is
+    stationary before it).
+    """
+    k = np.arange(first, first + m, dtype=float)
+    if p.kind == "jump":
+        ts = t_start + (k + 1.0) * tau
+        widths = np.clip(ts - p.t0, 0.0, tau)
+        return _step_arrays(eval_omega(p, ts)[:, None], p.omega0, widths[:, None])
+    nodes = t_start + (k[:, None] + _NODES) * tau
+    w_sq = eval_omega(p, nodes.ravel()).reshape(m, 2) ** 2
+    half = 2.0 * (_BETA1 * w_sq + _BETA2 * w_sq[:, ::-1])
+    bad = np.flatnonzero(~np.all(half > 0.0, axis=1))
+    if bad.size:
+        step = first + int(bad[0]) + 1
+        raise _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
+    return _step_arrays(np.sqrt(half), p.omega0, 0.5 * tau)
+
+
 def _propagate_raw(
     p: FrequencyProfile,
     cfg: SimulationConfig,
     n: int,
     span: tuple[float, float],
 ):
-    """Run the recurrence with n steps; return the recorded chi values.
+    """Run the recurrence over n slices; return the recorded chi values.
 
-    Steps run in chunks of whole record strides.  Finiteness is checked once
-    per chunk at record granularity: StepSingularityError names the step of
-    the first non-finite record (a non-finite chi stays non-finite).
+    Slices run in chunks of whole record strides, and every step of a slice
+    runs before its record is taken.  Finiteness is checked once per chunk
+    at record granularity: StepSingularityError names the slice of the
+    first non-finite record (a non-finite chi stays non-finite).
     """
     t_start, t_end = span
     tau = (t_end - t_start) / n
@@ -196,27 +234,21 @@ def _propagate_raw(
     chunk = stride * max(1, _CHUNK // stride)
     for j in range(0, n, chunk):
         m = min(chunk, n - j)
-        idx = np.arange(j + 1, j + m + 1, dtype=float)
-        # right endpoints; j * tau can pass t_end, and a sampled profile, by an ulp
-        ts = np.minimum(t_start + idx * tau, t_end)
-        widths = tau
-        if p.kind == "jump":  # the omega0 vacuum is stationary: step only past t0
-            widths = np.clip(ts - p.t0, 0.0, tau)
-        elif cfg.midpoint:
-            ts = t_start + (idx - 0.5) * tau
-        a_arr, b_arr = _step_arrays(eval_omega(p, ts), p.omega0, widths)
+        a_arr, b_arr = _slice_steps(p, t_start, tau, j, m)
+        per_record = a_arr.shape[1] * stride
         out = []
         append = out.append
-        for aj, bj in zip(a_arr.tolist(), b_arr.tolist()):
+        for aj, bj in zip(a_arr.ravel().tolist(), b_arr.ravel().tolist()):
             chi = aj + bj * chi / (1.0 - aj * chi)
             append(chi)
         k = 1 + j // stride
         rec = chi_rec[k : k + m // stride]
-        rec[:] = out[stride - 1 :: stride]
+        rec[:] = out[per_record - 1 :: per_record]
         bad = np.flatnonzero(~np.isfinite(rec))
         if bad.size:
             raise StepSingularityError(j + (int(bad[0]) + 1) * stride)
     steps = np.arange(n_rec + 1, dtype=float) * stride
+    # j * tau can pass t_end, and a sampled profile, by an ulp
     t_rec = np.minimum(t_start + steps * tau, t_end)
     return t_rec, chi_rec
 
@@ -295,7 +327,7 @@ def propagate_converged(
 ) -> Trajectory:
     """Propagate with step doubling until the quantity the caller reads stabilises.
 
-    Levels run n_slices, 2 n_slices, ... steps up to n_max, and consecutive
+    Levels run n_slices, 2 n_slices, ... slices up to n_max, and consecutive
     levels share every record time of the coarser one, so differences are
     taken over exactly aligned records.  Without window_start the ladder
     compares r(t) in sup norm over all records.  With it, the run is read
@@ -303,8 +335,13 @@ def propagate_converged(
     compares R in sup norm over the shared window records and the change of
     its window mean, R_final, and takes the larger; the window must span
     three periods pi/omega_f, which is checked before the first level.
-    Returns the last level, converged once a difference drops below
-    convergence_tol.  n_max = n_slices runs one fixed grid (converged None).
+    A level is compared only once its window holds the records
+    post_transition_summary needs.  A level with a slice too coarse for the
+    ramp (a CF4 half-step omega^2 that is not positive) is abandoned for
+    twice its slices and does not count; at n_max it raises
+    StepSingularityError.  Returns the last level, converged once a
+    difference drops below convergence_tol.  n_max = n_slices runs one
+    fixed grid (converged None).
     """
     span = _time_span(p, cfg)
     if window_start is not None:
@@ -313,9 +350,17 @@ def propagate_converged(
     history: list[float] = []
     converged = q_prev = None
     while True:
-        t_rec, chi_rec = _propagate_raw(p, cfg, n, span)
+        try:
+            t_rec, chi_rec = _propagate_raw(p, cfg, n, span)
+        except _UnresolvedSlice:
+            if 2 * n > cfg.n_max:
+                raise
+            q_prev, n = None, 2 * n  # a resolution floor, not a level
+            continue
         q_next = _ladder_quantity(p, n, t_rec, chi_rec, window_start)
-        if q_prev is not None:
+        if window_start is not None and len(q_next) < _MIN_WINDOW_RECORDS:
+            q_next = None  # too few window records to compare or to stop on
+        if q_prev is not None and q_next is not None:
             history.append(_level_delta(q_next, q_prev, window_start is not None))
             converged = history[-1] < cfg.convergence_tol
         if converged or 2 * n > cfg.n_max:
@@ -354,7 +399,7 @@ def post_transition_summary(
     t_last = float(traj.t[-1])
     _check_window(window_start, t_last, p.omegaf)
     mask = traj.t > window_start
-    if np.count_nonzero(mask) < 4:
+    if np.count_nonzero(mask) < _MIN_WINDOW_RECORDS:
         raise WindowError("too few records after the transition")
     t_w = traj.t[mask]
     r_w = traj.r[mask]

@@ -1,11 +1,12 @@
 """Command-line interface tests, driven through main() for speed."""
 
+import math
 import subprocess
 import sys
 
 import pytest
 
-from squeezesim import evolution
+from squeezesim import ValidityWarning, evolution
 from squeezesim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -157,19 +158,20 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "omegaf = 3.0\nn = 1024\nstride = 8\ntol = 1e-3\n"
-            "mode = below-unity\nmidpoint = true\n"
+            "mode = below-unity\nn_eps = 3\n"
         )
         assert main(["evolve", "--config", str(cfg)]) == EXIT_OK
         from_file = capsys.readouterr().out
         base = ["evolve", "--omegaf", "3"] + FAST_EVOLVE
-        assert main(base + ["--midpoint"]) == EXIT_OK
-        assert capsys.readouterr().out == from_file
         assert main(base) == EXIT_OK
-        assert capsys.readouterr().out != from_file
+        assert capsys.readouterr().out == from_file
+        assert main(["evolve", "--omegaf", "3"] + FAST_EVOLVE[2:]) == EXIT_OK
+        assert capsys.readouterr().out != from_file  # the file's n was applied
 
-        cfg.write_text("omegaf = 3.0\nmode = below-unity\nmidpoint = maybe\n")
+        # no subcommand takes midpoint any more
+        cfg.write_text("omegaf = 3.0\nmode = below-unity\nmidpoint = true\n")
         assert main(["evolve", "--config", str(cfg)]) == EXIT_DOMAIN
-        assert "midpoint must be true or false" in capsys.readouterr().err
+        assert "unknown key 'midpoint'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -184,6 +186,7 @@ class TestConfigFile:
         ["contour", "--midpoint"],
         ["fit", "--midpoint"],
         ["verify", "--flip-b-sign"],
+        ["evolve", "--midpoint"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
@@ -207,6 +210,34 @@ class TestSweep:
     def test_empty_eps_rejected(self, capsys):
         code = main(["sweep", "--omegaf", "3", "--eps", ","])
         assert code == EXIT_DOMAIN
+
+    def test_steep_ramps_resolved_from_default_seed(self, capsys, mode_function_oracle):
+        # at 256 slices omega changes about 5x between the nodes of the
+        # slice across t0, too much for a real CF4 half-step frequency; the
+        # ladder doubles n before its first level
+        assert main(["sweep", "--omegaf", "5", "--eps", "0.001,0.003"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert [float(eps) for eps, *_ in rows] == [0.001, 0.003]
+        for eps, r_sim, *_ in rows:
+            assert abs(float(r_sim) - mode_function_oracle(1.0, 5.0, float(eps))) <= 1e-4
+
+    def test_short_window_waits_for_enough_records(self, capsys):
+        # t_end = 10 + 3 pi / 200: from the default seed the window after
+        # the jump holds 1, then 2 records; the ladder compares only once it
+        # holds the 4 that post_transition_summary needs
+        with pytest.warns(ValidityWarning):
+            assert main(["sweep", "--omegaf", "200", "--eps", "0"]) == EXIT_OK
+        (row,) = capsys.readouterr().out.split()[1:]
+        assert float(row.split(",")[1]) == pytest.approx(0.5 * math.log(200.0), abs=1e-9)
+
+    def test_stride_does_not_change_a_sweep(self, capsys):
+        # 4096 does not divide the default seed, and stays a valid stride
+        outs = []
+        for stride in ("1", "64", "4096"):
+            assert main(["sweep", "--omegaf", "5", "--eps", "0.1", "--stride", stride]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert main(["sweep", "--omegaf", "5", "--stride", "0"]) == EXIT_DOMAIN
 
 
 class TestContour:

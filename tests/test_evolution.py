@@ -29,7 +29,6 @@ class TestSimulationConfig:
         assert cfg.n_slices == 4096
         assert cfg.record_stride == 1
         assert cfg.convergence_tol == 1e-4
-        assert cfg.midpoint is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,17 +111,6 @@ class TestPropagate:
         traj = propagate_converged(p, SimulationConfig(t_end=14.0, n_slices=2048, n_max=2048))
         assert traj.unitarity_defect() <= 1e-12
 
-    def test_midpoint_sampling_changes_little(self):
-        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        right = propagate_converged(
-            p, SimulationConfig(t_end=14.0, n_slices=4096, n_max=4096)
-        )
-        mid = propagate_converged(
-            p, SimulationConfig(t_end=14.0, n_slices=4096, n_max=4096, midpoint=True)
-        )
-        assert np.max(np.abs(right.r - mid.r)) < 5e-3
-        assert np.max(np.abs(right.r - mid.r)) > 0.0
-
     def test_sampled_grid_ends_on_last_sample(self):
         # 3000 * (7 / 3000) is 7.000000000000001, past the last sample
         p = sampled_profile([(0.0, 1.0), (7.0, 2.0)])
@@ -135,6 +123,58 @@ class TestPropagate:
         assert default_t_end(p) == pytest.approx(10.0 + 1.5 + 3.0 * math.pi / 3.0)
         ps = sampled_profile([(0.0, 1.0), (7.0, 2.0)])
         assert default_t_end(ps) == 7.0
+
+
+class TestCF4:
+    def test_fourth_order_on_default_ramp(self):
+        # evolve's default ramp against a 2^16-slice run: the sup error of
+        # r(t) falls 16x per doubling (2.8e-7, 1.7e-8, 1.1e-9); with the two
+        # half-steps of a slice swapped it falls 4x (1.7e-3, 4.2e-4, 1.1e-4)
+        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
+
+        def fixed(n):
+            return propagate_converged(p, SimulationConfig(n_slices=n, n_max=n)).r
+
+        ref = fixed(1 << 16)
+        errs = [np.max(np.abs(fixed(n) - ref[:: (1 << 16) // n])) for n in (256, 512, 1024)]
+        assert errs[0] / errs[1] >= 12.0
+        assert errs[1] / errs[2] >= 12.0
+
+    def test_half_step_frequencies_are_gauss_node_combinations(self, monkeypatch):
+        # one slice of a linear ramp: omega^2 at the two half-steps is
+        # 2 (b1 w1^2 + b2 w2^2), then 2 (b2 w1^2 + b1 w2^2)
+        calls = []
+        step = evolution._step_arrays
+
+        def spy(omega, omega0, tau):
+            calls.append((np.array(omega), tau))
+            return step(omega, omega0, tau)
+
+        monkeypatch.setattr(evolution, "_step_arrays", spy)
+        p = sampled_profile([(0.0, 1.0), (2.0, 3.0)])  # omega = 1 + t
+        propagate_converged(p, SimulationConfig(n_slices=1, n_max=1))
+        ((omega, tau),) = calls
+        c, b = math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
+        w1, w2 = 2.0 - 2.0 * c, 2.0 + 2.0 * c
+        assert omega.shape == (1, 2)
+        assert tau == 1.0
+        expected = [2 * (b * w1**2 + (0.5 - b) * w2**2), 2 * ((0.5 - b) * w1**2 + b * w2**2)]
+        np.testing.assert_allclose(omega[0] ** 2, expected, rtol=1e-14)
+
+    def test_unresolved_ramp_doubles_before_its_first_level(self):
+        # omega 1 -> 5 over eps 1e-3: at 256 slices omega changes about 5x
+        # between the nodes of the slice across t0 and a half-step omega^2
+        # turns negative; the ladder doubles n before it runs a level, and
+        # those doublings are not levels
+        p = tanh_profile(1.0, 5.0, 10.0, 1e-3)
+        traj = propagate_converged(p, SimulationConfig(n_slices=256))
+        assert traj.converged is True
+        assert np.all(np.isfinite(traj.R))
+        first = traj.n_slices >> len(traj.delta_history)
+        assert first > 256
+        for n in (256, first // 2):
+            with pytest.raises(StepSingularityError, match="too coarse"):
+                propagate_converged(p, SimulationConfig(n_slices=n, n_max=n))
 
 
 class TestPropagateConverged:

@@ -21,7 +21,7 @@ from .errors import (
     ValidityWarning,
     caller_stacklevel,
 )
-from .evolution import SimulationConfig, post_transition_summary, propagate_converged
+from .evolution import SimulationConfig, window_means
 from .frequency import tanh_profile, transition_interval
 
 _VALIDITY_RATIO = 10.0
@@ -106,29 +106,40 @@ class SweepPoint(NamedTuple):
     error: str | None = None
 
 
-def _sweep_cell(
-    omega0: float, omegaf: float, eps: float, cfg: SimulationConfig
-) -> SweepPoint:
-    """R_final of one ramp, its ladder converged on the post-transition window."""
-    try:
-        p = tanh_profile(omega0, omegaf, epsilon=eps)
-        # R_final is a window mean: over sparse records it is a coarser
-        # quadrature, whose error in n is erratic
-        traj = propagate_converged(
-            p, replace(cfg, record_stride=1), window_start=transition_interval(p)[1]
-        )
-        r_final = post_transition_summary(traj, p).R_final
-    except Exception as exc:  # surfaced per cell, the sweep keeps going
-        return SweepPoint(eps, float("nan"), f"{type(exc).__name__}: {exc}")
-    if traj.converged is False:
-        warnings.warn(
-            f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) did not converge: "
-            f"n_slices {traj.n_slices}, last delta {traj.achieved_delta:.3g} "
-            f"(tol {cfg.convergence_tol:g})",
-            UserWarning,
-            stacklevel=caller_stacklevel(),
-        )
-    return SweepPoint(eps, r_final)
+def _failed_point(eps: float, exc: Exception) -> SweepPoint:
+    return SweepPoint(eps, float("nan"), f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_points(cells, cfg: SimulationConfig) -> list[SweepPoint]:
+    """R_final of tanh ramps (omega0, omegaf, eps), each ladder converged on
+    its post-transition window, all stepped side by side (window_means)."""
+    # R_final is a window mean: over sparse records it is a coarser
+    # quadrature, whose error in n is erratic
+    cfg = replace(cfg, record_stride=1)
+    points: list = [None] * len(cells)
+    runs = []
+    for i, (omega0, omegaf, eps) in enumerate(cells):
+        try:
+            p = tanh_profile(omega0, omegaf, epsilon=eps)
+            runs.append((i, p, transition_interval(p)[1]))
+        except Exception as exc:  # surfaced per cell, the sweep keeps going
+            points[i] = _failed_point(eps, exc)
+    means = window_means([p for _, p, _ in runs], [w for *_, w in runs], cfg)
+    for (i, _, _), mean in zip(runs, means):
+        _, omegaf, eps = cells[i]
+        if mean.error is not None:
+            points[i] = _failed_point(eps, mean.error)
+            continue
+        if mean.converged is False:
+            warnings.warn(
+                f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) did not converge: "
+                f"n_slices {mean.n_slices}, last delta {mean.achieved_delta:.3g} "
+                f"(tol {cfg.convergence_tol:g})",
+                UserWarning,
+                stacklevel=caller_stacklevel(),
+            )
+        points[i] = SweepPoint(eps, mean.R_final)
+    return points
 
 
 def sweep_final_sp(
@@ -141,7 +152,8 @@ def sweep_final_sp(
 
     Each cell owns a propagation whose ladder tests what the cell reports:
     R over the post-transition window and its mean, R_final (see
-    propagate_converged's window_start).  A window shorter than three
+    propagate_converged's window_start); the cells' ladders step side by
+    side (window_means).  A window shorter than three
     periods pi/omegaf fails the cell before any step is taken, and a cell
     whose ladder reaches n_max unconverged keeps its value with a
     UserWarning.  Cells record every slice, so cfg.record_stride does not
@@ -149,7 +161,7 @@ def sweep_final_sp(
     reported in the returned points rather than aborting the sweep.
     """
     cfg = cfg or SimulationConfig()
-    return [_sweep_cell(omega0, omegaf, float(e), cfg) for e in epsilons]
+    return _sweep_points([(omega0, omegaf, float(e)) for e in epsilons], cfg)
 
 
 def reference_sweep_data(
@@ -161,7 +173,8 @@ def reference_sweep_data(
     """Sweep of the default lattice as (omega0, omegaf, epsilon, R) rows.
 
     Covers every ratio in both directions with omega0 = 1.  source selects
-    simulated final squeezing or direct evaluation of the secant formula.
+    simulated final squeezing, one sweep over the whole lattice, or direct
+    evaluation of the secant formula.
     """
     if source not in ("simulation", "formula"):
         raise ValueError(f"source must be 'simulation' or 'formula', got {source!r}")
@@ -175,18 +188,17 @@ def reference_sweep_data(
             for eps in epsilons:
                 data.append((1.0, omegaf, float(eps), fitted_sp(1.0, omegaf, eps)))
         return data
-    cfg = cfg or SimulationConfig()
-    for omegaf in pairs:
-        for point in sweep_final_sp(1.0, omegaf, epsilons, cfg):
-            if point.error is not None:
-                warnings.warn(
-                    f"sweep cell (omegaf={omegaf}, eps={point.epsilon}) failed: "
-                    f"{point.error}",
-                    UserWarning,
-                    stacklevel=2,
-                )
-                continue
-            data.append((1.0, omegaf, point.epsilon, point.R_final))
+    cells = [(1.0, omegaf, float(eps)) for omegaf in pairs for eps in epsilons]
+    for (_, omegaf, _), point in zip(cells, _sweep_points(cells, cfg or SimulationConfig())):
+        if point.error is not None:
+            warnings.warn(
+                f"sweep cell (omegaf={omegaf}, eps={point.epsilon}) failed: "
+                f"{point.error}",
+                UserWarning,
+                stacklevel=2,
+            )
+            continue
+        data.append((1.0, omegaf, point.epsilon, point.R_final))
     return data
 
 
@@ -207,8 +219,9 @@ def fit_ansatz(sweep_data) -> FitResult:
     sweep_data rows are (omega0, omegaf, epsilon, R_final).  Residuals are
     taken in R and minimised by damped Gauss-Newton from the starting point
     (1, 0.5), with the analytic Jacobian and Levenberg's damping on the
-    diagonal of the normal matrix (Marquardt's scaling).  The model is even
-    in c1, so its sign is normalised to +.
+    diagonal of the normal matrix (Marquardt's scaling), then polished by
+    undamped Gauss-Newton steps for as long as they shrink.  The model is
+    even in c1, so its sign is normalised to +.
     """
     pts = [(float(o0), float(of), float(e), float(r)) for o0, of, e, r in sweep_data]
     if len(pts) < 2:
@@ -257,6 +270,16 @@ def fit_ansatz(sweep_data) -> FitResult:
             break
         else:
             lam *= 10.0
+    # Near the optimum rounding decides whether a step lowers the cost, so
+    # the damped loop can stop short of it; undamped Gauss-Newton steps end
+    # there, taken while they keep shrinking
+    size = np.inf
+    for _ in range(50):
+        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        if not np.linalg.norm(step) < size:  # a non-finite step stops too
+            break
+        c, size = c + step, np.linalg.norm(step)
+        res, jac = residuals(c)
     c1, c2 = float(abs(c[0])), float(c[1])
     if np.linalg.cond(jac) > 1e8:
         warnings.warn(
@@ -298,7 +321,8 @@ def contour_grid(
     mode fixes which side of unity the ratio axis lives on; values beyond
     the calibrated ratio range trigger per-cell warnings but are still
     evaluated.  source 'formula' evaluates the secant approximation,
-    'simulation' runs a converged propagation per cell.
+    'simulation' runs a converged propagation per cell, all cells as one
+    sweep.
     """
     if mode not in ("above-unity", "below-unity"):
         raise ValueError(f"mode must be 'above-unity' or 'below-unity', got {mode!r}")
@@ -323,15 +347,14 @@ def contour_grid(
         for i, k in enumerate(ratios):
             big_r[i] = fitted_sp(1.0, float(k), xs)
     else:
-        cfg = cfg or SimulationConfig()
-        for i, k in enumerate(ratios.tolist()):
-            for j, x in enumerate(xs.tolist()):
-                point = _sweep_cell(1.0, k, x, cfg)
-                if point.error is not None:
-                    warnings.warn(
-                        f"contour cell {k, x} failed: {point.error}",
-                        UserWarning,
-                        stacklevel=2,
-                    )
-                big_r[i, j] = point.R_final
+        cells = [(1.0, k, x) for k in ratios.tolist() for x in xs.tolist()]
+        points = _sweep_points(cells, cfg or SimulationConfig())
+        for (_, k, x), point in zip(cells, points):
+            if point.error is not None:
+                warnings.warn(
+                    f"contour cell {k, x} failed: {point.error}",
+                    UserWarning,
+                    stacklevel=2,
+                )
+        big_r[:] = np.reshape([point.R_final for point in points], big_r.shape)
     return ContourGrid(ratios, xs, big_r, mode, source)

@@ -10,6 +10,7 @@ import pytest
 from squeezesim import (
     DegenerateDataError,
     FitConditionWarning,
+    SaturationWarning,
     SimulationConfig,
     ValidityWarning,
     adiabaticity_measure,
@@ -17,12 +18,15 @@ from squeezesim import (
     fit_ansatz,
     fitted_sp,
     is_adiabatic,
+    jump_profile,
     jump_sp_closed_form,
+    post_transition_summary,
     propagate_converged,
     reference_sweep_data,
     sweep_final_sp,
+    transition_interval,
 )
-from squeezesim import analytic, evolution
+from squeezesim import evolution
 
 LN3 = math.log(3.0)
 
@@ -154,12 +158,15 @@ class TestSweep:
             raise AssertionError("propagated a cell whose window is too short")
 
         monkeypatch.setattr(evolution, "_propagate_raw", no_stepping)
+        monkeypatch.setattr(evolution, "_propagate_rows", no_stepping)
         bad = dataclasses.replace(FAST, t_end=12.0)
-        pts = sweep_final_sp(1.0, 3.0, [0.5, 1.0], bad)
-        assert len(pts) == 2
-        for pt in pts:
-            assert math.isnan(pt.R_final)
-            assert pt.error.startswith("WindowError: window ["), pt.error
+        # two cells run their own loops, twenty would run as numpy rows
+        for widths in ([0.5, 1.0], [0.5, 1.0] * 10):
+            pts = sweep_final_sp(1.0, 3.0, widths, bad)
+            assert len(pts) == len(widths)
+            for pt in pts:
+                assert math.isnan(pt.R_final)
+                assert pt.error.startswith("WindowError: window ["), pt.error
 
     def test_unconverged_cell_warns_and_keeps_value(self):
         cfg = SimulationConfig(n_slices=256, n_max=512, convergence_tol=1e-12)
@@ -172,20 +179,14 @@ class TestSweep:
         assert pts[0].error is None
         assert pts[0].R_final == pytest.approx(0.2199, abs=1e-3)
 
-    def test_ladder_tests_window_mean(self, monkeypatch, mode_function_oracle):
+    def test_ladder_tests_window_mean(self, mode_function_oracle):
         # ratio 5, eps 0.1, asked for stride 64: the cell records every
         # slice, so its window mean is the same quadrature at any stride
-        trajectories = []
-
-        def spy(*args, **kwargs):
-            trajectories.append(propagate_converged(*args, **kwargs))
-            return trajectories[-1]
-
-        monkeypatch.setattr(analytic, "propagate_converged", spy)
         cfg = SimulationConfig(record_stride=64, convergence_tol=1e-5)
-        (pt,) = sweep_final_sp(1.0, 5.0, [0.1], cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an unconverged cell warns
+            (pt,) = sweep_final_sp(1.0, 5.0, [0.1], cfg)
         assert abs(pt.R_final - mode_function_oracle(1.0, 5.0, 0.1)) <= 1e-5
-        assert trajectories[-1].converged is True
         for seed in (256, 4096):
             sparse = dataclasses.replace(cfg, n_slices=seed)
             dense = dataclasses.replace(sparse, record_stride=1)
@@ -194,11 +195,44 @@ class TestSweep:
                 == sweep_final_sp(1.0, 5.0, [0.1], dense)[0].R_final
             )
         # a jump is propagated exactly at every resolution (each step runs
-        # only past t0), so the second level already agrees with the first
+        # only past t0), so the second level already agrees with the first;
+        # the one-cell ladder of propagate_converged gives the sweep's value
         (jump,) = sweep_final_sp(1.0, 5.0, [0.0], cfg)
         assert jump.R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
-        assert trajectories[-1].converged is True
-        assert len(trajectories[-1].delta_history) == 1
+        p = jump_profile(1.0, 5.0)
+        window = transition_interval(p)[1]
+        traj = propagate_converged(
+            p, dataclasses.replace(cfg, record_stride=1), window_start=window
+        )
+        assert traj.converged is True
+        assert len(traj.delta_history) == 1
+        assert post_transition_summary(traj, p).R_final == jump.R_final
+
+    def test_stepping_stays_batched_on_the_default_lattice(self, monkeypatch):
+        # every level of at least _ROW_CELLS cells steps once, as numpy rows
+        calls = []
+        rows, raw = evolution._propagate_rows, evolution._propagate_raw
+
+        def rows_spy(cells, cfg, n):
+            calls.append(("rows", n, len(cells)))
+            return rows(cells, cfg, n)
+
+        def raw_spy(p, cfg, n, span):
+            calls.append(("raw", n, 1))
+            return raw(p, cfg, n, span)
+
+        monkeypatch.setattr(evolution, "_propagate_rows", rows_spy)
+        monkeypatch.setattr(evolution, "_propagate_raw", raw_spy)
+        for cfg in (SimulationConfig(n_slices=256), SimulationConfig(n_slices=4096)):
+            calls.clear()
+            assert len(reference_sweep_data(cfg=cfg, source="simulation")) == 80
+            levels = sorted({n for _, n, _ in calls})
+            assert levels[0] == cfg.n_slices
+            for n in levels:
+                at_n = [(kind, k) for kind, m, k in calls if m == n]
+                if sum(k for _, k in at_n) >= evolution._ROW_CELLS:
+                    assert at_n == [("rows", sum(k for _, k in at_n))], (n, at_n)
+            assert calls[0] == ("rows", cfg.n_slices, 80)
 
     def test_reference_lattice_shape(self):
         data = reference_sweep_data(source="formula")
@@ -209,7 +243,101 @@ class TestSweep:
             reference_sweep_data(source="lookup-table")
 
 
+# 20 ramps at ratio 5 that a t_end of 14 and an n_max of 4096 split into
+# every outcome: eps 0 is a jump; 0.001 and 0.003 hit the resolution floor
+# at the seed and reach n_max unconverged; 1.0 leaves a window of 1 < 3 pi/5
+BATCH_CFG = SimulationConfig(n_slices=256, n_max=4096, t_end=14.0, convergence_tol=5e-6)
+BATCH_EPS = [0.0, 0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25,
+             0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 1.0]
+
+
+def _swept(epsilons, cfg=BATCH_CFG, omegaf=5.0):
+    """Points of one sweep from omega0 = 1 and its warnings as (text, category, file)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = sweep_final_sp(1.0, omegaf, epsilons, cfg)
+    return points, [(str(w.message), w.category, w.filename) for w in caught]
+
+
+class TestBatchedSweep:
+    def test_cells_match_their_own_sweeps(self, monkeypatch):
+        levels = []
+        rows = evolution._propagate_rows
+        monkeypatch.setattr(
+            evolution, "_propagate_rows",
+            lambda cells, cfg, n: levels.append(len(cells)) or rows(cells, cfg, n),
+        )
+        points, caught = _swept(BATCH_EPS)
+        assert levels and min(levels) >= evolution._ROW_CELLS  # stepped as rows
+        alone_caught = []
+        for eps, pt in zip(BATCH_EPS, points):
+            (alone,), warned = _swept([eps])
+            alone_caught += warned
+            assert pt.error == alone.error
+            if pt.error is None:
+                assert abs(pt.R_final - alone.R_final) <= 1e-13, eps
+        assert sorted(caught) == sorted(alone_caught)
+        assert [w[0].split(")")[0] for w in caught] == [
+            "sweep cell (omegaf=5, eps=0.001", "sweep cell (omegaf=5, eps=0.003"
+        ]
+        assert points[-1].error.startswith("WindowError: window [13.0, 14.0]")
+        assert points[0].R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
+
+    def test_saturated_cells_warn_and_fail_as_alone(self):
+        # a jump to ratio 1e9 squeezes |chi| to 1 within rounding: each cell
+        # clamps (SaturationWarning), then fails (SaturationError), once
+        cfg = SimulationConfig(n_slices=256, t_end=12.0)
+        (alone,), warned = _swept([0.0], cfg, omegaf=1e9)
+        points, caught = _swept([0.0] * 16, cfg, omegaf=1e9)
+        assert alone.error.startswith("SaturationError: "), alone.error
+        assert [pt.error for pt in points] == [alone.error] * 16
+        assert warned[0][1] is SaturationWarning
+        assert caught == warned * 16
+
+    def test_permuting_cells_permutes_points(self):
+        order = np.random.default_rng(3).permutation(len(BATCH_EPS))
+        points, _ = _swept(BATCH_EPS)
+        permuted, _ = _swept([BATCH_EPS[i] for i in order])
+        for i, pt in zip(order, permuted):
+            assert pt.error == points[i].error
+            assert np.array_equal(pt.R_final, points[i].R_final, equal_nan=True)
+
+    def test_failed_steps_stay_in_their_cell(self, monkeypatch):
+        # the step coefficients of the eps 0.3 ramp are nan from slice 100 on
+        steps = evolution._slice_steps
+
+        def poisoned(p, t_start, tau, first, m):
+            a, b = steps(p, t_start, tau, first, m)
+            if p.epsilon == 0.3:
+                a[max(0, 99 - first) :] = np.nan
+            return a, b
+
+        clean, _ = _swept(BATCH_EPS)
+        monkeypatch.setattr(evolution, "_slice_steps", poisoned)
+        points, _ = _swept(BATCH_EPS)
+        (alone,), _ = _swept([0.3])
+        failed = BATCH_EPS.index(0.3)
+        assert alone.error == "StepSingularityError: non-finite propagator state at step 100"
+        assert points[failed].error == alone.error
+        for i, (pt, ref) in enumerate(zip(points, clean)):
+            if i != failed:
+                assert pt.error == ref.error
+                assert np.array_equal(pt.R_final, ref.R_final, equal_nan=True)
+
+
 class TestFitAnsatz:
+    def test_ends_at_the_least_squares_optimum(self, design_sweep):
+        # rounding-level changes of the data move an optimum by about as
+        # much; a fit that stops where rounding decides its steps moves more
+        base = fit_ansatz(design_sweep)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            noisy = [(o0, of, e, r * (1.0 + 1e-14 * rng.standard_normal()))
+                     for o0, of, e, r in design_sweep]
+            fit = fit_ansatz(noisy)
+            assert abs(fit.c1 - base.c1) <= 1e-11
+            assert abs(fit.c2 - base.c2) <= 1e-11
+
     def test_recovers_constants_from_formula_data(self):
         data = reference_sweep_data(source="formula")
         fit = fit_ansatz(data)

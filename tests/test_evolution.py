@@ -257,6 +257,28 @@ class TestRecurrence:
         assert len(default) == self.N // stride + 1
         assert np.array_equal(default, self._records(p, 1)[::stride])
 
+    @pytest.mark.parametrize("stride", [1, 3, 64])
+    def test_rows_match_each_cells_loop(self, monkeypatch, stride):
+        # a ramp, a jump and a tabulated profile that starts at t = 1,
+        # stepped side by side: the record times are the loop's, and chi
+        # differs only by the rounding of complex division
+        profiles = [
+            tanh_profile(1.0, 3.0, 10.0, 0.5),
+            jump_profile(1.0, 3.0, 10.0),
+            sampled_profile([(1.0, 1.0), (8.0, 2.0), (14.0, 0.5)]),
+        ]
+        cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
+        cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
+        rows = evolution._propagate_rows(cells, cfg, self.N)
+        for chunk in (1, 100):
+            monkeypatch.setattr(evolution, "_ROW_CHUNK", chunk)
+            for (t, chi), (t_c, chi_c) in zip(rows, evolution._propagate_rows(cells, cfg, self.N)):
+                assert np.array_equal(t, t_c) and np.array_equal(chi, chi_c)
+        for c, (t, chi) in zip(cells, rows):
+            t_ref, chi_ref = evolution._propagate_raw(c.p, cfg, self.N, c.span)
+            assert np.array_equal(t, t_ref)
+            assert np.max(np.abs(chi - chi_ref)) <= 1e-13
+
     @pytest.mark.parametrize(
         "chunk, stride, first_bad, n",
         [

@@ -151,9 +151,8 @@ def sweep_final_sp(
     """Final squeezing across ramp widths for one frequency pair.
 
     Each cell owns a propagation whose ladder tests what the cell reports:
-    R over the post-transition window and its mean, R_final (see
-    propagate_converged's window_start); the cells' ladders step side by
-    side (window_means).  A window shorter than three
+    R over the post-transition window and its mean, R_final; the cells'
+    ladders step side by side (see window_means).  A window shorter than three
     periods pi/omegaf fails the cell before any step is taken, and a cell
     whose ladder reaches n_max unconverged keeps its value with a
     UserWarning.  Cells record every slice, so cfg.record_stride does not

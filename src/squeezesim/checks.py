@@ -54,8 +54,8 @@ def reference_runs() -> dict:
     # a jump is propagated exactly at every n; the fixed 2^16 grid is there
     # for its record spacing, which r_max and the period are read from
     jump = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
-    near = SimulationConfig(n_slices=4096, record_stride=16, convergence_tol=1e-4)
-    smooth = SimulationConfig(n_slices=4096, record_stride=4, convergence_tol=1e-4)
+    near = SimulationConfig(n_slices=4096, record_stride=16)
+    smooth = SimulationConfig(n_slices=4096, record_stride=4)
     runs = {"jump": _run(jump_profile(OMEGA0, OMEGAF, T0), jump)}
     for eps, cfg in [(NEAR_SUDDEN, near)] + [(eps, smooth) for eps in SMOOTH_WIDTHS]:
         runs[eps] = _run(tanh_profile(OMEGA0, OMEGAF, T0, eps), cfg)

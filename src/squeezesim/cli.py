@@ -81,6 +81,9 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
                     values[key] = (action.type or str)(text)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if action.choices is not None and values[key] not in action.choices:
+                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                                     f"{', '.join(map(str, action.choices))}, got {text!r}")
     subs.choices[command].set_defaults(**values)
 
 
@@ -167,7 +170,7 @@ def _sim_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig(
         t_end=args.t_end,
         n_slices=args.n,
-        # a sweep cell records every slice (analytic._sweep_cell), so its
+        # a sweep cell records every slice (analytic._sweep_points), so its
         # --stride need not divide --n
         record_stride=args.stride if args.command == "evolve" else 1,
         convergence_tol=args.tol,

@@ -15,8 +15,9 @@ moves by less than a tolerance between consecutive refinements: the squeeze
 magnitude r(t) at every record, or, for a run that reports the
 post-transition window (a sweep cell), the instantaneous-basis R at the
 records after the window start together with its window mean.  One ladder
-serves a single run and a batch of cells that share a configuration: each
-level runs every cell still climbing at its n side by side.
+serves a single run and a batch of runs that share a configuration, and one
+function steps each level: its runs side by side as numpy rows from
+_ROW_CELLS runs up, else each run's own Python loop.
 """
 
 from __future__ import annotations
@@ -266,103 +267,90 @@ def _slice_steps(p: FrequencyProfile, t_start: float, tau: float, first: int, m:
     return _step_arrays(np.sqrt(half), p.omega0, 0.5 * tau)
 
 
-def _propagate_raw(
-    p: FrequencyProfile,
-    cfg: SimulationConfig,
-    n: int,
-    span: tuple[float, float],
-):
-    """Run the recurrence over n slices; return the recorded chi values.
+def _step_loop(a, b, chi, rec, per_record: int) -> None:
+    """Advance each cell, a column of a and b with one row per half-step, in a Python loop.
 
-    Slices run in chunks of whole record strides, and every step of a slice
-    runs before its record is taken.  Finiteness is checked once per chunk
-    at record granularity: StepSingularityError names the slice of the
-    first non-finite record (a non-finite chi stays non-finite).
+    chi holds each cell's value before the first row and is left at its value
+    after the last; rec takes the value after every per_record-th row.
     """
-    t_start, t_end = span
-    tau = (t_end - t_start) / n
-    stride = cfg.record_stride
-    n_rec = n // stride
-    chi_rec = np.empty(n_rec + 1, dtype=complex)
-    chi_rec[0] = 0j
-    chi = 0j
-    chunk = stride * max(1, _CHUNK // stride)
-    for j in range(0, n, chunk):
-        m = min(chunk, n - j)
-        a_arr, b_arr = _slice_steps(p, t_start, tau, j, m)
-        per_record = a_arr.shape[1] * stride
+    for i in range(len(chi)):
+        x = complex(chi[i])
         out = []
         append = out.append
-        for aj, bj in zip(a_arr.ravel().tolist(), b_arr.ravel().tolist()):
-            chi = aj + bj * chi / (1.0 - aj * chi)
-            append(chi)
-        k = 1 + j // stride
-        rec = chi_rec[k : k + m // stride]
-        rec[:] = out[per_record - 1 :: per_record]
-        bad = np.flatnonzero(~np.isfinite(rec))
-        if bad.size:
-            raise StepSingularityError(j + (int(bad[0]) + 1) * stride)
-    steps = np.arange(n_rec + 1, dtype=float) * stride
-    # j * tau can pass t_end, and a sampled profile, by an ulp
-    t_rec = np.minimum(t_start + steps * tau, t_end)
-    return t_rec, chi_rec
+        for aj, bj in zip(a[:, i].tolist(), b[:, i].tolist()):
+            x = aj + bj * x / (1.0 - aj * x)
+            append(x)
+        rec[:, i] = out[per_record - 1 :: per_record]
+        chi[i] = x
 
 
-def _propagate_rows(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
-    """Run the recurrence of several cells over n slices side by side.
+def _step_rows(a, b, chi, rec, per_record: int) -> None:
+    """The advance of _step_loop for every cell at once, one numpy row per half-step."""
+    den, num = np.empty_like(chi), np.empty_like(chi)
+    x = chi
+    # a non-finite row is reported by the caller, not warned about
+    with np.errstate(all="ignore"):
+        for h, (ah, bh) in enumerate(zip(a, b), 1):
+            np.multiply(ah, x, out=den)
+            np.subtract(1.0, den, out=den)
+            np.multiply(bh, x, out=num)
+            np.divide(num, den, out=num)
+            x = chi if h % per_record else rec[h // per_record - 1]
+            np.add(ah, num, out=x)
+    chi[:] = x
 
-    Each cell is one numpy row, and each half-step advances every row at
-    once.  The steps, records and finiteness checks are those of
-    _propagate_raw, so a cell's records differ from its own loop's only in
-    the rounding of complex division, and a cell that fails names the same
-    slice.  A jump's slice is its exact step followed by the identity
-    (a = 0, b = 1), as is every slice of a cell that has failed.  Returns,
-    per cell, its (t_rec, chi_rec) or the exception that ended its run.
+
+def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
+    """Run the recurrence of a group of cells over n slices.
+
+    Slices run in chunks of whole record strides, and every step of a slice
+    runs before its record is taken.  A group of at least _ROW_CELLS cells
+    steps as numpy rows (_step_rows), a smaller one through each cell's
+    Python loop (_step_loop); a cell's records differ between the two only
+    in the rounding of complex division.  In a group that is not all jumps
+    a jump's slice is its exact step followed by the identity (a = 0,
+    b = 1), as is every slice of a cell that has failed.  Finiteness is
+    checked once per chunk at record granularity: StepSingularityError
+    names the slice of a cell's first non-finite record (a non-finite chi
+    stays non-finite).  Returns, per cell, its (t_rec, chi_rec) or the
+    exception that ended its run.
     """
     k = len(cells)
-    t_start = np.array([c.span[0] for c in cells])
-    t_end = np.array([c.span[1] for c in cells])
+    t_start, t_end = np.array([c.span for c in cells]).T
     tau = (t_end - t_start) / n
     stride = cfg.record_stride
     n_rec = n // stride
-    chi_rec = np.empty((n_rec + 1, k), dtype=complex)
-    chi_rec[0] = 0j
+    chi_rec = np.zeros((n_rec + 1, k), dtype=complex)
     errors: list[Exception | None] = [None] * k
     chi = np.zeros(k, dtype=complex)
-    step_chi, den, num = (np.empty(k, dtype=complex) for _ in range(3))
     half_steps = 1 if all(c.p.kind == "jump" for c in cells) else 2
-    per_record = half_steps * stride
-    chunk = stride * max(1, _ROW_CHUNK // (k * stride))
-    # a non-finite row is reported below, not warned about
-    with np.errstate(all="ignore"):
-        for j in range(0, n, chunk):
-            m = min(chunk, n - j)
-            a = np.zeros((m, half_steps, k), dtype=complex)
-            b = np.ones((m, half_steps, k), dtype=complex)
-            for i, c in enumerate(cells):
-                if errors[i] is None:
-                    try:
-                        a_i, b_i = _slice_steps(c.p, t_start[i], tau[i], j, m)
-                    except Exception as exc:  # this cell fails, its neighbours go on
-                        errors[i] = exc
-                        continue
-                    a[:, : a_i.shape[1], i] = a_i
-                    b[:, : b_i.shape[1], i] = b_i
-            rec = 1 + j // stride
-            rows = zip(a.reshape(-1, k), b.reshape(-1, k))
-            for h, (ah, bh) in enumerate(rows, 1):
-                np.multiply(ah, chi, out=den)
-                np.subtract(1.0, den, out=den)
-                np.multiply(bh, chi, out=num)
-                np.divide(num, den, out=num)
-                chi = step_chi if h % per_record else chi_rec[rec + h // per_record - 1]
-                np.add(ah, num, out=chi)
-            bad = ~np.isfinite(chi_rec[rec : rec + m // stride])
-            for i in np.flatnonzero(bad.any(axis=0)).tolist():
-                if errors[i] is None:
-                    errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
-                chi[i] = 0j
+    rows = k >= _ROW_CELLS
+    kernel = _step_rows if rows else _step_loop
+    chunk = stride * max(1, (_ROW_CHUNK // k if rows else _CHUNK) // stride)
+    for j in range(0, n, chunk):
+        m = min(chunk, n - j)
+        a = np.zeros((m, half_steps, k), dtype=complex)
+        b = np.ones((m, half_steps, k), dtype=complex)
+        for i, c in enumerate(cells):
+            if errors[i] is None:
+                try:
+                    a_i, b_i = _slice_steps(c.p, t_start[i], tau[i], j, m)
+                except Exception as exc:  # this cell fails, its neighbours go on
+                    errors[i] = exc
+                    continue
+                a[:, : a_i.shape[1], i] = a_i
+                b[:, : b_i.shape[1], i] = b_i
+        if None not in errors:
+            break
+        rec = chi_rec[1 + j // stride : 1 + (j + m) // stride]
+        kernel(a.reshape(-1, k), b.reshape(-1, k), chi, rec, half_steps * stride)
+        bad = ~np.isfinite(rec)
+        for i in np.flatnonzero(bad.any(axis=0)).tolist():
+            if errors[i] is None:
+                errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
+            chi[i] = 0j
     steps = np.arange(n_rec + 1, dtype=float) * stride
+    # j * tau can pass t_end, and a sampled profile, by an ulp
     t_rec = np.minimum(t_start[:, None] + steps * tau[:, None], t_end[:, None])
     return [e if e is not None else (t_rec[i], chi_rec[:, i]) for i, e in enumerate(errors)]
 
@@ -472,27 +460,10 @@ def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
     return delta
 
 
-def _run_group(group: list[_Cell], cfg: SimulationConfig, n: int) -> list:
-    """Each cell's (t_rec, chi_rec) at n slices, or the exception that ended its run.
-
-    A group of at least _ROW_CELLS cells runs as numpy rows, a smaller one
-    through each cell's own Python loop.
-    """
-    if len(group) >= _ROW_CELLS:
-        return _propagate_rows(group, cfg, n)
-    runs: list = []
-    for c in group:
-        try:
-            runs.append(_propagate_raw(c.p, cfg, n, c.span))
-        except Exception as exc:  # this cell fails, the level goes on
-            runs.append(exc)
-    return runs
-
-
-def _climb(group: list[_Cell], cfg: SimulationConfig, n: int, keep_records: bool) -> None:
+def _climb(group: list[_Cell], cfg: SimulationConfig, n: int) -> None:
     """Run one level of n slices for a group of cells and take each cell's ladder step."""
     ran = []
-    for c, run in zip(group, _run_group(group, cfg, n)):
+    for c, run in zip(group, _propagate(group, cfg, n)):
         if isinstance(run, _UnresolvedSlice) and 2 * n <= cfg.n_max:
             c.q, c.n = None, 2 * n  # a resolution floor, not a level
         elif isinstance(run, Exception):
@@ -516,19 +487,19 @@ def _climb(group: list[_Cell], cfg: SimulationConfig, n: int, keep_records: bool
             c.converged = c.history[-1] < cfg.convergence_tol
         if c.converged or 2 * n > cfg.n_max:
             c.q, c.done = q, True
-            c.records = run if keep_records else None
+            c.records = None if windowed else run
         else:
             c.q, c.n = q_next, 2 * n
 
 
-def _ladder(cells: list[_Cell], cfg: SimulationConfig, keep_records: bool = False) -> None:
+def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
     """Run the convergence ladder of every cell (see propagate_converged).
 
     Each level runs every cell that is still climbing at its n, in groups
     that hold at most _ROW_RECORDS records, or one cell.  A cell leaves the
     ladder when it converges, reaches n_max or fails; a failure is stored
-    on its cell and ends nothing else.  With keep_records each cell keeps
-    the (t_rec, chi_rec) of its last level.
+    on its cell and ends nothing else.  A cell without a window keeps the
+    (t_rec, chi_rec) of its last level.
     """
     for c in cells:
         c.n = cfg.n_slices
@@ -538,40 +509,25 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, keep_records: bool = Fals
         level = [c for c in climbing if c.n == n]
         size = max(1, _ROW_RECORDS // (n // cfg.record_stride + 1))
         for g in range(0, len(level), size):
-            _climb(level[g : g + size], cfg, n, keep_records)
+            _climb(level[g : g + size], cfg, n)
         climbing = [c for c in climbing if not c.done and c.error is None]
 
 
-def propagate_converged(
-    p: FrequencyProfile,
-    cfg: SimulationConfig,
-    *,
-    window_start: float | None = None,
-) -> Trajectory:
-    """Propagate with step doubling until the quantity the caller reads stabilises.
+def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
+    """Propagate with step doubling until r(t) stabilises.
 
     Levels run n_slices, 2 n_slices, ... slices up to n_max, and consecutive
-    levels share every record time of the coarser one, so differences are
-    taken over exactly aligned records.  Without window_start the ladder
-    compares r(t) in sup norm over all records.  With it, the run is read
-    through the post-transition window (t > window_start): the ladder
-    compares R in sup norm over the shared window records and the change of
-    its window mean, R_final, and takes the larger; the window must span
-    three periods pi/omega_f, which is checked before the first level.
-    A level is compared only once its window holds the records
-    post_transition_summary needs.  A level with a slice too coarse for the
-    ramp (a CF4 half-step omega^2 that is not positive) is abandoned for
-    twice its slices and does not count; at n_max it raises
-    StepSingularityError.  Returns the last level, converged once a
-    difference drops below convergence_tol.  n_max = n_slices runs one
-    fixed grid (converged None).  This is the ladder of window_means with
-    one cell.
+    levels share every record time of the coarser one, so the ladder
+    compares r(t) in sup norm over exactly aligned records.  A level with a
+    slice too coarse for the ramp (a CF4 half-step omega^2 that is not
+    positive) is abandoned for twice its slices and does not count; at
+    n_max it raises StepSingularityError.  Returns the last level, converged
+    once a difference drops below convergence_tol.  n_max = n_slices runs
+    one fixed grid (converged None).  This is the ladder of window_means
+    with one cell and no window.
     """
-    span = _time_span(p, cfg)
-    if window_start is not None:
-        _check_window(window_start, span[1], p.omegaf)
-    cell = _Cell(p, window_start, span)
-    _ladder([cell], cfg, keep_records=True)
+    cell = _Cell(p, None, _time_span(p, cfg))
+    _ladder([cell], cfg)
     if cell.error is not None:
         raise cell.error
     return _finalize(p, cell.n, *cell.records, cell.converged, cell.history)
@@ -584,11 +540,16 @@ def window_means(
 ) -> list[WindowMean]:
     """Converged post-transition window means R_final of several propagations.
 
-    Each cell runs the ladder of propagate_converged(p, cfg,
-    window_start=w), and every level runs its cells side by side.  R_final
-    is the mean of R over the window records of the last level, which is
-    post_transition_summary(traj, p, w).R_final of that trajectory.  A cell
-    fails alone: its WindowMean holds the exception, and R_final is nan.
+    Each cell runs the ladder of propagate_converged read through its
+    post-transition window (t > w): the ladder compares R in sup norm over
+    the shared window records and the change of its window mean, and takes
+    the larger.  The window must span three periods pi/omega_f, which is
+    checked before the first level, and a level is compared only once its
+    window holds the records post_transition_summary needs.  Every level
+    runs its cells side by side.  R_final is the mean of R over the window
+    records of the last level, which is post_transition_summary(traj, p,
+    w).R_final of that trajectory.  A cell fails alone: its WindowMean
+    holds the exception, and R_final is nan.
     """
     cells = []
     for p, w in zip(profiles, window_starts):
@@ -605,10 +566,8 @@ def window_means(
         if c.error is None and len(c.q) < _MIN_WINDOW_RECORDS:
             c.error = WindowError("too few records after the transition")
         achieved = c.history[-1] if c.history else None
-        if c.error is not None:
-            out.append(WindowMean(float("nan"), c.n, c.converged, achieved, c.error))
-        else:
-            out.append(WindowMean(float(np.mean(c.q)), c.n, c.converged, achieved, None))
+        mean = float("nan") if c.error is not None else float(np.mean(c.q))
+        out.append(WindowMean(mean, c.n, c.converged, achieved, c.error))
     return out
 
 

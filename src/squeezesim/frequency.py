@@ -24,7 +24,8 @@ _TAIL_FACTOR = 3.0  # the ramp is within 0.25% of its asymptotes beyond 3 epsilo
 class FrequencyProfile:
     """Evaluable omega(t) plus the transition metadata.
 
-    For the sampled kind t0 and epsilon are unused and omega0 defaults to the
+    A tanh ramp has epsilon > 0 and a jump epsilon 0.  Only the sampled kind
+    holds samples; its t0 and epsilon are unused, and omega0 defaults to the
     first tabulated frequency, which also fixes the reference basis.
     """
 
@@ -47,6 +48,12 @@ class FrequencyProfile:
             raise ValueError(f"t0 must be finite and >= 0, got {self.t0}")
         if not self.epsilon >= 0.0 or not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.kind == "tanh" and self.epsilon == 0.0:
+            raise ValueError("a tanh ramp needs epsilon > 0; epsilon 0 is a jump")
+        if self.kind == "jump" and self.epsilon != 0.0:
+            raise ValueError(f"a jump has epsilon 0, got {self.epsilon}")
+        if (self.kind == "sampled") != bool(self.samples):
+            raise ValueError(f"samples belong to the sampled kind alone (kind {self.kind!r})")
 
     def __call__(self, t):
         return eval_omega(self, t)

@@ -55,6 +55,26 @@ def nan_steps_from(monkeypatch):
     return install
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Spy on the two stepping kernels of evolution._propagate.
+
+    The returned list gains ("rows", cells) for each call of
+    evolution._step_rows and ("loop", cells) for each call of
+    evolution._step_loop, cells being the number of cells it advances.
+    """
+    calls = []
+    for kind in ("rows", "loop"):
+        kernel = getattr(evolution, f"_step_{kind}")
+
+        def spy(a, b, chi, rec, per_record, kind=kind, kernel=kernel):
+            calls.append((kind, len(chi)))
+            return kernel(a, b, chi, rec, per_record)
+
+        monkeypatch.setattr(evolution, f"_step_{kind}", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def design_sweep():
     """Simulated final squeezing on the default ratio-by-width lattice."""

@@ -24,7 +24,6 @@ from squeezesim import (
     propagate_converged,
     reference_sweep_data,
     sweep_final_sp,
-    transition_interval,
 )
 from squeezesim import evolution
 
@@ -157,8 +156,7 @@ class TestSweep:
         def no_stepping(*args):
             raise AssertionError("propagated a cell whose window is too short")
 
-        monkeypatch.setattr(evolution, "_propagate_raw", no_stepping)
-        monkeypatch.setattr(evolution, "_propagate_rows", no_stepping)
+        monkeypatch.setattr(evolution, "_propagate", no_stepping)
         bad = dataclasses.replace(FAST, t_end=12.0)
         # two cells run their own loops, twenty would run as numpy rows
         for widths in ([0.5, 1.0], [0.5, 1.0] * 10):
@@ -196,43 +194,45 @@ class TestSweep:
             )
         # a jump is propagated exactly at every resolution (each step runs
         # only past t0), so the second level already agrees with the first;
-        # the one-cell ladder of propagate_converged gives the sweep's value
+        # the unwindowed ladder of propagate_converged stops there too, and
+        # its trajectory's window mean is the sweep's value
         (jump,) = sweep_final_sp(1.0, 5.0, [0.0], cfg)
         assert jump.R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
         p = jump_profile(1.0, 5.0)
-        window = transition_interval(p)[1]
-        traj = propagate_converged(
-            p, dataclasses.replace(cfg, record_stride=1), window_start=window
-        )
+        traj = propagate_converged(p, dataclasses.replace(cfg, record_stride=1))
         assert traj.converged is True
         assert len(traj.delta_history) == 1
         assert post_transition_summary(traj, p).R_final == jump.R_final
 
-    def test_stepping_stays_batched_on_the_default_lattice(self, monkeypatch):
-        # every level of at least _ROW_CELLS cells steps once, as numpy rows
+    def test_stepping_stays_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
+        # every level of at least _ROW_CELLS cells steps once, as numpy rows;
+        # a smaller level steps through each cell's loop
         calls = []
-        rows, raw = evolution._propagate_rows, evolution._propagate_raw
+        propagate = evolution._propagate
 
-        def rows_spy(cells, cfg, n):
-            calls.append(("rows", n, len(cells)))
-            return rows(cells, cfg, n)
+        def propagate_spy(cells, cfg, n):
+            kernel_calls.clear()
+            runs = propagate(cells, cfg, n)
+            calls.append((n, len(cells), set(kernel_calls)))
+            return runs
 
-        def raw_spy(p, cfg, n, span):
-            calls.append(("raw", n, 1))
-            return raw(p, cfg, n, span)
-
-        monkeypatch.setattr(evolution, "_propagate_rows", rows_spy)
-        monkeypatch.setattr(evolution, "_propagate_raw", raw_spy)
+        monkeypatch.setattr(evolution, "_propagate", propagate_spy)
+        small = 0
         for cfg in (SimulationConfig(n_slices=256), SimulationConfig(n_slices=4096)):
             calls.clear()
             assert len(reference_sweep_data(cfg=cfg, source="simulation")) == 80
-            levels = sorted({n for _, n, _ in calls})
+            levels = sorted({n for n, _, _ in calls})
             assert levels[0] == cfg.n_slices
             for n in levels:
-                at_n = [(kind, k) for kind, m, k in calls if m == n]
-                if sum(k for _, k in at_n) >= evolution._ROW_CELLS:
-                    assert at_n == [("rows", sum(k for _, k in at_n))], (n, at_n)
-            assert calls[0] == ("rows", cfg.n_slices, 80)
+                at_n = [(k, kinds) for m, k, kinds in calls if m == n]
+                total = sum(k for k, _ in at_n)
+                if total >= evolution._ROW_CELLS:
+                    assert at_n == [(total, {("rows", total)})], (n, at_n)
+                else:
+                    assert at_n == [(k, {("loop", k)}) for k, _ in at_n], (n, at_n)
+                    small += 1
+            assert calls[0] == (cfg.n_slices, 80, {("rows", 80)})
+        assert small  # from seed 256 the last level holds one cell
 
     def test_reference_lattice_shape(self):
         data = reference_sweep_data(source="formula")
@@ -260,15 +260,10 @@ def _swept(epsilons, cfg=BATCH_CFG, omegaf=5.0):
 
 
 class TestBatchedSweep:
-    def test_cells_match_their_own_sweeps(self, monkeypatch):
-        levels = []
-        rows = evolution._propagate_rows
-        monkeypatch.setattr(
-            evolution, "_propagate_rows",
-            lambda cells, cfg, n: levels.append(len(cells)) or rows(cells, cfg, n),
-        )
+    def test_cells_match_their_own_sweeps(self, kernel_calls):
         points, caught = _swept(BATCH_EPS)
-        assert levels and min(levels) >= evolution._ROW_CELLS  # stepped as rows
+        rows = [k for kind, k in kernel_calls if kind == "rows"]
+        assert rows and min(rows) >= evolution._ROW_CELLS  # stepped as rows
         alone_caught = []
         for eps, pt in zip(BATCH_EPS, points):
             (alone,), warned = _swept([eps])

@@ -154,6 +154,17 @@ class TestConfigFile:
             assert code == EXIT_DOMAIN
             assert f"{cfg}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, allowed",
+        [("contour", "mode", "above-unity, below-unity"), ("fit", "source", "formula, simulation")],
+    )
+    def test_value_outside_choices_names_location(self, tmp_path, capsys, command, key, allowed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {command}\n{key} = sideways\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: {key} must be one of {allowed}, got 'sideways'" in err
+
     def test_keys_of_other_subcommands_are_skipped(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

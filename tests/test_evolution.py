@@ -177,6 +177,32 @@ class TestCF4:
                 propagate_converged(p, SimulationConfig(n_slices=n, n_max=n))
 
 
+class TestRatioInversionDuality:
+    # Rescaling time by k and reversing it maps the ramp 1 -> k of width eps
+    # onto the ramp 1 -> 1/k of width k eps, and |beta| is invariant under
+    # time reversal, so R(k, eps) = R(1/k, k eps) once omega = omega_f to
+    # rounding (t >= t0 + 20 eps).  Both kernels run: a one-cell run steps
+    # through the loop, and through rows once _ROW_CELLS is 1.  Each run
+    # converges by 2048 slices; n_max keeps a broken step from climbing to
+    # 2^24 before the test fails.
+    @staticmethod
+    def _run(k, eps):
+        p = tanh_profile(1.0, k, 20.0 * eps, eps)
+        cfg = SimulationConfig(t_end=40.0 * eps, n_slices=256, convergence_tol=1e-8, n_max=1 << 14)
+        return propagate_converged(p, cfg)
+
+    @pytest.mark.parametrize("kernel", ["loop", "rows"])
+    @pytest.mark.parametrize("k, eps", [(2.0, 0.4), (3.0, 0.8), (1.5, 1.2), (5.0, 0.1)])
+    def test_late_time_R_is_invariant(self, monkeypatch, kernel_calls, kernel, k, eps):
+        if kernel == "rows":
+            monkeypatch.setattr(evolution, "_ROW_CELLS", 1)
+        # corrupting b -> -b in _step_arrays moves these differences to 2e-6 .. 6e-5
+        traj, dual = self._run(k, eps), self._run(1.0 / k, k * eps)
+        assert abs(traj.R[-1] - dual.R[-1]) <= 1e-8
+        assert traj.converged and dual.converged
+        assert {kind for kind, _ in kernel_calls} == {kernel}
+
+
 class TestPropagateConverged:
     def test_ladder_reports_history(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
@@ -242,7 +268,9 @@ class TestRecurrence:
 
     def _records(self, p, stride, n=N):
         cfg = SimulationConfig(t_end=14.0, n_slices=n, record_stride=stride, n_max=n)
-        return evolution._propagate_raw(p, cfg, n, evolution._time_span(p, cfg))[1]
+        cell = evolution._Cell(p, None, evolution._time_span(p, cfg))
+        (run,) = evolution._propagate([cell], cfg, n)
+        return run[1]
 
     @pytest.mark.parametrize(
         "p", [tanh_profile(1.0, 3.0, 10.0, 0.5), jump_profile(1.0, 3.0, 10.0)]
@@ -258,10 +286,10 @@ class TestRecurrence:
         assert np.array_equal(default, self._records(p, 1)[::stride])
 
     @pytest.mark.parametrize("stride", [1, 3, 64])
-    def test_rows_match_each_cells_loop(self, monkeypatch, stride):
+    def test_rows_match_each_cells_loop(self, monkeypatch, kernel_calls, stride):
         # a ramp, a jump and a tabulated profile that starts at t = 1,
-        # stepped side by side: the record times are the loop's, and chi
-        # differs only by the rounding of complex division
+        # stepped side by side as rows: the record times are each cell's own
+        # loop's, and chi differs only by the rounding of complex division
         profiles = [
             tanh_profile(1.0, 3.0, 10.0, 0.5),
             jump_profile(1.0, 3.0, 10.0),
@@ -269,15 +297,19 @@ class TestRecurrence:
         ]
         cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
         cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
-        rows = evolution._propagate_rows(cells, cfg, self.N)
+        monkeypatch.setattr(evolution, "_ROW_CELLS", len(cells))
+        rows = evolution._propagate(cells, cfg, self.N)
         for chunk in (1, 100):
             monkeypatch.setattr(evolution, "_ROW_CHUNK", chunk)
-            for (t, chi), (t_c, chi_c) in zip(rows, evolution._propagate_rows(cells, cfg, self.N)):
+            for (t, chi), (t_c, chi_c) in zip(rows, evolution._propagate(cells, cfg, self.N)):
                 assert np.array_equal(t, t_c) and np.array_equal(chi, chi_c)
+        assert set(kernel_calls) == {("rows", len(cells))}
+        kernel_calls.clear()
         for c, (t, chi) in zip(cells, rows):
-            t_ref, chi_ref = evolution._propagate_raw(c.p, cfg, self.N, c.span)
+            ((t_ref, chi_ref),) = evolution._propagate([c], cfg, self.N)
             assert np.array_equal(t, t_ref)
             assert np.max(np.abs(chi - chi_ref)) <= 1e-13
+        assert set(kernel_calls) == {("loop", 1)}
 
     @pytest.mark.parametrize(
         "chunk, stride, first_bad, n",

@@ -113,6 +113,26 @@ class TestSampledProfile:
             sampled_profile([(0.0, 1.0), (1.0, -2.0)])
 
 
+class TestInconsistentKinds:
+    # each of these evaluated or reported something wrong instead of failing:
+    # a nan omega at t0, a TypeError inside eval_omega, a jump's transition
+    # interval of nonzero width
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (("tanh", 1.0, 3.0, 10.0, 0.0), "tanh ramp needs epsilon > 0"),
+            (("jump", 1.0, 3.0, 10.0, 0.7), "jump has epsilon 0"),
+            (("sampled", 1.0, 2.0), "sampled kind alone"),
+            (("tanh", 1.0, 2.0, 10.0, 0.5, ((0.0, 1.0), (1.0, 2.0))), "sampled kind alone"),
+        ],
+        ids=["tanh-without-width", "jump-with-width", "sampled-without-samples",
+             "tanh-with-samples"],
+    )
+    def test_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            FrequencyProfile(*args)
+
+
 class TestLoadSamples:
     def test_parses_comments_commas_and_blanks(self, tmp_path):
         f = tmp_path / "profile.txt"

@@ -1,10 +1,11 @@
 """Squeezing of a quantum oscillator driven by a time-dependent frequency.
 
-The simulator propagates the vacuum through a piecewise-constant
-approximation of the frequency profile and reports the squeeze magnitude
-and phase in both the initial basis and the instantaneous one, together
-with the closed forms and the secant-decay approximation they are checked
-against.
+The simulator propagates the vacuum through the frequency profile with the
+fourth-order commutator-free Magnus step (CF4: two constant-frequency
+half-steps per slice, sampled at the slice's Gauss nodes) and reports the
+squeeze magnitude and phase in both the initial basis and the instantaneous
+one, together with the closed forms and the secant-decay approximation
+they are checked against.
 """
 
 from .algebra import (

@@ -8,6 +8,10 @@ ladder operators of two frequency bases, the composition rule that re-expresses
 a squeezed state in the instantaneous basis, quadrature variances, and Fock
 amplitudes.
 
+A basis change of exponent rho moves the squeeze variable chi = -tanh(r) e^{i phi}
+by the disc automorphism chi -> (chi + t)/(1 + t chi), t = tanh(rho) (Perelomov,
+Generalized Coherent States, 1986, ch. 5).
+
 Conventions
 -----------
 * Squeeze phases live on the principal branch (-pi, pi].  Conversions from a
@@ -46,7 +50,7 @@ def _clamped_magnitude(mag, what: str):
     """Clamp magnitudes grazing 1; raise beyond the clamping window."""
     mag = np.asarray(mag, dtype=float)
     over = mag > 1.0 + _CLAMP_WINDOW
-    if np.any(over):
+    if over.any():
         raise SaturationError(
             f"{what} magnitude {float(np.max(mag)):.6e} exceeds 1 "
             f"beyond the clamping window"
@@ -207,31 +211,20 @@ def lambda_coeffs(zeta: complex, g: BogoliubovCoeffs) -> tuple[complex, complex,
     return complex(lp), complex(lc), complex(lm)
 
 
-def _bch_arrays(r, phi, rho):
-    """Vectorized disentangled composition of squeeze (r, phi) with basis rho.
+def _compose(chi, t):
+    """Disentangled composition of the squeeze variable chi with the basis change t = tanh(rho).
 
     Returns the (alpha, beta, gamma) coefficient arrays of the normal-ordered
-    factorization exp(alpha T+) exp(ln(beta) Tc) exp(gamma T-).
+    factorization exp(alpha T+) exp(ln(beta) Tc) exp(gamma T-).  alpha is
+    chi moved by the disc automorphism chi -> (chi + t)/(1 + t chi).
     """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    w = np.exp(1j * phi)
-    sh = np.sinh(r)
-    ch = np.cosh(r)
-    g1 = np.cosh(rho)
-    g2 = np.sinh(rho)
-    # Re(D) = cosh(r) >= 1, so D never vanishes.
-    d = ch - g1 * g2 * (w - np.conj(w)) * sh
-    lam_p = (np.conj(w) * g2**2 - w * g1**2) * sh / d
-    lam_m = (np.conj(w) * g1**2 - w * g2**2) * sh / d
-    lam_c = 1.0 / (d * d)
-    den = g1 - g2 * lam_m
-    if np.any(np.abs(den) < 1e-150):
+    chi = np.asarray(chi, dtype=complex)
+    den = 1.0 + t * chi
+    if (np.abs(den) < 1e-150).any():
         raise CompositionError("singular denominator in squeeze composition")
-    alpha = lam_p + g2 * lam_c / den
-    beta = lam_c / (den * den)
-    gamma = (g1 * lam_m - g2) / den
+    alpha = (chi + t) / den
+    beta = (1.0 - t * t) * (1.0 - np.abs(chi) ** 2) / (den * den)
+    gamma = -(np.conj(chi) + t) / den
     return alpha, beta, gamma
 
 
@@ -254,7 +247,8 @@ def compose_bch(z: SqueezeParams, g: BogoliubovCoeffs) -> BchCoeffs:
     -------
     BchCoeffs
     """
-    alpha, beta, gamma = _bch_arrays(z.r, z.phi, g.rho)
+    chi = -np.tanh(z.r) * np.exp(1j * z.phi)
+    alpha, beta, gamma = _compose(chi, g.gamma2 / g.gamma1)
     return BchCoeffs(complex(alpha), complex(beta), complex(gamma))
 
 

@@ -22,13 +22,12 @@ _ROW_CELLS runs up, else each run's own Python loop.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _bch_arrays, _clamped_magnitude, _squeeze_of
+from .algebra import _clamped_magnitude, _compose, _squeeze_of
 from .errors import StepSingularityError, WindowError
 from .frequency import FrequencyProfile, eval_omega, transition_interval
 
@@ -47,8 +46,7 @@ _ROW_CELLS = 16
 # records a level holds at once (cells x records per cell); a level with
 # more runs its cells in several groups
 _ROW_RECORDS = 1 << 20
-# cell-slices whose step coefficients, and cell-records whose window R, are
-# computed in one vectorised pass
+# cell-slices whose step coefficients are computed in one vectorised pass
 _ROW_CHUNK = 1 << 16
 
 # CF4: the Gauss nodes c = 1/2 -+ sqrt(3)/6 of a slice, and the weights
@@ -355,12 +353,15 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     return [e if e is not None else (t_rec[i], chi_rec[:, i]) for i, e in enumerate(errors)]
 
 
-def _squeezes(chi_rec: np.ndarray, omega_rec: np.ndarray, omega0):
-    """Basis exponent rho, squeeze (r, phi) and the composition (alpha, beta) of records."""
-    rho_rec = 0.5 * np.log(omega_rec / omega0)
-    r, phi = _squeeze_of(chi_rec, "squeeze")
-    alpha, beta, _ = _bch_arrays(r, phi, rho_rec)
-    return rho_rec, r, phi, alpha, beta
+def _instantaneous(p: FrequencyProfile, t_rec: np.ndarray, chi_rec: np.ndarray):
+    """omega and the composition (alpha, beta) of records with their instantaneous basis.
+
+    The basis of omega is reached from the omega0 one by t = tanh(rho) =
+    (omega - omega0)/(omega + omega0).
+    """
+    omega = np.asarray(eval_omega(p, t_rec), dtype=float)
+    alpha, beta, _ = _compose(chi_rec, (omega - p.omega0) / (omega + p.omega0))
+    return omega, alpha, beta
 
 
 def _finalize(
@@ -372,13 +373,13 @@ def _finalize(
     history: list[float],
 ) -> Trajectory:
     """Convert recorded chi values into the full squeeze trajectory."""
-    omega_rec = np.asarray(eval_omega(p, t_rec), dtype=float)
-    rho_rec, r, phi, alpha, beta = _squeezes(chi_rec, omega_rec, p.omega0)
+    r, phi = _squeeze_of(chi_rec, "squeeze")
+    omega_rec, alpha, beta = _instantaneous(p, t_rec, chi_rec)
     big_r, big_phi = _squeeze_of(alpha, "instantaneous squeeze")
     return Trajectory(
         t=t_rec,
         omega=omega_rec,
-        rho=rho_rec,
+        rho=0.5 * np.log(omega_rec / p.omega0),
         chi=chi_rec,
         r=r,
         phi=phi,
@@ -393,56 +394,20 @@ def _finalize(
     )
 
 
-def _ladder_quantities(cells: list[_Cell], runs: list) -> list[np.ndarray]:
-    """The array the ladder compares, for each cell of a level.
+def _ladder_quantity(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray) -> np.ndarray:
+    """The array the ladder compares for one cell's level.
 
     r at every record, or, for a windowed cell, R at the records after its
     window start (a suffix of the records that always holds the last one),
-    computed as the trajectory's R column is.  The window R of all the
-    windowed cells is computed in one vectorised pass over their records
-    laid end to end.
+    computed as the trajectory's R column is.
     """
-    out: list = [None] * len(cells)
-    parts = []
-    for i, (c, (t_rec, chi_rec)) in enumerate(zip(cells, runs)):
-        if c.window_start is None:
-            out[i] = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-        else:
-            after = t_rec > c.window_start
-            parts.append((i, c.p, t_rec[after], chi_rec[after]))
-    if parts:
-        sizes = [len(t) for _, _, t, _ in parts]
-        omega = np.concatenate([np.asarray(eval_omega(p, t), dtype=float) for _, p, t, _ in parts])
-        omega0 = np.repeat([p.omega0 for _, p, _, _ in parts], sizes)
-        alpha = _squeezes(np.concatenate([chi for *_, chi in parts]), omega, omega0)[3]
-        big_r = _squeeze_of(alpha, "instantaneous squeeze")[0]
-        for (i, *_), q in zip(parts, np.split(big_r, np.cumsum(sizes)[:-1])):
-            out[i] = q
-    return out
-
-
-def _level_quantities(cells: list[_Cell], runs: list) -> list:
-    """_ladder_quantities of a level, or per cell the exception it raised.
-
-    A pass that clamps, warns or raises is run again cell by cell, so that
-    each warning and error is the one the cell gives alone.
-    """
-    if len(cells) > 1:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = _ladder_quantities(cells, runs)
-            if not caught:
-                return out
-        except Exception:
-            pass
-    out = []
-    for c, run in zip(cells, runs):
-        try:
-            out.extend(_ladder_quantities([c], [run]))
-        except Exception as exc:
-            out.append(exc)
-    return out
+    if c.window_start is None:
+        return np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
+    after = t_rec > c.window_start
+    chi = chi_rec[after]
+    _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
+    alpha = _instantaneous(c.p, t_rec[after], chi)[1]
+    return np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
 
 
 def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
@@ -462,22 +427,17 @@ def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
 
 def _climb(group: list[_Cell], cfg: SimulationConfig, n: int) -> None:
     """Run one level of n slices for a group of cells and take each cell's ladder step."""
-    ran = []
     for c, run in zip(group, _propagate(group, cfg, n)):
         if isinstance(run, _UnresolvedSlice) and 2 * n <= cfg.n_max:
             c.q, c.n = None, 2 * n  # a resolution floor, not a level
-        elif isinstance(run, Exception):
+            continue
+        if isinstance(run, Exception):
             c.error = run
-        else:
-            ran.append((c, run))
-    per_pass = max(1, _ROW_CHUNK // (n // cfg.record_stride + 1))
-    quantities = []
-    for g in range(0, len(ran), per_pass):
-        part = ran[g : g + per_pass]
-        quantities += _level_quantities([c for c, _ in part], [run for _, run in part])
-    for (c, run), q in zip(ran, quantities):
-        if isinstance(q, Exception):
-            c.error = q
+            continue
+        try:
+            q = _ladder_quantity(c, *run)
+        except Exception as exc:  # this cell fails, its neighbours go on
+            c.error = exc
             continue
         windowed = c.window_start is not None
         # too few window records to compare or to stop on

@@ -25,8 +25,10 @@ class FrequencyProfile:
     """Evaluable omega(t) plus the transition metadata.
 
     A tanh ramp has epsilon > 0 and a jump epsilon 0.  Only the sampled kind
-    holds samples; its t0 and epsilon are unused, and omega0 defaults to the
-    first tabulated frequency, which also fixes the reference basis.
+    holds samples: at least two (t, omega) pairs with finite, strictly
+    increasing times and positive, finite frequencies, the last of which is
+    omegaf.  Its t0 and epsilon are unused, and omega0 fixes the reference
+    basis (sampled_profile defaults it to the first tabulated frequency).
     """
 
     kind: str
@@ -39,6 +41,18 @@ class FrequencyProfile:
     def __post_init__(self):
         if self.kind not in ("tanh", "jump", "sampled"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        if (self.kind == "sampled") != (self.samples is not None):
+            raise ValueError(f"samples belong to the sampled kind alone (kind {self.kind!r})")
+        if self.samples is not None:
+            if len(self.samples) < 2:
+                raise ValueError(f"need at least 2 samples, got {len(self.samples)}")
+            times, omegas = np.array(self.samples, dtype=float).T
+            if not np.all(np.diff(times) > 0.0) or not np.isfinite(times).all():
+                raise ValueError("sample times must be finite and strictly increasing")
+            if not np.all(omegas > 0.0) or not np.isfinite(omegas).all():
+                raise ValueError("sampled frequencies must be positive and finite")
+            if self.omegaf != omegas[-1]:
+                raise ValueError(f"omegaf {self.omegaf} is not the last sample's {omegas[-1]}")
         freqs = np.array([self.omega0, self.omegaf])
         if not np.all(freqs > 0.0) or not np.isfinite(freqs).all():
             raise ValueError(
@@ -52,8 +66,6 @@ class FrequencyProfile:
             raise ValueError("a tanh ramp needs epsilon > 0; epsilon 0 is a jump")
         if self.kind == "jump" and self.epsilon != 0.0:
             raise ValueError(f"a jump has epsilon 0, got {self.epsilon}")
-        if (self.kind == "sampled") != bool(self.samples):
-            raise ValueError(f"samples belong to the sampled kind alone (kind {self.kind!r})")
 
     def __call__(self, t):
         return eval_omega(self, t)
@@ -90,16 +102,9 @@ def sampled_profile(
     tabulated omega.
     """
     pts = tuple((float(t), float(w)) for t, w in samples)
-    if len(pts) < 2:
-        raise ValueError(f"need at least 2 samples, got {len(pts)}")
-    times = np.array([t for t, _ in pts])
-    omegas = np.array([w for _, w in pts])
-    if not np.all(np.diff(times) > 0.0) or not np.isfinite(times).all():
-        raise ValueError("sample times must be finite and strictly increasing")
-    if not np.all(omegas > 0.0) or not np.isfinite(omegas).all():
-        raise ValueError("sampled frequencies must be positive and finite")
-    ref = float(omegas[0]) if omega0 is None else float(omega0)
-    return FrequencyProfile("sampled", ref, float(omegas[-1]), 0.0, 0.0, pts)
+    omegas = [w for _, w in pts] or [float("nan")]  # an empty table fails the profile's own check
+    ref = omegas[0] if omega0 is None else float(omega0)
+    return FrequencyProfile("sampled", ref, omegas[-1], 0.0, 0.0, pts)
 
 
 def load_samples(path) -> FrequencyProfile:

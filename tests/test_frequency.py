@@ -116,7 +116,9 @@ class TestSampledProfile:
 class TestInconsistentKinds:
     # each of these evaluated or reported something wrong instead of failing:
     # a nan omega at t0, a TypeError inside eval_omega, a jump's transition
-    # interval of nonzero width
+    # interval of nonzero width; samples built directly skipped every check,
+    # so unsorted times were interpolated (omega(0.5) = 1.5) and a negative
+    # frequency (omega(1.5) = -2) ran the ladder to "converged"
     @pytest.mark.parametrize(
         "args, match",
         [
@@ -124,9 +126,14 @@ class TestInconsistentKinds:
             (("jump", 1.0, 3.0, 10.0, 0.7), "jump has epsilon 0"),
             (("sampled", 1.0, 2.0), "sampled kind alone"),
             (("tanh", 1.0, 2.0, 10.0, 0.5, ((0.0, 1.0), (1.0, 2.0))), "sampled kind alone"),
+            (("sampled", 1.0, 2.0, 0.0, 0.0, ((0, 1), (2, 3), (1, 5))), "strictly increasing"),
+            (("sampled", 1.0, 7.0, 0.0, 0.0, ((0, 1), (2, -3))), "positive"),
+            (("sampled", 1.0, 7.0, 0.0, 0.0, ((0, 1), (2, 3))), "last sample"),
+            (("sampled", 1.0, 1.0, 0.0, 0.0, ((0, 1),)), "at least 2"),
         ],
         ids=["tanh-without-width", "jump-with-width", "sampled-without-samples",
-             "tanh-with-samples"],
+             "tanh-with-samples", "unsorted-samples", "negative-sample",
+             "omegaf-not-last-sample", "one-sample"],
     )
     def test_rejected(self, args, match):
         with pytest.raises(ValueError, match=match):

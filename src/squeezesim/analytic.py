@@ -10,7 +10,7 @@ decay constants of the secant ansatz to sweep data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     caller_stacklevel,
 )
 from .evolution import SimulationConfig, window_means
-from .frequency import tanh_profile, transition_interval
+from .frequency import tanh_profile
 
 _VALIDITY_RATIO = 10.0
 
@@ -30,6 +30,10 @@ _VALIDITY_RATIO = 10.0
 # covering the sudden through the deep-adiabatic regime.
 SWEEP_RATIOS = (1.5, 2.0, 3.0, 4.0, 5.0)
 SWEEP_EPSILONS = (0.0, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 2.0)
+# Ladder seed of every sweep, in the library and the CLI: a CF4 cell
+# converges on R_final from a few hundred slices, and every cell runs at
+# least two levels
+SWEEP_SLICES = 256
 
 
 def jump_sp_closed_form(omega0: float, omegaf: float, t):
@@ -64,7 +68,7 @@ def fitted_sp(omega0: float, omegaf: float, epsilon, c1: float = 2.0, c2: float 
             f"frequency ratio {ratio:.6g} outside the calibrated range "
             f"[{1.0 / _VALIDITY_RATIO}, {_VALIDITY_RATIO}]",
             ValidityWarning,
-            stacklevel=2,
+            stacklevel=caller_stacklevel(),
         )
     rf = abs(0.5 * np.log(ratio))
     out = rf / np.cosh(c1 * (rf + c2) * min(omega0, omegaf) * eps)
@@ -106,31 +110,19 @@ class SweepPoint(NamedTuple):
     error: str | None = None
 
 
-def _failed_point(eps: float, exc: Exception) -> SweepPoint:
-    return SweepPoint(eps, float("nan"), f"{type(exc).__name__}: {exc}")
-
-
-def _sweep_points(cells, cfg: SimulationConfig) -> list[SweepPoint]:
-    """R_final of tanh ramps (omega0, omegaf, eps), each ladder converged on
-    its post-transition window, all stepped side by side (window_means)."""
-    # R_final is a window mean: over sparse records it is a coarser
-    # quadrature, whose error in n is erratic
-    cfg = replace(cfg, record_stride=1)
-    points: list = [None] * len(cells)
-    runs = []
-    for i, (omega0, omegaf, eps) in enumerate(cells):
-        try:
-            p = tanh_profile(omega0, omegaf, epsilon=eps)
-            runs.append((i, p, transition_interval(p)[1]))
-        except Exception as exc:  # surfaced per cell, the sweep keeps going
-            points[i] = _failed_point(eps, exc)
-    means = window_means([p for _, p, _ in runs], [w for *_, w in runs], cfg)
-    for (i, _, _), mean in zip(runs, means):
-        _, omegaf, eps = cells[i]
+def _sweep_points(cells, cfg: SimulationConfig | None) -> list[SweepPoint]:
+    """R_final of tanh ramps (omega0, omegaf, eps) through one window_means;
+    every profile is built first, so an invalid width or frequency raises
+    ValueError before any cell steps.  cfg None seeds at SWEEP_SLICES."""
+    cfg = cfg or SimulationConfig(n_slices=SWEEP_SLICES)
+    profiles = [tanh_profile(omega0, omegaf, epsilon=eps) for omega0, omegaf, eps in cells]
+    means = window_means(profiles, cfg)
+    points = []
+    for (_, omegaf, eps), mean in zip(cells, means):
+        error = None
         if mean.error is not None:
-            points[i] = _failed_point(eps, mean.error)
-            continue
-        if mean.converged is False:
+            error = f"{type(mean.error).__name__}: {mean.error}"
+        elif mean.converged is False:
             warnings.warn(
                 f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) did not converge: "
                 f"n_slices {mean.n_slices}, last delta {mean.achieved_delta:.3g} "
@@ -138,7 +130,7 @@ def _sweep_points(cells, cfg: SimulationConfig) -> list[SweepPoint]:
                 UserWarning,
                 stacklevel=caller_stacklevel(),
             )
-        points[i] = SweepPoint(eps, mean.R_final)
+        points.append(SweepPoint(eps, mean.R_final, error))
     return points
 
 
@@ -150,54 +142,44 @@ def sweep_final_sp(
 ) -> list[SweepPoint]:
     """Final squeezing across ramp widths for one frequency pair.
 
-    Each cell owns a propagation whose ladder tests what the cell reports:
-    R over the post-transition window and its mean, R_final; the cells'
-    ladders step side by side (see window_means).  A window shorter than three
-    periods pi/omegaf fails the cell before any step is taken, and a cell
-    whose ladder reaches n_max unconverged keeps its value with a
-    UserWarning.  Cells record every slice, so cfg.record_stride does not
-    change a result.  epsilon = 0 runs the jump profile.  Failures are
-    reported in the returned points rather than aborting the sweep.
+    One window_means call runs every cell: its ladder tests what the cell
+    reports, R over the post-transition window and its mean R_final, at
+    every slice, so cfg.record_stride does not change a result; cfg None
+    seeds it at SWEEP_SLICES, as the CLI does.  An invalid width or
+    frequency raises ValueError before any cell steps.  A cell whose window
+    is shorter than three periods pi/omegaf, or that fails as it climbs, is
+    reported in its point; one that reaches n_max unconverged keeps its
+    value with a UserWarning.  epsilon = 0 runs the jump profile.
     """
-    cfg = cfg or SimulationConfig()
     return _sweep_points([(omega0, omegaf, float(e)) for e in epsilons], cfg)
 
 
 def reference_sweep_data(
-    cfg: SimulationConfig | None = None,
-    source: str = "simulation",
-    ratios=SWEEP_RATIOS,
-    epsilons=SWEEP_EPSILONS,
+    cfg: SimulationConfig | None = None, source: str = "simulation"
 ) -> list[tuple[float, float, float, float]]:
     """Sweep of the default lattice as (omega0, omegaf, epsilon, R) rows.
 
-    Covers every ratio in both directions with omega0 = 1.  source selects
-    simulated final squeezing, one sweep over the whole lattice, or direct
-    evaluation of the secant formula.
+    Covers every ratio of SWEEP_RATIOS in both directions, with omega0 = 1,
+    crossed with SWEEP_EPSILONS.  source selects simulated final squeezing,
+    one sweep over the whole lattice (cfg None seeds it at SWEEP_SLICES),
+    or direct evaluation of the secant formula.
     """
     if source not in ("simulation", "formula"):
         raise ValueError(f"source must be 'simulation' or 'formula', got {source!r}")
-    pairs = []
-    for k in ratios:
-        for omegaf in (float(k), 1.0 / float(k)):
-            pairs.append(omegaf)
-    data = []
+    pairs = [omegaf for k in SWEEP_RATIOS for omegaf in (float(k), 1.0 / float(k))]
+    cells = [(1.0, omegaf, float(eps)) for omegaf in pairs for eps in SWEEP_EPSILONS]
     if source == "formula":
-        for omegaf in pairs:
-            for eps in epsilons:
-                data.append((1.0, omegaf, float(eps), fitted_sp(1.0, omegaf, eps)))
-        return data
-    cells = [(1.0, omegaf, float(eps)) for omegaf in pairs for eps in epsilons]
-    for (_, omegaf, _), point in zip(cells, _sweep_points(cells, cfg or SimulationConfig())):
+        return [(*cell, fitted_sp(*cell)) for cell in cells]
+    data = []
+    for cell, point in zip(cells, _sweep_points(cells, cfg)):
         if point.error is not None:
             warnings.warn(
-                f"sweep cell (omegaf={omegaf}, eps={point.epsilon}) failed: "
-                f"{point.error}",
+                f"sweep cell (omegaf={cell[1]}, eps={cell[2]}) failed: {point.error}",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=caller_stacklevel(),
             )
             continue
-        data.append((1.0, omegaf, point.epsilon, point.R_final))
+        data.append((*cell, point.R_final))
     return data
 
 
@@ -235,7 +217,7 @@ def fit_ansatz(sweep_data) -> FitResult:
             "single frequency ratio in fit data: c1 and c2 are only jointly "
             "constrained and c2 is poorly determined",
             FitConditionWarning,
-            stacklevel=2,
+            stacklevel=caller_stacklevel(),
         )
 
     o0s, ofs, eps, robs = np.array(pts).T
@@ -284,7 +266,7 @@ def fit_ansatz(sweep_data) -> FitResult:
         warnings.warn(
             "fit Jacobian nearly rank deficient; c1 and c2 trade off freely",
             FitConditionWarning,
-            stacklevel=2,
+            stacklevel=caller_stacklevel(),
         )
     rms = float(np.sqrt(np.mean(res**2)))
     grid = (
@@ -329,10 +311,10 @@ def contour_grid(
         raise ValueError(f"source must be 'formula' or 'simulation', got {source!r}")
     lo, hi = float(ratio_range[0]), float(ratio_range[1])
     elo, ehi = float(epsilon_range[0]), float(epsilon_range[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"ratio range must be positive and increasing, got {ratio_range}")
-    if not 0.0 <= elo < ehi:
-        raise ValueError(f"epsilon range must be >= 0 and increasing, got {epsilon_range}")
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError(f"ratio range must be positive, finite and increasing, got {ratio_range}")
+    if not 0.0 <= elo < ehi < np.inf:
+        raise ValueError(f"epsilon range must be >= 0, finite and increasing, got {epsilon_range}")
     if n_ratio < 2 or n_eps < 2:
         raise ValueError("need at least 2 points per axis")
     if mode == "above-unity" and lo <= 1.0:
@@ -347,13 +329,13 @@ def contour_grid(
             big_r[i] = fitted_sp(1.0, float(k), xs)
     else:
         cells = [(1.0, k, x) for k in ratios.tolist() for x in xs.tolist()]
-        points = _sweep_points(cells, cfg or SimulationConfig())
+        points = _sweep_points(cells, cfg)
         for (_, k, x), point in zip(cells, points):
             if point.error is not None:
                 warnings.warn(
                     f"contour cell {k, x} failed: {point.error}",
                     UserWarning,
-                    stacklevel=2,
+                    stacklevel=caller_stacklevel(),
                 )
         big_r[:] = np.reshape([point.R_final for point in points], big_r.shape)
     return ContourGrid(ratios, xs, big_r, mode, source)

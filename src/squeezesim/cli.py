@@ -42,10 +42,6 @@ EXIT_COMPOSITION = 7
 EXIT_DEGENERATE_DATA = 8
 EXIT_NAN = 9
 
-# ladder seed of sweep, contour and fit: a CF4 cell converges on R_final
-# from a few hundred slices, and every cell runs at least two levels
-_SWEEP_SLICES = 256
-
 # parser destinations that a config file may not set
 _NOT_CONFIG_KEYS = {"help", "config"}
 
@@ -130,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--omegaf", type=float, default=None, help="final frequency")
     sw.add_argument("--eps", type=str, default="0.5",
                     help="comma-separated ramp widths, e.g. 0,0.1,0.4")
-    _add_run_flags(sw, _SWEEP_SLICES)
+    _add_run_flags(sw, analytic.SWEEP_SLICES)
 
     co = subs.add_parser("contour", help="final squeezing over a ratio/ramp-width grid")
     co.set_defaults(run=run_contour)
@@ -142,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--eps-max", type=float, default=2.0, dest="eps_max")
     co.add_argument("--n-ratio", type=int, default=25, dest="n_ratio")
     co.add_argument("--n-eps", type=int, default=21, dest="n_eps")
-    _add_run_flags(co, _SWEEP_SLICES)
+    _add_run_flags(co, analytic.SWEEP_SLICES)
 
     ft = subs.add_parser("fit", help="recover the secant decay constants from a sweep")
     ft.set_defaults(run=run_fit)
     ft.add_argument("--source", choices=("formula", "simulation"), default="formula")
-    _add_run_flags(ft, _SWEEP_SLICES)
+    _add_run_flags(ft, analytic.SWEEP_SLICES)
 
     ve = subs.add_parser("verify", help="run the built-in check suite")
     ve.set_defaults(run=run_verify)
@@ -170,8 +166,8 @@ def _sim_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig(
         t_end=args.t_end,
         n_slices=args.n,
-        # a sweep cell records every slice (analytic._sweep_points), so its
-        # --stride need not divide --n
+        # a sweep cell records every slice (evolution.window_means), so a
+        # sweep's --stride need not divide --n
         record_stride=args.stride if args.command == "evolve" else 1,
         convergence_tol=args.tol,
     )

@@ -22,7 +22,7 @@ _ROW_CELLS runs up, else each run's own Python loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -158,7 +158,8 @@ class PostTransitionSummary:
 
 class _UnresolvedSlice(StepSingularityError):
     """A CF4 half-step omega^2 that is not positive: omega changes by more
-    than about 3.7x between the two nodes of a slice."""
+    than about 3.7x between the two nodes of a slice.  The ladder doubles n
+    past it, and at n_max stores it as a plain StepSingularityError."""
 
 
 class WindowMean(NamedTuple):
@@ -428,9 +429,11 @@ def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
 def _climb(group: list[_Cell], cfg: SimulationConfig, n: int) -> None:
     """Run one level of n slices for a group of cells and take each cell's ladder step."""
     for c, run in zip(group, _propagate(group, cfg, n)):
-        if isinstance(run, _UnresolvedSlice) and 2 * n <= cfg.n_max:
-            c.q, c.n = None, 2 * n  # a resolution floor, not a level
-            continue
+        if isinstance(run, _UnresolvedSlice):
+            if 2 * n <= cfg.n_max:
+                c.q, c.n = None, 2 * n  # a resolution floor, not a level
+                continue
+            run = StepSingularityError(run.step, str(run))  # the floor at n_max
         if isinstance(run, Exception):
             c.error = run
             continue
@@ -493,31 +496,34 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     return _finalize(p, cell.n, *cell.records, cell.converged, cell.history)
 
 
-def window_means(
-    profiles: list[FrequencyProfile],
-    window_starts: list[float],
-    cfg: SimulationConfig,
-) -> list[WindowMean]:
+def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> list[WindowMean]:
     """Converged post-transition window means R_final of several propagations.
 
-    Each cell runs the ladder of propagate_converged read through its
-    post-transition window (t > w): the ladder compares R in sup norm over
-    the shared window records and the change of its window mean, and takes
-    the larger.  The window must span three periods pi/omega_f, which is
+    A cell's window opens where post_transition_summary opens it, at its
+    profile's transition end w; a sampled profile has none, and its cell
+    fails with transition_interval's ValueError.  Each cell runs the ladder
+    of propagate_converged at every slice, whatever cfg.record_stride, read
+    through its window (t > w): the ladder compares R in sup norm over the
+    shared window records and the change of its window mean, and takes the
+    larger.  The window must span three periods pi/omega_f, which is
     checked before the first level, and a level is compared only once its
     window holds the records post_transition_summary needs.  Every level
     runs its cells side by side.  R_final is the mean of R over the window
-    records of the last level, which is post_transition_summary(traj, p,
-    w).R_final of that trajectory.  A cell fails alone: its WindowMean
-    holds the exception, and R_final is nan.
+    records of the last level, post_transition_summary(traj, p).R_final of
+    that trajectory.  A cell fails alone: its WindowMean holds the
+    exception, and R_final is nan.
     """
+    # R_final is a window mean: over sparse records it is a coarser
+    # quadrature, whose error in n is erratic
+    cfg = replace(cfg, record_stride=1)
     cells = []
-    for p, w in zip(profiles, window_starts):
-        cell = _Cell(p, w)
+    for p in profiles:
+        cell = _Cell(p, None)
         try:
+            cell.window_start = transition_interval(p)[1]
             cell.span = _time_span(p, cfg)
-            _check_window(w, cell.span[1], p.omegaf)
-        except Exception as exc:
+            _check_window(cell.window_start, cell.span[1], p.omegaf)
+        except Exception as exc:  # this cell fails, its neighbours go on
             cell.error = exc
         cells.append(cell)
     _ladder(cells, cfg)

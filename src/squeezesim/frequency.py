@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import caller_stacklevel
+
 _TAIL_FACTOR = 3.0  # the ramp is within 0.25% of its asymptotes beyond 3 epsilon
 
 
@@ -83,7 +85,7 @@ def tanh_profile(
             f"transition window starts before t = 0 (t0 = {t0}, epsilon = {epsilon}); "
             f"the state at t = 0 is not the asymptotic vacuum",
             UserWarning,
-            stacklevel=2,
+            stacklevel=caller_stacklevel(),
         )
     return p
 

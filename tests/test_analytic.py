@@ -177,6 +177,21 @@ class TestSweep:
         assert pts[0].error is None
         assert pts[0].R_final == pytest.approx(0.2199, abs=1e-3)
 
+    def test_floor_at_n_max_fails_as_step_singularity(self):
+        # eps 1e-4 is still too steep for its slices at n_max = 512
+        cfg = SimulationConfig(n_slices=256, n_max=512)
+        floor, ramp = sweep_final_sp(1.0, 5.0, [1e-4, 0.5], cfg)
+        assert floor.error == "StepSingularityError: slice 431 is too coarse for the ramp"
+        assert ramp == sweep_final_sp(1.0, 5.0, [0.5], cfg)[0]
+        assert ramp.error is None
+
+    def test_ramp_warning_names_the_caller(self):
+        # t0 = 10 < 3 eps: the ramp starts before t = 0
+        with pytest.warns(UserWarning, match="starts before t = 0") as record:
+            (pt,) = sweep_final_sp(1.0, 3.0, [4.0], SimulationConfig(n_slices=256))
+        assert record[0].filename == __file__
+        assert pt.error is None
+
     def test_ladder_tests_window_mean(self, mode_function_oracle):
         # ratio 5, eps 0.1, asked for stride 64: the cell records every
         # slice, so its window mean is the same quadrature at any stride
@@ -420,10 +435,16 @@ class TestContourGrid:
             contour_grid((1.5, 5.0), (0.0, 1.0), 4, 4, mode="diagonal")
         with pytest.raises(ValueError):
             contour_grid((1.5, 5.0), (0.0, 1.0), 4, 4, source="guess")
+        for source in ("formula", "simulation"):
+            with pytest.raises(ValueError, match="finite"):
+                contour_grid((1.5, math.inf), (0.0, 1.0), 3, 2, source=source)
+            with pytest.raises(ValueError, match="finite"):
+                contour_grid((1.5, 5.0), (0.0, math.inf), 2, 3, source=source)
 
     def test_validity_warning_outside_ratio_range(self):
-        with pytest.warns(ValidityWarning):
+        with pytest.warns(ValidityWarning) as record:
             contour_grid((2.0, 12.0), (0.0, 1.0), 3, 3, source="formula")
+        assert record[0].filename == __file__  # names the caller's line
 
     def test_simulation_source_matches_direct_run(self):
         g = contour_grid(

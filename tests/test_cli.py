@@ -1,12 +1,14 @@
 """Command-line interface tests, driven through main() for speed."""
 
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from squeezesim import ValidityWarning, evolution
+from squeezesim import ValidityWarning, evolution, output, sweep_final_sp
 from squeezesim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -207,6 +209,32 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--omegaf", "3", "--eps=-1,0.5"],
+        ["sweep", "--omegaf", "3", "--eps", "nan"],
+        ["sweep", "--omegaf", "3", "--eps", "inf,0.5"],
+        ["sweep", "--omegaf=-3", "--eps", "0.5"],
+        ["contour", "--source", "formula", "--eps-max", "inf", "--n-ratio", "2", "--n-eps", "3"],
+        ["contour", "--source", "formula", "--ratio-max", "inf", "--n-ratio", "3", "--n-eps", "2"],
+        ["contour", "--source", "simulation", "--eps-max", "inf", "--n-ratio", "2", "--n-eps", "3"],
+        ["contour", "--source", "simulation", "--ratio-max", "inf", "--n-ratio", "3", "--n-eps", "2"],
+    ],
+)
+def test_bad_sweep_input_fails_before_any_cell_steps(argv, monkeypatch, capsys):
+    # every profile and range is checked before the first cell steps, so the
+    # whole command fails with one error line and prints no partial table
+    def no_stepping(*args):
+        raise AssertionError("stepped a cell of an invalid sweep")
+
+    monkeypatch.setattr(evolution, "_propagate", no_stepping)
+    assert main(argv) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestSweep:
     def test_csv_on_stdout(self, capsys):
         code = main(
@@ -249,6 +277,9 @@ class TestSweep:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] == outs[2]
         assert main(["sweep", "--omegaf", "5", "--stride", "0"]) == EXIT_DOMAIN
+        # the library's sweep has the CLI's seed
+        r_sim = outs[0].split("\n")[1].split(",")[1]
+        assert r_sim == output.format_float(sweep_final_sp(1.0, 5.0, [0.1])[0].R_final)
 
 
 class TestContour:
@@ -295,6 +326,17 @@ class TestVerify:
         ):
             assert f"[PASS] {name}" in out
         assert code == EXIT_OK
+
+    def test_readme_quotes_the_printed_figures(self, physics_checks):
+        # "measured X, which `verify` prints as `name`": X is the first
+        # figure of that check's detail, compared at the README's precision
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quoted = re.findall(r"measured ([-+.\de]+), which\s+`verify`\s+prints\s+as\s+`([\w-]+)`", readme)
+        assert {name for _, name in quoted} >= {"near-sudden-oracle", "unitarity"}
+        for figure, name in quoted:
+            printed = re.search(r"\d\.\d+e[-+]\d+", physics_checks[name].detail).group()
+            digits = len(figure.split("e")[0].replace(".", "").lstrip("0"))
+            assert float(figure) == float(f"{float(printed):.{digits - 1}e}"), (name, printed)
 
     def test_tightened_unitarity_tolerance_still_passes(self, capsys):
         main(["verify", "--tol", "1e-12"])

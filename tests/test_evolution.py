@@ -359,6 +359,19 @@ class TestPostTransitionSummary:
         summary = post_transition_summary(traj, p, window_start=5.0)
         assert summary.r_max <= 1e-12
 
+    def test_window_means_opens_at_the_transition_end(self):
+        # a sampled profile has no transition end, so its cell fails alone;
+        # the ramp's cell records every slice whatever the stride
+        sampled = sampled_profile([(0.0, 1.0), (20.0, 3.0)])
+        ramp = tanh_profile(1.0, 3.0, 10.0, 0.5)
+        cfg = SimulationConfig(n_slices=256, record_stride=8)
+        bad, mean = evolution.window_means([sampled, ramp], cfg)
+        assert isinstance(bad.error, ValueError) and math.isnan(bad.R_final)
+        assert "undefined for sampled profiles" in str(bad.error)
+        (alone,) = evolution.window_means([ramp], SimulationConfig(n_slices=256))
+        assert mean.error is None and mean.converged is True
+        assert mean == alone
+
     def test_midpoint_is_half_sum_of_extrema(self, reference_runs):
         summary = reference_runs[0.5].summary
         assert summary.r_midpoint == pytest.approx(

@@ -34,6 +34,7 @@ from .errors import (
     SaturationError,
     SaturationWarning,
     caller_stacklevel,
+    require_finite,
 )
 
 _CLAMP_WINDOW = 1e-12
@@ -158,8 +159,7 @@ class BchCoeffs:
 
 def rho_of(omega: float, omega0: float) -> float:
     """Basis-change squeeze exponent 0.5*ln(omega/omega0)."""
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {omega}, {omega0}")
+    require_finite("frequencies", omega, omega0)
     return 0.5 * float(np.log(omega / omega0))
 
 
@@ -296,10 +296,8 @@ def variance_cross_basis(var_initial: float, omega: float, omega0: float, which:
     read in the basis of frequency omega; the momentum-like (lam = pi/2)
     variance picks up the inverse factor.  Their product is basis invariant.
     """
-    if var_initial < 0.0 or not np.isfinite(var_initial):
-        raise ValueError(f"variance must be finite and >= 0, got {var_initial}")
-    if omega <= 0.0 or omega0 <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {omega}, {omega0}")
+    require_finite("variance", var_initial, positive=False)
+    require_finite("frequencies", omega, omega0)
     if which == "position":
         return var_initial * omega / omega0
     if which == "momentum":

@@ -20,6 +20,7 @@ from .errors import (
     FitConditionWarning,
     ValidityWarning,
     caller_stacklevel,
+    require_finite,
 )
 from .evolution import SimulationConfig, window_means
 from .frequency import tanh_profile
@@ -43,8 +44,7 @@ def jump_sp_closed_form(omega0: float, omegaf: float, t):
     A = (omegaf^2 - omega0^2)/(2 omega0 omegaf); evaluated through arcsinh,
     which is the same function written stably near the zeros.
     """
-    if omega0 <= 0.0 or omegaf <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {omega0}, {omegaf}")
+    require_finite("frequencies", omega0, omegaf)
     amp = (omegaf**2 - omega0**2) / (2.0 * omega0 * omegaf)
     out = np.arcsinh(np.abs(amp * np.sin(omegaf * np.asarray(t, dtype=float))))
     return float(out) if np.ndim(t) == 0 else out
@@ -57,11 +57,9 @@ def fitted_sp(omega0: float, omegaf: float, epsilon, c1: float = 2.0, c2: float 
     omega_min = min(omega0, omegaf).  Calibrated for frequency ratios up to
     10; a ValidityWarning is emitted beyond that.
     """
-    if omega0 <= 0.0 or omegaf <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {omega0}, {omegaf}")
+    require_finite("frequencies", omega0, omegaf)
     eps = np.asarray(epsilon, dtype=float)
-    if np.any(eps < 0.0):
-        raise ValueError("epsilon must be >= 0")
+    require_finite("epsilon", eps, positive=False)
     ratio = omegaf / omega0
     if ratio > _VALIDITY_RATIO or ratio < 1.0 / _VALIDITY_RATIO:
         warnings.warn(
@@ -81,16 +79,14 @@ def adiabaticity_measure(omega0: float, omegaf: float, epsilon: float) -> float:
     Evaluates the midpoint slope over the natural frequency scales,
     1 / (2 epsilon omega_min (|rho_f| + 1)); epsilon = 0 maps to infinity.
     """
-    if omega0 <= 0.0 or omegaf <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {omega0}, {omegaf}")
+    require_finite("frequencies", omega0, omegaf)
     if omegaf == omega0:
         raise ValueError("degenerate transition: omegaf equals omega0")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    require_finite("epsilon", epsilon, positive=False)
     if epsilon == 0.0:
         return float("inf")
     rf = abs(0.5 * np.log(omegaf / omega0))
-    return 1.0 / (2.0 * epsilon * min(omega0, omegaf) * (rf + 1.0))
+    return float(1.0 / (2.0 * epsilon * min(omega0, omegaf) * (rf + 1.0)))
 
 
 def is_adiabatic(
@@ -99,7 +95,7 @@ def is_adiabatic(
     """Whether the ramp is slow at the given cutoff on the adiabaticity measure."""
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    return adiabaticity_measure(omega0, omegaf, epsilon) < threshold
+    return bool(adiabaticity_measure(omega0, omegaf, epsilon) < threshold)
 
 
 class SweepPoint(NamedTuple):

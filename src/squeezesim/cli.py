@@ -5,7 +5,7 @@ frequency pair), contour (ratio by ramp-width grid), fit (decay-constant
 recovery), verify (built-in check suite).  Each subcommand takes only the
 flags it reads, and its parser holds their defaults.  Flags override
 config-file values, which override those defaults.  Each error family maps
-to its own exit status; see the README table.
+to its exit status through one table, _FAILURES; see the README.
 """
 
 from __future__ import annotations
@@ -41,6 +41,20 @@ EXIT_WINDOW = 6
 EXIT_COMPOSITION = 7
 EXIT_DEGENERATE_DATA = 8
 EXIT_NAN = 9
+
+# (error family, exit status, stderr label) of every failure main reports,
+# searched in order: the first family an exception belongs to decides
+_FAILURES = (
+    (_CliUsageError, EXIT_USAGE, "usage error"),
+    (SaturationError, EXIT_SATURATION, "error: saturation"),
+    (StepSingularityError, EXIT_STEP_SINGULARITY, "error: step singularity"),
+    (WindowError, EXIT_WINDOW, "error: analysis window"),
+    (CompositionError, EXIT_COMPOSITION, "error: composition"),
+    (DegenerateDataError, EXIT_DEGENERATE_DATA, "error: degenerate data"),
+    (FloatingPointError, EXIT_NAN, "error"),
+    (ValueError, EXIT_DOMAIN, "error"),
+    (OSError, EXIT_DOMAIN, "error"),
+)
 
 # parser destinations that a config file may not set
 _NOT_CONFIG_KEYS = {"help", "config"}
@@ -209,19 +223,14 @@ def run_evolve(args: argparse.Namespace) -> int:
         pass  # window may not fit in a short or sampled run; summary is optional
     text = output.summary_text(traj, summary)
     if profile.kind != "sampled" and profile.omegaf != profile.omega0:
-        measure = analytic.adiabaticity_measure(
-            profile.omega0, profile.omegaf, profile.epsilon
-        )
-        text += f"adiabaticity_measure = {output.format_float(measure)}\n"
-        adiabatic = analytic.is_adiabatic(
-            profile.omega0, profile.omegaf, profile.epsilon, args.threshold
-        )
-        text += f"adiabatic = {'true' if adiabatic else 'false'}\n"
+        ramp = (profile.omega0, profile.omegaf, profile.epsilon)
+        text += output.report([
+            ("adiabaticity_measure", analytic.adiabaticity_measure(*ramp)),
+            ("adiabatic", analytic.is_adiabatic(*ramp, args.threshold)),
+        ])
     if args.out:
-        output.write_text(args.out, output.trajectory_csv(traj))
-        output.write_text(args.out + ".summary", text)
-        print(f"wrote trajectory to {args.out}")
-        print(f"wrote summary to {args.out}.summary")
+        _emit(output.trajectory_csv(traj), args.out, "trajectory")
+        _emit(text, args.out + ".summary", "summary")
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -289,30 +298,10 @@ def main(argv=None) -> int:
             _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)  # command line > config file > defaults
         return args.run(args)
-    except _CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SaturationError as exc:
-        print(f"error: saturation: {exc}", file=sys.stderr)
-        return EXIT_SATURATION
-    except StepSingularityError as exc:
-        print(f"error: step singularity: {exc}", file=sys.stderr)
-        return EXIT_STEP_SINGULARITY
-    except WindowError as exc:
-        print(f"error: analysis window: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except CompositionError as exc:
-        print(f"error: composition: {exc}", file=sys.stderr)
-        return EXIT_COMPOSITION
-    except DegenerateDataError as exc:
-        print(f"error: degenerate data: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_DATA
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NAN
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except tuple(family for family, _, _ in _FAILURES) as exc:
+        _, status, label = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the input check, shared across the package."""
 
+import math
 import sys
+
+import numpy as np
 
 
 class SimulationError(Exception):
@@ -53,3 +56,17 @@ def caller_stacklevel() -> int:
     ):
         level, frame = level + 1, frame.f_back
     return level
+
+
+def require_finite(name: str, *values, positive: bool = True) -> None:
+    """Raise ValueError unless every value, a scalar or an array, is finite
+    and > 0 (a frequency), or finite and >= 0 with positive False (a width)."""
+    for value in values:
+        if isinstance(value, (int, float)):  # numpy's per-call cost is 20x a compare's
+            ok = 0.0 < value < math.inf if positive else 0.0 <= value < math.inf
+        else:
+            arr = np.asarray(value, dtype=float)
+            ok = ((arr > 0.0 if positive else arr >= 0.0) & (arr < np.inf)).all()
+        if not ok:
+            bound = "positive and finite" if positive else "finite and >= 0"
+            raise ValueError(f"{name} must be {bound}, got {', '.join(map(str, values))}")

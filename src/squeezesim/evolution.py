@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import _clamped_magnitude, _compose, _squeeze_of
-from .errors import StepSingularityError, WindowError
+from .errors import StepSingularityError, WindowError, require_finite
 from .frequency import FrequencyProfile, eval_omega, transition_interval
 
 # slices per chunk: the chunk's lists of Python complex values stay small
@@ -221,10 +221,8 @@ def step_coeffs(omega_j: float, omega0: float, tau: float) -> tuple[complex, com
     chi -> a_j + b_j * chi / (1 - a_j * chi), with coefficients satisfying
     |a_j|^2 + |b_j| = 1.
     """
-    if omega_j <= 0.0 or omega0 <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {omega_j}, {omega0}")
-    if tau <= 0.0:
-        raise ValueError(f"step width must be positive, got {tau}")
+    require_finite("frequencies", omega_j, omega0)
+    require_finite("step width", tau)
     a, b = _step_arrays(np.asarray(omega_j, dtype=float), omega0, tau)
     return complex(a), complex(b)
 

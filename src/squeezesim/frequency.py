@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import caller_stacklevel
+from .errors import caller_stacklevel, require_finite
 
 _TAIL_FACTOR = 3.0  # the ramp is within 0.25% of its asymptotes beyond 3 epsilon
 
@@ -51,19 +51,12 @@ class FrequencyProfile:
             times, omegas = np.array(self.samples, dtype=float).T
             if not np.all(np.diff(times) > 0.0) or not np.isfinite(times).all():
                 raise ValueError("sample times must be finite and strictly increasing")
-            if not np.all(omegas > 0.0) or not np.isfinite(omegas).all():
-                raise ValueError("sampled frequencies must be positive and finite")
+            require_finite("sampled frequencies", omegas)
             if self.omegaf != omegas[-1]:
                 raise ValueError(f"omegaf {self.omegaf} is not the last sample's {omegas[-1]}")
-        freqs = np.array([self.omega0, self.omegaf])
-        if not np.all(freqs > 0.0) or not np.isfinite(freqs).all():
-            raise ValueError(
-                f"frequencies must be positive and finite, got {self.omega0}, {self.omegaf}"
-            )
-        if not self.t0 >= 0.0 or not np.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite and >= 0, got {self.t0}")
-        if not self.epsilon >= 0.0 or not np.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        require_finite("frequencies", self.omega0, self.omegaf)
+        require_finite("t0", self.t0, positive=False)
+        require_finite("epsilon", self.epsilon, positive=False)
         if self.kind == "tanh" and self.epsilon == 0.0:
             raise ValueError("a tanh ramp needs epsilon > 0; epsilon 0 is a jump")
         if self.kind == "jump" and self.epsilon != 0.0:
@@ -159,6 +152,7 @@ def eval_omega(p: FrequencyProfile, t):
 
 def epsilon_from_slope(omega0: float, omegaf: float, slope: float) -> float:
     """Ramp width that realises a given frequency slope at the midpoint."""
+    require_finite("frequencies", omega0, omegaf)
     if slope == 0.0 or not np.isfinite(slope):
         raise ValueError(f"slope must be finite and nonzero, got {slope}")
     eps = (omegaf - omega0) / (2.0 * slope)

@@ -7,6 +7,8 @@ significant digits.  No timestamps, hostnames or versions are embedded.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .analytic import ContourGrid, FitResult, SweepPoint, fitted_sp
@@ -20,32 +22,45 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-TRAJECTORY_HEADER = "t,omega,rho,chi_re,chi_im,r,phi,R,Phi"
-_TRAJECTORY_ROW = ",".join([FLOAT_FORMAT] * len(TRAJECTORY_HEADER.split(",")))
 _BLOCK_ROWS = 4096
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    table = np.column_stack(
-        (
-            traj.t,
-            traj.omega,
-            traj.rho,
-            traj.chi.real,
-            traj.chi.imag,
-            traj.r,
-            traj.phi,
-            traj.R,
-            traj.Phi,
-        )
-    )
-    blocks = [TRAJECTORY_HEADER]
+def _table(header: str, *columns) -> str:
+    """CSV text of equal-length float columns under header, every field in
+    FLOAT_FORMAT; formatted in blocks of _BLOCK_ROWS rows, one % per block."""
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FORMAT] * len(columns))
+    blocks = [header]
     for i in range(0, len(table), _BLOCK_ROWS):
         rows = table[i : i + _BLOCK_ROWS]
-        template = "\n".join([_TRAJECTORY_ROW] * len(rows))
-        blocks.append(template % tuple(rows.ravel().tolist()))
+        blocks.append("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()))
     blocks.append("")  # the final newline, without copying the whole text again
     return "\n".join(blocks)
+
+
+def _value_text(val) -> str:
+    """A report value: a bool as true/false, None as none, an integer or a
+    str as itself, anything else in FLOAT_FORMAT."""
+    if isinstance(val, (bool, np.bool_)):
+        return "true" if val else "false"
+    if val is None:
+        return "none"
+    if isinstance(val, (int, np.integer, str)):
+        return str(val)
+    return format_float(val)
+
+
+def report(items) -> str:
+    """`key = value` lines, one per (key, value) pair."""
+    return "".join(f"{key} = {_value_text(val)}\n" for key, val in items)
+
+
+TRAJECTORY_HEADER = "t,omega,rho,chi_re,chi_im,r,phi,R,Phi"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    return _table(TRAJECTORY_HEADER, traj.t, traj.omega, traj.rho, traj.chi.real,
+                  traj.chi.imag, traj.r, traj.phi, traj.R, traj.Phi)
 
 
 def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None) -> str:
@@ -82,20 +97,7 @@ def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None)
             ("R_final", summary.R_final),
             ("R_std", summary.R_std),
         ]
-    lines = []
-    for key, val in items:
-        if isinstance(val, bool):
-            text = "true" if val else "false"
-        elif isinstance(val, (int, np.integer)):
-            text = str(int(val))
-        elif val is None:
-            text = "none"
-        elif isinstance(val, str):
-            text = val
-        else:
-            text = format_float(val)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return report(items)
 
 
 SWEEP_HEADER = "epsilon,R_sim,R_formula,rel_err"
@@ -106,39 +108,25 @@ def sweep_csv(points: list[SweepPoint], omega0: float, omegaf: float) -> str:
 
     rel_err is |sim - formula| / formula; failed cells carry nan.
     """
-    lines = [SWEEP_HEADER]
-    for pt in points:
-        ref = fitted_sp(omega0, omegaf, pt.epsilon)
-        if pt.error is None and ref > 0.0:
-            rel = abs(pt.R_final - ref) / ref
-        else:
-            rel = float("nan")
-        lines.append(
-            ",".join(format_float(v) for v in (pt.epsilon, pt.R_final, ref, rel))
-        )
-    return "\n".join(lines) + "\n"
+    eps = np.array([pt.epsilon for pt in points], dtype=float)
+    sim = np.array([pt.R_final for pt in points], dtype=float)
+    ref = fitted_sp(omega0, omegaf, eps)
+    ok = np.array([pt.error is None for pt in points], dtype=bool) & (ref > 0.0)
+    rel = np.abs(sim - ref) / np.where(ok, ref, np.nan)
+    return _table(SWEEP_HEADER, eps, sim, ref, rel)
 
 
 CONTOUR_HEADER = "ratio,omega0_eps,R"
 
 
 def contour_csv(grid: ContourGrid) -> str:
-    lines = [CONTOUR_HEADER]
-    for i, k in enumerate(grid.ratios):
-        for j, x in enumerate(grid.omega0_eps):
-            lines.append(",".join(format_float(v) for v in (k, x, grid.R[i, j])))
-    return "\n".join(lines) + "\n"
+    ratios, xs = np.meshgrid(grid.ratios, grid.omega0_eps, indexing="ij")
+    return _table(CONTOUR_HEADER, ratios.ravel(), xs.ravel(), grid.R.ravel())
 
 
 def fit_text(fit: FitResult) -> str:
-    lines = [
-        f"c1 = {format_float(fit.c1)}",
-        f"c2 = {format_float(fit.c2)}",
-        f"residual_rms = {format_float(fit.residual_rms)}",
-        f"n_points = {fit.n_points}",
-        f"grid = {fit.grid}",
-    ]
-    return "\n".join(lines) + "\n"
+    """One `key = value` line per FitResult field, in field order."""
+    return report(dataclasses.asdict(fit).items())
 
 
 def write_text(path, text: str) -> None:

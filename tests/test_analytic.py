@@ -15,6 +15,7 @@ from squeezesim import (
     ValidityWarning,
     adiabaticity_measure,
     contour_grid,
+    epsilon_from_slope,
     fit_ansatz,
     fitted_sp,
     is_adiabatic,
@@ -23,7 +24,11 @@ from squeezesim import (
     post_transition_summary,
     propagate_converged,
     reference_sweep_data,
+    rho_of,
+    step_coeffs,
     sweep_final_sp,
+    tanh_profile,
+    variance_cross_basis,
 )
 from squeezesim import evolution
 
@@ -133,6 +138,47 @@ class TestAdiabaticityMeasure:
             is_adiabatic(1.0, 3.0, 0.5, threshold=0.0)
         with pytest.raises(ValueError):
             is_adiabatic(1.0, 3.0, 0.5, threshold=float("nan"))
+
+    def test_returns_python_scalars(self):
+        # the report renders a numpy bool or float by another rule than a
+        # Python one, so the annotated types are the returned ones
+        assert type(is_adiabatic(1.0, 3.0, 0.5)) is bool
+        assert type(adiabaticity_measure(1.0, 3.0, 0.5)) is float
+
+
+# Each public function that takes a frequency or a width, called with a
+# non-finite one: a check of "<= 0" or "< 0" alone lets nan through, and inf
+# gave 0.0 or inf answers
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: fitted_sp(1.0, 3.0, x),
+        lambda x: fitted_sp(1.0, 3.0, np.array([0.0, x])),
+        lambda x: fitted_sp(1.0, x, 0.5),
+        lambda x: adiabaticity_measure(1.0, 3.0, x),
+        lambda x: adiabaticity_measure(1.0, x, 0.5),
+        lambda x: is_adiabatic(1.0, 3.0, x),
+        lambda x: jump_sp_closed_form(1.0, x, 1.0),
+        lambda x: rho_of(x, 1.0),
+        lambda x: variance_cross_basis(0.5, x, 1.0, "position"),
+        lambda x: epsilon_from_slope(1.0, x, 1.0),
+        lambda x: step_coeffs(x, 1.0, 0.1),
+        lambda x: step_coeffs(1.0, 1.0, x),
+        lambda x: tanh_profile(1.0, x, 10.0, 0.5),
+        lambda x: tanh_profile(1.0, 3.0, 10.0, x),
+    ],
+    ids=["fitted_sp-eps", "fitted_sp-eps-array", "fitted_sp-omegaf",
+         "adiabaticity-eps", "adiabaticity-omegaf", "is_adiabatic-eps",
+         "jump_closed_form-omegaf", "rho_of-omega", "variance_cross_basis-omega",
+         "epsilon_from_slope-omegaf", "step_coeffs-omega", "step_coeffs-tau",
+         "profile-omegaf", "profile-eps"],
+)
+def test_non_finite_input_rejected(call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
 
 
 FAST = SimulationConfig(n_slices=2048, record_stride=8, convergence_tol=1e-3)

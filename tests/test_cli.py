@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from squeezesim import ValidityWarning, evolution, output, sweep_final_sp
+from squeezesim import (
+    CompositionError,
+    DegenerateDataError,
+    SaturationError,
+    StepSingularityError,
+    ValidityWarning,
+    WindowError,
+    cli,
+    evolution,
+    output,
+    sweep_final_sp,
+)
 from squeezesim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -233,6 +244,70 @@ def test_bad_sweep_input_fails_before_any_cell_steps(argv, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestExitStatus:
+    @pytest.mark.filterwarnings("ignore:sweep cell:UserWarning")
+    @pytest.mark.parametrize(
+        "argv, status, err",
+        [
+            (["evolve", "--eps", "0.5"], 2, "usage error: --omegaf is required for evolve"),
+            (["evolve", "--omegaf", "3", "--stride", "3"], 3,
+             "error: n_slices (4096) must be a multiple of record_stride (3)"),
+            (["evolve", "--omegaf", "1e-9", "--eps", "0", "--n", "64"], 4,
+             "error: saturation: squeeze magnitude "),
+            (["fit", "--source", "simulation", "--t-end", "5"], 8,
+             "error: degenerate data: need at least 2 data points, got 0"),
+        ],
+        ids=["usage", "domain", "saturation", "degenerate-data"],
+    )
+    def test_reachable_statuses_from_real_input(self, argv, status, err, capsys):
+        assert main(argv) == status
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err) and captured.err.count("\n") == 1, captured.err
+
+    # 6, 7 and 9 have no known CLI input (README), so each family is raised
+    # from inside a subcommand
+    @pytest.mark.parametrize(
+        "exc, status, label",
+        [
+            (cli._CliUsageError("--omegaf is required"), 2, "usage error"),
+            (ValueError("bad width"), 3, "error"),
+            (OSError("no such file"), 3, "error"),
+            (SaturationError("magnitude 1.1"), 4, "error: saturation"),
+            (StepSingularityError(7), 5, "error: step singularity"),
+            (WindowError("too short"), 6, "error: analysis window"),
+            (CompositionError("|t chi| = 1"), 7, "error: composition"),
+            (DegenerateDataError("no points"), 8, "error: degenerate data"),
+            (FloatingPointError("non-finite r at record 3"), 9, "error"),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
+    )
+    def test_each_failure_family_has_its_status_and_label(self, exc, status, label,
+                                                          monkeypatch, capsys):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_evolve", fail)
+        assert main(["evolve"]) == status
+        assert capsys.readouterr().err == f"{label}: {exc}\n"
+
+    def test_table_covers_every_failure_status_once_and_reraises_the_rest(self, monkeypatch):
+        assert {status for _, status, _ in cli._FAILURES} == set(range(2, 10))
+        assert cli._FAILURES[0][0] is cli._CliUsageError  # before its base ValueError
+
+        def fail(args):
+            raise RuntimeError("not a documented failure")
+
+        monkeypatch.setattr(cli, "run_evolve", fail)
+        with pytest.raises(RuntimeError, match="not a documented failure"):
+            main(["evolve"])
+
+    def test_readme_lists_the_table_statuses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.search(r"Exit codes:(.*?)\.", readme, re.DOTALL).group(1)
+        listed = [int(n) for n in re.findall(r"(?:^|;)\s*(\d+)\s", sentence)]
+        assert listed == [EXIT_OK, EXIT_CHECK_FAILED] + sorted({s for _, s, _ in cli._FAILURES})
 
 
 class TestSweep:

@@ -26,6 +26,7 @@ from squeezesim.output import (
     contour_csv,
     fit_text,
     format_float,
+    report,
     summary_text,
     sweep_csv,
     trajectory_csv,
@@ -128,6 +129,33 @@ class TestSummaryText:
         assert "achieved_delta = none" in summary_text(traj)
 
 
+class TestReport:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (True, "true"),
+            (False, "false"),
+            (np.bool_(True), "true"),
+            (np.bool_(False), "false"),
+            (None, "none"),
+            (80, "80"),
+            (np.int64(-3), "-3"),
+            ("80 points", "80 points"),
+            (2.5, "2.50000000000e+00"),
+            (np.float64(-0.0), "-0.00000000000e+00"),
+            (math.nan, "nan"),
+        ],
+        ids=["true", "false", "np-true", "np-false", "none", "int", "np-int",
+             "str", "float", "np-negative-zero", "nan"],
+    )
+    def test_renders_each_value_kind(self, value, text):
+        assert report([("key", value)]) == f"key = {text}\n"
+
+    def test_one_line_per_item_in_order(self):
+        assert report([("a", 1), ("b", None)]) == "a = 1\nb = none\n"
+        assert report([]) == ""
+
+
 class TestSweepCsv:
     def test_layout_and_reference_column(self):
         pts = [SweepPoint(0.0, 0.5493), SweepPoint(0.5, 0.2199)]
@@ -143,6 +171,29 @@ class TestSweepCsv:
         assert line.split(",")[1] == "nan"
         assert line.split(",")[3] == "nan"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cosh:RuntimeWarning")
+    def test_rows_match_per_field_reference(self):
+        # edge values of R, a failed cell whose R is finite, and a width
+        # whose formula value underflows to 0 (rel_err nan)
+        pts = [
+            SweepPoint(0.0, 0.5493),
+            SweepPoint(-0.0, -0.0),
+            SweepPoint(0.1, math.nan),
+            SweepPoint(0.2, math.inf),
+            SweepPoint(0.4, 0.3, "WindowError: too short"),
+            SweepPoint(5e3, 1e-300),
+        ]
+        lines = sweep_csv(pts, 1.0, 3.0).split("\n")
+        expected = []
+        for pt in pts:
+            ref = fitted_sp(1.0, 3.0, pt.epsilon)
+            ok = pt.error is None and ref > 0.0
+            rel = abs(pt.R_final - ref) / ref if ok else math.nan
+            expected.append(",".join(format_float(v) for v in (pt.epsilon, pt.R_final, ref, rel)))
+        assert lines == [SWEEP_HEADER] + expected + [""]
+        assert lines[5].split(",")[3] == "nan"  # the failed cell
+        assert lines[6].split(",")[2:] == ["0.00000000000e+00", "nan"]
+
 
 class TestContourCsv:
     def test_row_major_cells(self):
@@ -154,6 +205,19 @@ class TestContourCsv:
         assert float(first[0]) == 2.0
         assert float(first[1]) == 0.0
 
+    def test_rows_match_per_field_reference(self):
+        ratios = np.array([1.5, 2.0, 4.0])
+        xs = np.array([-0.0, 0.5])
+        big_r = np.array([[0.2, math.nan], [math.inf, -0.0], [1e-300, -2.5e-13]])
+        grid = ContourGrid(ratios, xs, big_r, "above-unity", "simulation")
+        lines = contour_csv(grid).split("\n")
+        expected = [
+            ",".join(format_float(v) for v in (k, x, big_r[i, j]))
+            for i, k in enumerate(ratios)
+            for j, x in enumerate(xs)
+        ]
+        assert lines == [CONTOUR_HEADER] + expected + [""]
+
 
 class TestFitText:
     def test_fields_present(self):
@@ -164,6 +228,16 @@ class TestFitText:
         assert "residual_rms = " in text
         assert "n_points = 80" in text
         assert "grid = 80 points" in text
+
+    def test_full_text(self):
+        fit = FitResult(2.0, 1.0, 3.2e-17, 80, "80 points")
+        assert fit_text(fit) == (
+            "c1 = 2.00000000000e+00\n"
+            "c2 = 1.00000000000e+00\n"
+            "residual_rms = 3.20000000000e-17\n"
+            "n_points = 80\n"
+            "grid = 80 points\n"
+        )
 
 
 class TestWriteText:

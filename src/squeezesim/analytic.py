@@ -69,7 +69,8 @@ def fitted_sp(omega0: float, omegaf: float, epsilon, c1: float = 2.0, c2: float 
             stacklevel=caller_stacklevel(),
         )
     rf = abs(0.5 * np.log(ratio))
-    out = rf / np.cosh(c1 * (rf + c2) * min(omega0, omegaf) * eps)
+    with np.errstate(over="ignore"):  # a wide ramp's cosh overflows: R is 0
+        out = rf / np.cosh(c1 * (rf + c2) * min(omega0, omegaf) * eps)
     return float(out) if np.ndim(epsilon) == 0 else out
 
 

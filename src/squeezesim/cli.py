@@ -278,6 +278,8 @@ def run_fit(args: argparse.Namespace) -> int:
 
 def run_verify(args: argparse.Namespace) -> int:
     # --tol here is the unitarity gate, not the ladder tolerance
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"unitarity gate must be finite and >= 0, got {args.tol}")
     failures = 0
     for name, passed, detail in physics_checks(reference_runs(), args.tol):
         tag = "PASS" if passed else "FAIL"

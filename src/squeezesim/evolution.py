@@ -95,8 +95,8 @@ class SimulationConfig:
             )
         if self.t_end is not None and not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        if not self.convergence_tol > 0.0:
-            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
+            raise ValueError(f"convergence_tol must be > 0 and finite, got {self.convergence_tol}")
         if self.n_max < self.n_slices:
             raise ValueError(
                 f"n_max ({self.n_max}) must be >= n_slices ({self.n_slices})"
@@ -180,10 +180,9 @@ class WindowMean(NamedTuple):
 class _Cell:
     """One propagation of a batched ladder: input, ladder state and outcome.
 
-    While the cell climbs, q is the ladder quantity of its last level (None
-    when there is nothing to compare with); once it is done, q is the
-    quantity of its last level and records, if kept, that level's
-    (t_rec, chi_rec).
+    n is the level it last ran (a window_means cell starts at the seed), q
+    that level's ladder quantity (None after a resolution floor) and
+    records, if kept, its (t_rec, chi_rec).
     """
 
     p: FrequencyProfile
@@ -195,14 +194,13 @@ class _Cell:
     q: np.ndarray | None = None
     records: tuple[np.ndarray, np.ndarray] | None = None
     error: Exception | None = None
-    done: bool = False
 
 
 def default_t_end(p: FrequencyProfile) -> float:
     """Transition end plus three periods of the final frequency."""
     if p.kind == "sampled":
         return p.samples[-1][0]
-    return p.t0 + 3.0 * p.epsilon + 3.0 * np.pi / p.omegaf
+    return transition_interval(p)[1] + 3.0 * np.pi / p.omegaf
 
 
 def _time_span(p: FrequencyProfile, cfg: SimulationConfig) -> tuple[float, float]:
@@ -345,7 +343,6 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
         for i in np.flatnonzero(bad.any(axis=0)).tolist():
             if errors[i] is None:
                 errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
-            chi[i] = 0j
     steps = np.arange(n_rec + 1, dtype=float) * stride
     # j * tau can pass t_end, and a sampled profile, by an ulp
     t_rec = np.minimum(t_start[:, None] + steps * tau[:, None], t_end[:, None])
@@ -413,65 +410,60 @@ def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
     """Change of the ladder quantity from the coarser level to the finer one.
 
     Both arrays end at t_end and the coarse records are every second fine
-    record, so they are aligned counting back from the last record.  For a
-    windowed R the change of its mean, which is R_final, counts as well.
+    record, so they are aligned counting back from the last record, and
+    fine[::-2] holds as many as coarse (a window of C coarse records holds
+    2 C - 1 or 2 C fine ones).  For a windowed R the change of its mean,
+    which is R_final, counts as well.
     """
-    f, c = fine[::-2], coarse[::-1]
-    m = min(len(f), len(c))
-    delta = float(np.max(np.abs(f[:m] - c[:m])))
+    delta = float(np.max(np.abs(fine[::-2] - coarse[::-1])))
     if windowed:
         delta = max(delta, abs(float(np.mean(fine)) - float(np.mean(coarse))))
     return delta
 
 
-def _climb(group: list[_Cell], cfg: SimulationConfig, n: int) -> None:
-    """Run one level of n slices for a group of cells and take each cell's ladder step."""
-    for c, run in zip(group, _propagate(group, cfg, n)):
-        if isinstance(run, _UnresolvedSlice):
-            if 2 * n <= cfg.n_max:
-                c.q, c.n = None, 2 * n  # a resolution floor, not a level
-                continue
-            run = StepSingularityError(run.step, str(run))  # the floor at n_max
-        if isinstance(run, Exception):
-            c.error = run
-            continue
-        try:
-            q = _ladder_quantity(c, *run)
-        except Exception as exc:  # this cell fails, its neighbours go on
-            c.error = exc
-            continue
-        windowed = c.window_start is not None
-        # too few window records to compare or to stop on
-        q_next = None if windowed and len(q) < _MIN_WINDOW_RECORDS else q
-        if c.q is not None and q_next is not None:
-            c.history.append(_level_delta(q_next, c.q, windowed))
-            c.converged = c.history[-1] < cfg.convergence_tol
-        if c.converged or 2 * n > cfg.n_max:
-            c.q, c.done = q, True
-            c.records = None if windowed else run
-        else:
-            c.q, c.n = q_next, 2 * n
-
-
 def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
     """Run the convergence ladder of every cell (see propagate_converged).
 
-    Each level runs every cell that is still climbing at its n, in groups
-    that hold at most _ROW_RECORDS records, or one cell.  A cell leaves the
-    ladder when it converges, reaches n_max or fails; a failure is stored
-    on its cell and ends nothing else.  A cell without a window keeps the
-    (t_rec, chi_rec) of its last level.
+    One loop owns the level n: each pass runs every climbing cell at n, in
+    groups of at most _ROW_RECORDS records or one cell, then doubles n up
+    to n_max.  A cell leaves a level converged, failed, at the last level
+    or climbing to 2 n (past a resolution floor, too), so climbing cells
+    share n.  A failure ends only its cell.  A cell without a window keeps
+    the (t_rec, chi_rec) of its last level.  A windowed level is compared
+    only with a previous one of _MIN_WINDOW_RECORDS window records: coarse
+    record times are bitwise among the fine ones (2 j (tau/2) == j tau), so
+    a finer level never holds fewer.
     """
-    for c in cells:
-        c.n = cfg.n_slices
+    n = cfg.n_slices
     climbing = [c for c in cells if c.error is None]
-    while climbing:
-        n = min(c.n for c in climbing)
-        level = [c for c in climbing if c.n == n]
+    while climbing and n <= cfg.n_max:
         size = max(1, _ROW_RECORDS // (n // cfg.record_stride + 1))
-        for g in range(0, len(level), size):
-            _climb(level[g : g + size], cfg, n)
-        climbing = [c for c in climbing if not c.done and c.error is None]
+        for g in range(0, len(climbing), size):
+            group = climbing[g : g + size]
+            for c, run in zip(group, _propagate(group, cfg, n)):
+                c.n = n
+                if isinstance(run, _UnresolvedSlice):
+                    if 2 * n <= cfg.n_max:
+                        c.q = None  # a resolution floor, not a level
+                        continue
+                    run = StepSingularityError(run.step, str(run))  # the floor at n_max
+                if isinstance(run, Exception):
+                    c.error = run
+                    continue
+                try:
+                    q = _ladder_quantity(c, *run)
+                except Exception as exc:  # this cell fails, its neighbours go on
+                    c.error = exc
+                    continue
+                windowed = c.window_start is not None
+                if c.q is not None and (not windowed or len(c.q) >= _MIN_WINDOW_RECORDS):
+                    c.history.append(_level_delta(q, c.q, windowed))
+                    c.converged = c.history[-1] < cfg.convergence_tol
+                c.q = q
+                if not windowed and (c.converged or 2 * n > cfg.n_max):
+                    c.records = run
+        climbing = [c for c in climbing if c.error is None and not c.converged]
+        n *= 2
 
 
 def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
@@ -516,7 +508,7 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     cfg = replace(cfg, record_stride=1)
     cells = []
     for p in profiles:
-        cell = _Cell(p, None)
+        cell = _Cell(p, None, n=cfg.n_slices)
         try:
             cell.window_start = transition_interval(p)[1]
             cell.span = _time_span(p, cfg)

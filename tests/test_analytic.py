@@ -97,6 +97,13 @@ class TestFittedSp:
             warnings.simplefilter("error")
             fitted_sp(1.0, 10.0, 0.5)  # boundary included
 
+    def test_wide_ramp_is_warning_free(self):
+        # the secant's cosh overflows past an argument of about 710: R is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fitted_sp(1.0, 3.0, 5e3) == 0.0
+            assert fitted_sp(1.0, 3.0, np.array([0.5, 5e3]))[1] == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fitted_sp(1.0, 3.0, -0.1)

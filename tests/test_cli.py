@@ -94,6 +94,7 @@ class TestEvolve:
             ["--tol", "nan"],
             ["--profile-file", "{profile}", "--threshold", "-5"],
             ["--omegaf", "1", "--threshold", "nan"],
+            ["--tol", "inf"],
         ],
     )
     def test_threshold_and_tol_must_be_positive(self, flags, tmp_path, capsys):
@@ -337,7 +338,7 @@ class TestSweep:
 
     def test_short_window_waits_for_enough_records(self, capsys):
         # t_end = 10 + 3 pi / 200: from the default seed the window after
-        # the jump holds 1, then 2 records; the ladder compares only once it
+        # the jump holds 2, then 3 records; the ladder compares only once it
         # holds the 4 that post_transition_summary needs
         with pytest.warns(ValidityWarning):
             assert main(["sweep", "--omegaf", "200", "--eps", "0"]) == EXIT_OK
@@ -412,6 +413,13 @@ class TestVerify:
             printed = re.search(r"\d\.\d+e[-+]\d+", physics_checks[name].detail).group()
             digits = len(figure.split("e")[0].replace(".", "").lstrip("0"))
             assert float(figure) == float(f"{float(printed):.{digits - 1}e}"), (name, printed)
+
+    @pytest.mark.parametrize("gate", ["nan", "inf", "-1"])
+    def test_gate_must_be_finite_and_non_negative(self, gate, capsys):
+        assert main(["verify", "--tol", gate]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert "[FAIL]" not in captured.out
+        assert "unitarity gate must be finite and >= 0" in captured.err
 
     def test_tightened_unitarity_tolerance_still_passes(self, capsys):
         main(["verify", "--tol", "1e-12"])

@@ -1,6 +1,9 @@
 """Unit tests for the propagation machinery and its convergence ladder."""
 
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from squeezesim import (
     sampled_profile,
     step_coeffs,
     tanh_profile,
+    transition_interval,
 )
 
 LN3 = math.log(3.0)
@@ -41,6 +45,9 @@ class TestSimulationConfig:
             SimulationConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
             SimulationConfig(convergence_tol=float("nan"))
+        # an infinite tolerance would declare convergence without evidence
+        with pytest.raises(ValueError, match="must be > 0"):
+            SimulationConfig(n_slices=64, convergence_tol=math.inf)
         with pytest.raises(ValueError):
             SimulationConfig(t_end=-1.0)
         with pytest.raises(ValueError):
@@ -121,6 +128,9 @@ class TestPropagate:
     def test_default_t_end_covers_three_periods(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         assert default_t_end(p) == pytest.approx(10.0 + 1.5 + 3.0 * math.pi / 3.0)
+        # the transition end has one definition, frequency.transition_interval
+        for q in (p, jump_profile(1.0, 0.2, 7.0)):
+            assert default_t_end(q) == transition_interval(q)[1] + 3.0 * math.pi / q.omegaf
         ps = sampled_profile([(0.0, 1.0), (7.0, 2.0)])
         assert default_t_end(ps) == 7.0
 
@@ -372,6 +382,15 @@ class TestPostTransitionSummary:
         assert mean.error is None and mean.converged is True
         assert mean == alone
 
+    def test_short_window_stops_only_on_enough_records(self):
+        # from the 256-slice seed the window after this jump holds 2, 3, 5
+        # and 10 records: 2048 against 1024 is the first comparison whose
+        # coarser level holds _MIN_WINDOW_RECORDS (with 1, 512 would stop)
+        cfg = SimulationConfig(n_slices=256)
+        (cell,) = evolution.window_means([jump_profile(1.0, 200.0)], cfg)
+        assert cell.error is None
+        assert (cell.n_slices, cell.converged) == (2048, True)
+
     def test_midpoint_is_half_sum_of_extrema(self, reference_runs):
         summary = reference_runs[0.5].summary
         assert summary.r_midpoint == pytest.approx(
@@ -380,3 +399,15 @@ class TestPostTransitionSummary:
         assert summary.amplitude == pytest.approx(
             summary.r_max - summary.r_min, abs=1e-15
         )
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's documented API, run as written with warnings as errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(sketch, {})
+    first = capsys.readouterr().out.splitlines()[0].split()
+    assert first[:2] == ["True", "8192"]
+    assert float(first[2]) <= 1e-14

@@ -171,7 +171,7 @@ class TestSweepCsv:
         assert line.split(",")[1] == "nan"
         assert line.split(",")[3] == "nan"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cosh:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_rows_match_per_field_reference(self):
         # edge values of R, a failed cell whose R is finite, and a width
         # whose formula value underflows to 0 (rel_err nan)

@@ -148,6 +148,8 @@ class BchCoeffs:
     gamma: complex
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta, self.gamma]).all():
+            raise ValueError(f"BCH coefficients must be finite, got {self}")
         a = abs(self.alpha)
         if a >= 1.0:
             raise ValueError(f"|alpha| must be < 1, got {a}")

@@ -108,22 +108,24 @@ class SweepPoint(NamedTuple):
 
 
 def _sweep_points(cells, cfg: SimulationConfig | None) -> list[SweepPoint]:
-    """R_final of tanh ramps (omega0, omegaf, eps) through one window_means;
-    every profile is built first, so an invalid width or frequency raises
-    ValueError before any cell steps.  cfg None seeds at SWEEP_SLICES."""
+    """R_final of tanh ramps (omega0, omegaf, eps) through one window_means,
+    the only report of a cell: a failed or unconverged one warns once.  A bad
+    width or frequency raises ValueError before any cell steps."""
     cfg = cfg or SimulationConfig(n_slices=SWEEP_SLICES)
     profiles = [tanh_profile(omega0, omegaf, epsilon=eps) for omega0, omegaf, eps in cells]
     means = window_means(profiles, cfg)
     points = []
     for (_, omegaf, eps), mean in zip(cells, means):
-        error = None
+        error = outcome = None
         if mean.error is not None:
             error = f"{type(mean.error).__name__}: {mean.error}"
+            outcome = f"failed: {error}"
         elif mean.converged is False:
+            outcome = (f"did not converge: n_slices {mean.n_slices}, last delta "
+                       f"{mean.achieved_delta:.3g} (tol {cfg.convergence_tol:g})")
+        if outcome is not None:
             warnings.warn(
-                f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) did not converge: "
-                f"n_slices {mean.n_slices}, last delta {mean.achieved_delta:.3g} "
-                f"(tol {cfg.convergence_tol:g})",
+                f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) {outcome}",
                 UserWarning,
                 stacklevel=caller_stacklevel(),
             )
@@ -144,9 +146,9 @@ def sweep_final_sp(
     every slice, so cfg.record_stride does not change a result; cfg None
     seeds it at SWEEP_SLICES, as the CLI does.  An invalid width or
     frequency raises ValueError before any cell steps.  A cell whose window
-    is shorter than three periods pi/omegaf, or that fails as it climbs, is
-    reported in its point; one that reaches n_max unconverged keeps its
-    value with a UserWarning.  epsilon = 0 runs the jump profile.
+    is shorter than three periods pi/omegaf, or that fails as it climbs,
+    keeps its error text and a nan R_final; one that reaches n_max keeps its
+    value.  Either warns once.  epsilon = 0 runs the jump profile.
     """
     return _sweep_points([(omega0, omegaf, float(e)) for e in epsilons], cfg)
 
@@ -158,8 +160,8 @@ def reference_sweep_data(
 
     Covers every ratio of SWEEP_RATIOS in both directions, with omega0 = 1,
     crossed with SWEEP_EPSILONS.  source selects simulated final squeezing,
-    one sweep over the whole lattice (cfg None seeds it at SWEEP_SLICES),
-    or direct evaluation of the secant formula.
+    one sweep over the whole lattice (cfg None seeds it at SWEEP_SLICES)
+    without its failed cells, or direct evaluation of the secant formula.
     """
     if source not in ("simulation", "formula"):
         raise ValueError(f"source must be 'simulation' or 'formula', got {source!r}")
@@ -167,17 +169,8 @@ def reference_sweep_data(
     cells = [(1.0, omegaf, float(eps)) for omegaf in pairs for eps in SWEEP_EPSILONS]
     if source == "formula":
         return [(*cell, fitted_sp(*cell)) for cell in cells]
-    data = []
-    for cell, point in zip(cells, _sweep_points(cells, cfg)):
-        if point.error is not None:
-            warnings.warn(
-                f"sweep cell (omegaf={cell[1]}, eps={cell[2]}) failed: {point.error}",
-                UserWarning,
-                stacklevel=caller_stacklevel(),
-            )
-            continue
-        data.append((*cell, point.R_final))
-    return data
+    points = _sweep_points(cells, cfg)
+    return [(*cell, pt.R_final) for cell, pt in zip(cells, points) if pt.error is None]
 
 
 @dataclass(frozen=True)
@@ -296,11 +289,11 @@ def contour_grid(
 ) -> ContourGrid:
     """Tensor grid of final squeezing versus ratio and ramp width.
 
-    mode fixes which side of unity the ratio axis lives on; values beyond
-    the calibrated ratio range trigger per-cell warnings but are still
-    evaluated.  source 'formula' evaluates the secant approximation,
+    mode fixes which side of unity the ratio axis lives on.  source
+    'formula' evaluates the secant approximation, with one ValidityWarning
+    per ratio beyond the calibrated range, whose values are still given;
     'simulation' runs a converged propagation per cell, all cells as one
-    sweep.
+    sweep, and a failed cell warns and reads nan.
     """
     if mode not in ("above-unity", "below-unity"):
         raise ValueError(f"mode must be 'above-unity' or 'below-unity', got {mode!r}")
@@ -320,19 +313,9 @@ def contour_grid(
         raise ValueError(f"below-unity mode needs ratios < 1, got {ratio_range}")
     ratios = np.linspace(lo, hi, n_ratio)
     xs = np.linspace(elo, ehi, n_eps)
-    big_r = np.empty((n_ratio, n_eps))
     if source == "formula":
-        for i, k in enumerate(ratios):
-            big_r[i] = fitted_sp(1.0, float(k), xs)
+        big_r = np.array([fitted_sp(1.0, float(k), xs) for k in ratios])
     else:
         cells = [(1.0, k, x) for k in ratios.tolist() for x in xs.tolist()]
-        points = _sweep_points(cells, cfg)
-        for (_, k, x), point in zip(cells, points):
-            if point.error is not None:
-                warnings.warn(
-                    f"contour cell {k, x} failed: {point.error}",
-                    UserWarning,
-                    stacklevel=caller_stacklevel(),
-                )
-        big_r[:] = np.reshape([point.R_final for point in points], big_r.shape)
+        big_r = np.reshape([pt.R_final for pt in _sweep_points(cells, cfg)], (n_ratio, n_eps))
     return ContourGrid(ratios, xs, big_r, mode, source)

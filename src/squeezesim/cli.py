@@ -57,7 +57,7 @@ _FAILURES = (
 )
 
 # parser destinations that a config file may not set
-_NOT_CONFIG_KEYS = {"help", "config"}
+_NOT_CONFIG_KEYS = frozenset({"help", "config"})
 
 
 def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
@@ -72,7 +72,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
         for name, sub in subs.choices.items()
     }
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -241,9 +241,6 @@ def run_sweep(args: argparse.Namespace) -> int:
     if not epsilons:
         raise ValueError("--eps must list at least one ramp width")
     points = analytic.sweep_final_sp(args.omega0, omegaf, epsilons, _sim_config(args))
-    for pt in points:
-        if pt.error is not None:
-            print(f"warning: eps = {pt.epsilon:g} failed: {pt.error}", file=sys.stderr)
     _emit(output.sweep_csv(points, args.omega0, omegaf), args.out, "sweep")
     return EXIT_OK
 

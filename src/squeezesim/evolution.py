@@ -55,6 +55,7 @@ _ROW_CHUNK = 1 << 16
 # 2 (beta2 w1^2 + beta1 w2^2).  In the other order the scheme is of second
 # order only.
 _NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+_NODES.flags.writeable = False
 _BETA1, _BETA2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 
 # post_transition_summary and window_means need this many window records,

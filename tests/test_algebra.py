@@ -191,6 +191,17 @@ class TestComposeBch:
         with pytest.raises(ValueError):
             BchCoeffs(0.5 + 0j, 0.5 + 0j, 0j)  # unitarity violated
 
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma",
+        [(math.nan, 1, 0), (0.5, math.nan, 0), (complex(0.5, math.nan), 0.75, 0),
+         (0.5, 0.75, math.nan)],
+        ids=["alpha", "beta", "alpha-imag", "gamma"],
+    )
+    def test_bch_coeffs_reject_non_finite(self, alpha, beta, gamma):
+        # nan fails every >= and > comparison, so it must be caught by name
+        with pytest.raises(ValueError, match="must be finite"):
+            BchCoeffs(alpha, beta, gamma)
+
 
 class TestQuadratureVariance:
     def test_frozen_value(self):

@@ -31,6 +31,7 @@ from squeezesim import (
     variance_cross_basis,
 )
 from squeezesim import evolution
+from squeezesim.analytic import SWEEP_EPSILONS, SWEEP_RATIOS
 
 LN3 = math.log(3.0)
 
@@ -213,8 +214,9 @@ class TestSweep:
         bad = dataclasses.replace(FAST, t_end=12.0)
         # two cells run their own loops, twenty would run as numpy rows
         for widths in ([0.5, 1.0], [0.5, 1.0] * 10):
-            pts = sweep_final_sp(1.0, 3.0, widths, bad)
-            assert len(pts) == len(widths)
+            with pytest.warns(UserWarning, match="failed: WindowError: window") as record:
+                pts = sweep_final_sp(1.0, 3.0, widths, bad)
+            assert len(pts) == len(record) == len(widths)
             for pt in pts:
                 assert math.isnan(pt.R_final)
                 assert pt.error.startswith("WindowError: window ["), pt.error
@@ -233,7 +235,8 @@ class TestSweep:
     def test_floor_at_n_max_fails_as_step_singularity(self):
         # eps 1e-4 is still too steep for its slices at n_max = 512
         cfg = SimulationConfig(n_slices=256, n_max=512)
-        floor, ramp = sweep_final_sp(1.0, 5.0, [1e-4, 0.5], cfg)
+        with pytest.warns(UserWarning, match=r"\(omegaf=5, eps=0.0001\) failed: StepSing"):
+            floor, ramp = sweep_final_sp(1.0, 5.0, [1e-4, 0.5], cfg)
         assert floor.error == "StepSingularityError: slice 431 is too coarse for the ramp"
         assert ramp == sweep_final_sp(1.0, 5.0, [0.5], cfg)[0]
         assert ramp.error is None
@@ -341,21 +344,25 @@ class TestBatchedSweep:
                 assert abs(pt.R_final - alone.R_final) <= 1e-13, eps
         assert sorted(caught) == sorted(alone_caught)
         assert [w[0].split(")")[0] for w in caught] == [
-            "sweep cell (omegaf=5, eps=0.001", "sweep cell (omegaf=5, eps=0.003"
+            "sweep cell (omegaf=5, eps=0.001", "sweep cell (omegaf=5, eps=0.003",
+            "sweep cell (omegaf=5, eps=1",
         ]
         assert points[-1].error.startswith("WindowError: window [13.0, 14.0]")
         assert points[0].R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
 
     def test_saturated_cells_warn_and_fail_as_alone(self):
         # a jump to ratio 1e9 squeezes |chi| to 1 within rounding: each cell
-        # clamps (SaturationWarning), then fails (SaturationError), once
+        # clamps (SaturationWarning), then fails (SaturationError), once; a
+        # batch clamps every cell as it steps, then reports every failure
         cfg = SimulationConfig(n_slices=256, t_end=12.0)
         (alone,), warned = _swept([0.0], cfg, omegaf=1e9)
         points, caught = _swept([0.0] * 16, cfg, omegaf=1e9)
         assert alone.error.startswith("SaturationError: "), alone.error
         assert [pt.error for pt in points] == [alone.error] * 16
-        assert warned[0][1] is SaturationWarning
-        assert caught == warned * 16
+        clamp, failure = warned
+        assert clamp[1] is SaturationWarning
+        assert failure[0] == f"sweep cell (omegaf=1e+09, eps=0) failed: {alone.error}"
+        assert caught == [clamp] * 16 + [failure] * 16
 
     def test_permuting_cells_permutes_points(self):
         order = np.random.default_rng(3).permutation(len(BATCH_EPS))
@@ -386,6 +393,41 @@ class TestBatchedSweep:
             if i != failed:
                 assert pt.error == ref.error
                 assert np.array_equal(pt.R_final, ref.R_final, equal_nan=True)
+
+
+class TestCellReport:
+    def test_every_front_end_warns_once_per_failed_cell(self):
+        # t_end = 11 leaves no window of the default lattice three periods
+        # long; in the contour only ratio 10 at eps 0 fits
+        cfg = SimulationConfig(n_slices=256, t_end=11.0)
+
+        def reported(run):
+            """run's result and the text of each warning, all naming this file."""
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run()
+            assert all(w.category is UserWarning and w.filename == __file__ for w in caught)
+            return result, [str(w.message) for w in caught]
+
+        def cells(texts):
+            return [text.split(") failed: WindowError: window [")[0] for text in texts]
+
+        points, swept = reported(lambda: sweep_final_sp(1.0, 1.5, [0.0, 2.0], cfg))
+        grid, contoured = reported(lambda: contour_grid(
+            (1.5, 10.0), (0.0, 2.0), 2, 2, source="simulation", cfg=cfg))
+        data, referenced = reported(lambda: reference_sweep_data(cfg=cfg, source="simulation"))
+        assert cells(swept) == ["sweep cell (omegaf=1.5, eps=0", "sweep cell (omegaf=1.5, eps=2"]
+        assert [pt.error for pt in points] == [text.split("failed: ")[1] for text in swept]
+        assert all(math.isnan(pt.R_final) for pt in points)
+        # one cell, one text, whichever front end ran it
+        assert contoured[:2] == swept
+        assert cells(contoured[2:]) == ["sweep cell (omegaf=10, eps=2"]
+        assert np.isnan(grid.R).sum() == 3
+        assert cells(referenced) == [f"sweep cell (omegaf={omegaf:g}, eps={eps:g}"
+                                     for k in SWEEP_RATIOS for omegaf in (k, 1.0 / k)
+                                     for eps in SWEEP_EPSILONS]
+        assert referenced[0] == swept[0] and referenced[len(SWEEP_EPSILONS) - 1] == swept[1]
+        assert data == []  # a failed cell is left out
 
 
 class TestFitAnsatz:

@@ -1,9 +1,11 @@
 """Command-line interface tests, driven through main() for speed."""
 
 import math
+import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from squeezesim import (
     StepSingularityError,
     ValidityWarning,
     WindowError,
+    analytic,
     cli,
     evolution,
     output,
@@ -22,6 +25,7 @@ from squeezesim import (
 )
 from squeezesim.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_DEGENERATE_DATA,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_STEP_SINGULARITY,
@@ -179,6 +183,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:2: {key} must be one of {allowed}, got 'sideways'" in err
 
+    def test_file_is_read_as_utf8_under_any_locale(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omegaf = 3.0  # \u03c9_f\nn = 1024\nstride = 8\ntol = 1e-3\n",
+                       encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "squeezesim.cli", "evolve", "--config", str(cfg)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "omegaf = 3.00000000000e+00" in proc.stdout
+
     def test_keys_of_other_subcommands_are_skipped(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -245,6 +261,38 @@ def test_bad_sweep_input_fails_before_any_cell_steps(argv, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, status, failed",
+    [
+        (["sweep", "--omegaf", "3", "--eps", "0.5,2", "--t-end", "11"], EXIT_OK,
+         ["omegaf=3, eps=0.5", "omegaf=3, eps=2"]),
+        (["contour", "--source", "simulation", "--n-ratio", "2", "--n-eps", "2",
+          "--t-end", "11"], EXIT_OK,
+         ["omegaf=1.5, eps=0", "omegaf=1.5, eps=2", "omegaf=10, eps=2"]),
+        (["fit", "--source", "simulation", "--t-end", "5"], EXIT_DEGENERATE_DATA,
+         [f"omegaf={omegaf:g}, eps={eps:g}" for k in analytic.SWEEP_RATIOS
+          for omegaf in (k, 1.0 / k) for eps in analytic.SWEEP_EPSILONS]),
+    ],
+    ids=["sweep", "contour", "fit"],
+)
+def test_each_failed_cell_warns_once(argv, status, failed, capsys):
+    # a window shorter than three periods fails its cell; the library warns
+    # once per cell, and the front end adds no report of its own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == status
+    prefixes = [str(w.message).split(") failed: WindowError: window [")[0] for w in caught]
+    assert prefixes == [f"sweep cell ({cell}" for cell in failed]
+    assert all(w.category is UserWarning for w in caught)
+    out, err = capsys.readouterr()
+    if status == EXIT_OK:  # a failed cell keeps its nan row
+        assert err == ""
+        assert sum(",nan" in row for row in out.split()[1:]) == len(failed)
+    else:
+        assert out == ""
+        assert err == "error: degenerate data: need at least 2 data points, got 0\n"
 
 
 class TestExitStatus:

@@ -21,8 +21,11 @@ from squeezesim.analytic import (
 )
 from squeezesim.output import (
     CONTOUR_HEADER,
+    FLOAT_FORMAT,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
+    _BLOCK_ROWS,
+    _table,
     contour_csv,
     fit_text,
     format_float,
@@ -73,6 +76,7 @@ class TestTrajectoryCsv:
         parsed = np.loadtxt(text.splitlines()[1:], delimiter=",")
         np.testing.assert_allclose(parsed[:, 5], traj.r, rtol=1e-11, atol=1e-14)
 
+    @pytest.mark.filterwarnings("error")
     def test_matches_per_field_reference(self):
         # every column repeats the edge values, shuffled, over more rows
         # than one formatting block
@@ -106,6 +110,81 @@ class TestTrajectoryCsv:
     def test_byte_determinism(self, small_run):
         _, traj, _ = small_run
         assert trajectory_csv(traj) == trajectory_csv(traj)
+
+
+def _reference_table(header, *columns):
+    """The per-value reference of `_table`: one % per field."""
+    rows = zip(*[np.asarray(col).tolist() for col in columns])
+    return header + "\n" + "".join(
+        ",".join(FLOAT_FORMAT % float(v) for v in row) + "\n" for row in rows
+    )
+
+
+class TestTable:
+    """`_table` formats in bulk; every field must equal FLOAT_FORMAT % float(v)."""
+
+    @staticmethod
+    def _value_classes(rng):
+        n = 20_000
+        digits12 = rng.integers(10**11, 10**12, size=n)
+        exps = rng.integers(-300, 290, size=n)
+        # q·2^-j = q·5^j·10^-j with q odd and q·5^j of 13 digits (so ending
+        # in 5): an exact decimal tie at the 12th significant digit
+        halvings = rng.integers(1, 19, size=n)
+        five = 5 ** halvings
+        odd = 2 * rng.integers(-(-(10**12 - five) // (2 * five)),
+                               (10**13 - five - 1) // (2 * five) + 1) + 1
+        powers = np.array([float("1e%d" % k) for k in range(-323, 309)])
+        return {
+            # every class of float64: normals, subnormals, zeros, inf and nan payloads
+            "bits": rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64),
+            "13 digits": [float("%de%d" % (m, k)) for m, k
+                          in zip(rng.integers(10**12, 10**13, size=n).tolist(), exps.tolist())],
+            "12.5 digits": [float("%d5e%d" % (m, k))
+                            for m, k in zip(digits12.tolist(), exps.tolist())],
+            "exact ties": np.concatenate([
+                digits12 + 0.5,
+                (10 * digits12 + 5) * 10.0 ** rng.integers(0, 4, size=n),
+                np.ldexp(odd.astype(np.float64), -halvings),
+                [100000000000.5, 2.0**-18, 0.5 * 2.0**-17],
+            ]),
+            "powers of ten": np.concatenate([
+                powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+                9.999999999995 * powers[:-1], np.nextafter(9.999999999995 * powers[:-1], 0.0),
+            ]),
+            "edges": [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                      2.2250738585072014e-308, 2.225073858507201e-308, 1e-290,
+                      9.99999999999e-291, 1.7976931348623157e308, -1e-300, 1e-310],
+            "normal": rng.normal(size=n) * 10.0 ** rng.normal(scale=3.0, size=n),
+        }
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_percent_on_every_value_class(self):
+        for name, values in self._value_classes(np.random.default_rng(2020)).items():
+            values = np.asarray(values, dtype=np.float64)
+            cols = values[: len(values) - len(values) % 8].reshape(-1, 8).T
+            assert _table("h", *cols).split("\n") == _reference_table("h", *cols).split("\n"), name
+
+    @pytest.mark.filterwarnings("error")
+    def test_columns_are_cast_to_float64(self):
+        cols = (
+            np.array([0, 7, -3, 2**53 + 1, 10**15]),
+            np.array([0.1, -2.5e-13, 3e38, 1e-45, 1.0], dtype=np.float32),
+            np.array([True, False, True, True, False]),
+        )
+        assert _table("i,f,b", *cols) == _reference_table("i,f,b", *cols)
+
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 4095, 4096, 4097, 8193],
+    )
+    def test_block_boundaries(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        cols = rng.normal(size=(3, n_rows)) * 10.0 ** rng.integers(-20, 20, size=(3, n_rows))
+        text = _table("a,b,c", *cols)
+        assert text == _reference_table("a,b,c", *cols)
+        if n_rows == 0:
+            assert text == "a,b,c\n"
 
 
 class TestSummaryText:

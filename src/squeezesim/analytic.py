@@ -31,10 +31,6 @@ _VALIDITY_RATIO = 10.0
 # covering the sudden through the deep-adiabatic regime.
 SWEEP_RATIOS = (1.5, 2.0, 3.0, 4.0, 5.0)
 SWEEP_EPSILONS = (0.0, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 2.0)
-# Ladder seed of every sweep, in the library and the CLI: a CF4 cell
-# converges on R_final from a few hundred slices, and every cell runs at
-# least two levels
-SWEEP_SLICES = 256
 
 
 def jump_sp_closed_form(omega0: float, omegaf: float, t):
@@ -111,7 +107,7 @@ def _sweep_points(cells, cfg: SimulationConfig | None) -> list[SweepPoint]:
     """R_final of tanh ramps (omega0, omegaf, eps) through one window_means,
     the only report of a cell: a failed or unconverged one warns once.  A bad
     width or frequency raises ValueError before any cell steps."""
-    cfg = cfg or SimulationConfig(n_slices=SWEEP_SLICES)
+    cfg = cfg or SimulationConfig()
     profiles = [tanh_profile(omega0, omegaf, epsilon=eps) for omega0, omegaf, eps in cells]
     means = window_means(profiles, cfg)
     points = []
@@ -144,7 +140,7 @@ def sweep_final_sp(
     One window_means call runs every cell: its ladder tests what the cell
     reports, R over the post-transition window and its mean R_final, at
     every slice, so cfg.record_stride does not change a result; cfg None
-    seeds it at SWEEP_SLICES, as the CLI does.  An invalid width or
+    is SimulationConfig(), the CLI's defaults.  An invalid width or
     frequency raises ValueError before any cell steps.  A cell whose window
     is shorter than three periods pi/omegaf, or that fails as it climbs,
     keeps its error text and a nan R_final; one that reaches n_max keeps its
@@ -160,7 +156,7 @@ def reference_sweep_data(
 
     Covers every ratio of SWEEP_RATIOS in both directions, with omega0 = 1,
     crossed with SWEEP_EPSILONS.  source selects simulated final squeezing,
-    one sweep over the whole lattice (cfg None seeds it at SWEEP_SLICES)
+    one sweep over the whole lattice (cfg None is SimulationConfig())
     without its failed cells, or direct evaluation of the secant formula.
     """
     if source not in ("simulation", "formula"):

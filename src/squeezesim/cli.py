@@ -97,11 +97,11 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     subs.choices[command].set_defaults(**values)
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, n_slices: int) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     """Ladder, record, output and config flags of the subcommands that propagate."""
     sub.add_argument("--t-end", type=float, default=None, dest="t_end",
                      help="simulation end time (default: transition end plus three periods)")
-    sub.add_argument("--n", type=int, default=n_slices,
+    sub.add_argument("--n", type=int, default=SimulationConfig.n_slices,
                      help="starting slice count for the convergence ladder "
                           "(default %(default)d)")
     sub.add_argument("--tol", type=float, default=SimulationConfig.convergence_tol,
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adiabaticity classification cutoff")
     ev.add_argument("--profile-file", type=str, default=None, dest="profile_file",
                     help="two-column (t, omega) sample file; overrides the ramp flags")
-    _add_run_flags(ev, SimulationConfig.n_slices)
+    _add_run_flags(ev)
 
     sw = subs.add_parser("sweep", help="final squeezing across ramp widths")
     sw.set_defaults(run=run_sweep)
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--omegaf", type=float, default=None, help="final frequency")
     sw.add_argument("--eps", type=str, default="0.5",
                     help="comma-separated ramp widths, e.g. 0,0.1,0.4")
-    _add_run_flags(sw, analytic.SWEEP_SLICES)
+    _add_run_flags(sw)
 
     co = subs.add_parser("contour", help="final squeezing over a ratio/ramp-width grid")
     co.set_defaults(run=run_contour)
@@ -152,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--eps-max", type=float, default=2.0, dest="eps_max")
     co.add_argument("--n-ratio", type=int, default=25, dest="n_ratio")
     co.add_argument("--n-eps", type=int, default=21, dest="n_eps")
-    _add_run_flags(co, analytic.SWEEP_SLICES)
+    _add_run_flags(co)
 
     ft = subs.add_parser("fit", help="recover the secant decay constants from a sweep")
     ft.set_defaults(run=run_fit)
     ft.add_argument("--source", choices=("formula", "simulation"), default="formula")
-    _add_run_flags(ft, analytic.SWEEP_SLICES)
+    _add_run_flags(ft)
 
     ve = subs.add_parser("verify", help="run the built-in check suite")
     ve.set_defaults(run=run_verify)
@@ -216,18 +216,19 @@ def run_evolve(args: argparse.Namespace) -> int:
         profile = tanh_profile(args.omega0, omegaf, args.t0, args.eps)
     traj = propagate_converged(profile, _sim_config(args))
     _check_finite(traj)
-    summary = None
-    try:
-        summary = post_transition_summary(traj, profile)
-    except (WindowError, ValueError):
-        pass  # window may not fit in a short or sampled run; summary is optional
-    text = output.summary_text(traj, summary)
-    if profile.kind != "sampled" and profile.omegaf != profile.omega0:
-        ramp = (profile.omega0, profile.omegaf, profile.epsilon)
-        text += output.report([
-            ("adiabaticity_measure", analytic.adiabaticity_measure(*ramp)),
-            ("adiabatic", analytic.is_adiabatic(*ramp, args.threshold)),
-        ])
+    summary, ramp_items = None, []
+    if profile.kind != "sampled":  # a sampled profile has no transition end
+        try:
+            summary = post_transition_summary(traj, profile)
+        except WindowError as exc:  # a short or sparse run: the trajectory stands alone
+            print(f"warning: no summary: WindowError: {exc}", file=sys.stderr)
+        if profile.omegaf != profile.omega0:
+            ramp = (profile.omega0, profile.omegaf, profile.epsilon)
+            ramp_items = [
+                ("adiabaticity_measure", analytic.adiabaticity_measure(*ramp)),
+                ("adiabatic", analytic.is_adiabatic(*ramp, args.threshold)),
+            ]
+    text = output.summary_text(traj, summary) + output.report(ramp_items)
     if args.out:
         _emit(output.trajectory_csv(traj), args.out, "trajectory")
         _emit(text, args.out + ".summary", "summary")

@@ -12,9 +12,10 @@ follow from chi at the recorded slices.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
-magnitude r(t) at every record, or, for a run that reports the
-post-transition window (a sweep cell), the instantaneous-basis R at the
-records after the window start together with its window mean.  One ladder
+magnitude r(t) at every record, with the post_transition_summary of a run
+whose window fits, or, for a run that reports only the post-transition
+window mean (a sweep cell), the instantaneous-basis R at the records after
+the window start together with its window mean.  One ladder
 serves a single run and a batch of runs that share a configuration, and one
 function steps each level: its runs side by side as numpy rows from
 _ROW_CELLS runs up, else each run's own Python loop.
@@ -61,6 +62,10 @@ _BETA1, _BETA2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # post_transition_summary and window_means need this many window records,
 # and the windowed ladder neither compares nor stops on fewer
 _MIN_WINDOW_RECORDS = 4
+# post_transition_summary's sinusoid fit needs this many records per period
+# pi/omega_f of the squeeze oscillation: a phase step 2 omega_f dt of pi/2
+# at most, where the fit breaks down at pi
+_RECORDS_PER_PERIOD = 4
 
 
 @dataclass(frozen=True)
@@ -71,15 +76,15 @@ class SimulationConfig:
     t_end = None resolves to t0 + 3*epsilon + three post-transition periods
     of the final frequency, or to the last sample time of a sampled profile;
     an explicit t_end must be positive.  n_slices is the seed slice count;
-    the convergence ladder doubles it until the quantity it compares (r(t),
-    or R over the post-transition window and its mean; see
+    the convergence ladder doubles it until the quantity it compares (r(t)
+    and its summary, or R over the post-transition window and its mean; see
     propagate_converged) moves by less than convergence_tol or n_max is
     hit; n_max = n_slices runs the single fixed grid of n_slices slices.
     Records are kept every record_stride slices.
     """
 
     t_end: float | None = None
-    n_slices: int = 4096
+    n_slices: int = 256
     record_stride: int = 1
     convergence_tol: float = 1e-4
     n_max: int = 1 << 24
@@ -113,9 +118,10 @@ class Trajectory:
     instantaneous-basis squeeze (R, Phi) and the modulus beta_mod of the
     central composition coefficient, recorded at the last ladder level of
     n_slices steps.  delta_history holds one difference per level
-    comparison: the sup-norm change of r(t), or, for a windowed run, the
-    larger of the sup-norm change of R over the window and the change of
-    its mean.  converged is None when no comparison was made.
+    comparison: the larger of the sup-norm change of r(t) and the change of
+    its summary's extrema, or, for a windowed run, the larger of the sup-norm
+    change of R over the window and the change of its mean.  converged is
+    None when no comparison was made.
     """
 
     t: np.ndarray
@@ -183,7 +189,10 @@ class _Cell:
 
     n is the level it last ran (a window_means cell starts at the seed), q
     that level's ladder quantity (None after a resolution floor) and
-    records, if kept, its (t_rec, chi_rec).
+    records, if kept, its (t_rec, chi_rec).  A cell without a window whose
+    post-transition window fits opens it at summary_start, and extrema are
+    that level's summary (r_min, r_max), None while its records are too few
+    or too sparse for them.
     """
 
     p: FrequencyProfile
@@ -195,6 +204,8 @@ class _Cell:
     q: np.ndarray | None = None
     records: tuple[np.ndarray, np.ndarray] | None = None
     error: Exception | None = None
+    summary_start: float | None = None
+    extrema: tuple[float, float] | None = None
 
 
 def default_t_end(p: FrequencyProfile) -> float:
@@ -407,19 +418,49 @@ def _ladder_quantity(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray) -> np.nda
     return np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
 
 
-def _level_delta(fine: np.ndarray, coarse: np.ndarray, windowed: bool) -> float:
-    """Change of the ladder quantity from the coarser level to the finer one.
+def _level_extrema(c: _Cell, t_rec: np.ndarray, r: np.ndarray) -> tuple[float, float] | None:
+    """The summary's (r_min, r_max) of a level of a cell with a summary_start,
+    given its r at every record; None while its records do not fit them."""
+    after = t_rec > c.summary_start
+    try:
+        return _extrema(t_rec[after], r[after], c.p.omegaf)[:2]
+    except WindowError:
+        return None
+
+
+def _level_delta(c: _Cell, fine: np.ndarray, extrema: tuple[float, float] | None) -> float:
+    """Change of the ladder quantity from the cell's last level, c.q, to the finer one.
 
     Both arrays end at t_end and the coarse records are every second fine
     record, so they are aligned counting back from the last record, and
     fine[::-2] holds as many as coarse (a window of C coarse records holds
     2 C - 1 or 2 C fine ones).  For a windowed R the change of its mean,
-    which is R_final, counts as well.
+    which is R_final, counts as well, and for a cell with extrema their
+    change.
     """
+    coarse = c.q
     delta = float(np.max(np.abs(fine[::-2] - coarse[::-1])))
-    if windowed:
+    if c.window_start is not None:
         delta = max(delta, abs(float(np.mean(fine)) - float(np.mean(coarse))))
+    if extrema is not None:
+        delta = max(delta, *(abs(a - b) for a, b in zip(extrema, c.extrema)))
     return delta
+
+
+def _comparable(c: _Cell) -> bool:
+    """Whether a cell's next level is compared with its last one.
+
+    The last one must have run (not a resolution floor) and hold what the
+    cell reads after its window: _MIN_WINDOW_RECORDS window records for a
+    windowed cell, extrema for one with a summary_start.  Coarse record
+    times are bitwise among the fine ones (2 j (tau/2) == j tau) and the
+    record step halves, so a finer level holds them too.
+    """
+    if c.q is None:
+        return False
+    if c.window_start is not None:
+        return len(c.q) >= _MIN_WINDOW_RECORDS
+    return c.summary_start is None or c.extrema is not None
 
 
 def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
@@ -430,10 +471,8 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
     to n_max.  A cell leaves a level converged, failed, at the last level
     or climbing to 2 n (past a resolution floor, too), so climbing cells
     share n.  A failure ends only its cell.  A cell without a window keeps
-    the (t_rec, chi_rec) of its last level.  A windowed level is compared
-    only with a previous one of _MIN_WINDOW_RECORDS window records: coarse
-    record times are bitwise among the fine ones (2 j (tau/2) == j tau), so
-    a finer level never holds fewer.
+    the (t_rec, chi_rec) of its last level.  A level is compared with the
+    previous one only when that one is _comparable.
     """
     n = cfg.n_slices
     climbing = [c for c in cells if c.error is None]
@@ -453,26 +492,29 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
                     continue
                 try:
                     q = _ladder_quantity(c, *run)
+                    extrema = None if c.summary_start is None else _level_extrema(c, run[0], q)
                 except Exception as exc:  # this cell fails, its neighbours go on
                     c.error = exc
                     continue
-                windowed = c.window_start is not None
-                if c.q is not None and (not windowed or len(c.q) >= _MIN_WINDOW_RECORDS):
-                    c.history.append(_level_delta(q, c.q, windowed))
+                if _comparable(c):
+                    c.history.append(_level_delta(c, q, extrema))
                     c.converged = c.history[-1] < cfg.convergence_tol
-                c.q = q
-                if not windowed and (c.converged or 2 * n > cfg.n_max):
+                c.q, c.extrema = q, extrema
+                if c.window_start is None and (c.converged or 2 * n > cfg.n_max):
                     c.records = run
         climbing = [c for c in climbing if c.error is None and not c.converged]
         n *= 2
 
 
 def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
-    """Propagate with step doubling until r(t) stabilises.
+    """Propagate with step doubling until r(t) and its summary stabilise.
 
     Levels run n_slices, 2 n_slices, ... slices up to n_max, and consecutive
     levels share every record time of the coarser one, so the ladder
-    compares r(t) in sup norm over exactly aligned records.  A level with a
+    compares r(t) in sup norm over exactly aligned records.  For a ramp or
+    jump whose post-transition window spans three periods, it compares only
+    from a level whose records fit post_transition_summary, and compares
+    that summary's r_min and r_max as well.  A level with a
     slice too coarse for the ramp (a CF4 half-step omega^2 that is not
     positive) is abandoned for twice its slices and does not count; at
     n_max it raises StepSingularityError.  Returns the last level, converged
@@ -481,6 +523,13 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     with one cell and no window.
     """
     cell = _Cell(p, None, _time_span(p, cfg))
+    if p.kind != "sampled":  # a sampled profile has no transition end
+        start = transition_interval(p)[1]
+        try:
+            _check_window(start, cell.span[1], p.omegaf)
+            cell.summary_start = start
+        except WindowError:
+            pass  # too short for a summary: the ladder reads r(t) alone
     _ladder([cell], cfg)
     if cell.error is not None:
         raise cell.error
@@ -539,6 +588,39 @@ def _check_window(window_start: float, t_last: float, omegaf: float) -> None:
         )
 
 
+def _vertices(t: np.ndarray, y: np.ndarray, k: float):
+    """(time, value, is maximum) of the extremum of the sinusoid
+    c + a cos(k t) + b sin(k t) through each interior extremum of y at evenly
+    spaced times t and its two neighbours.  Exact for such a sinusoid when
+    k times the spacing is below pi; as k goes to 0, the parabola's vertex."""
+    lo, mid, hi = y[:-2], y[1:-1], y[2:]
+    i = np.flatnonzero(((mid > lo) & (mid >= hi)) | ((mid < lo) & (mid <= hi)))
+    lo, mid, hi = lo[i], mid[i], hi[i]
+    h = k * (t[1] - t[0])
+    # the cosine and sine parts about the middle record: a is never 0, since
+    # mid - lo is not and mid - hi is 0 or of its sign
+    a = ((mid - lo) + (mid - hi)) / (4.0 * np.sin(0.5 * h) ** 2)
+    x = 0.5 * (lo - hi) / np.sin(h) / a  # b / a, the tangent of the vertex phase
+    return t[i + 1] - np.arctan(x) / k, mid + a * x * x / (1.0 + np.sqrt(1.0 + x * x)), a > 0.0
+
+
+def _extrema(t: np.ndarray, r: np.ndarray, omegaf: float):
+    """(r_min, r_max, times of the maxima) of the post_transition_summary of
+    the records (t, r) after its window start."""
+    if len(t) < _MIN_WINDOW_RECORDS:
+        raise WindowError("too few records after the transition")
+    step = float(t[1] - t[0])
+    if step * _RECORDS_PER_PERIOD * omegaf > np.pi:
+        raise WindowError(
+            f"records {step:.6g} apart after the transition, need at most "
+            f"{np.pi / (_RECORDS_PER_PERIOD * omegaf):.6g} "
+            f"({_RECORDS_PER_PERIOD} per period pi/omega_f)"
+        )
+    t_v, y_v, is_max = _vertices(t, np.sinh(r) ** 2, 2.0 * omegaf)
+    r_all = np.concatenate([r, np.arcsinh(np.sqrt(np.maximum(y_v, 0.0)))])
+    return float(np.min(r_all)), float(np.max(r_all)), t_v[is_max]
+
+
 def post_transition_summary(
     traj: Trajectory, p: FrequencyProfile, window_start: float | None = None
 ) -> PostTransitionSummary:
@@ -546,44 +628,32 @@ def post_transition_summary(
 
     The window opens at the end of the transition (t0 + 3*epsilon, or
     window_start for sampled profiles) and must span at least three periods
-    pi/omega_f of the squeeze oscillation.  Local maxima of r(t) are located
-    by quadratic interpolation through the three bracketing records; the
-    period is the mean spacing of successive maxima (nan when fewer than two
-    are found).
+    pi/omega_f of the squeeze oscillation and hold _MIN_WINDOW_RECORDS
+    records, _RECORDS_PER_PERIOD or more per period; else WindowError.
+    Once omega is omega_f, sinh^2 r is a sinusoid of angular frequency
+    2 omega_f, so r_min and r_max are the extrema of r over the records and
+    the _vertices of sinh^2 r at that frequency, exact for a jump whatever
+    the spacing; the period is the mean spacing of successive maximum
+    vertices (nan when fewer than two are found).
     """
     if window_start is None:
         if p.kind == "sampled":
             raise ValueError("sampled profile: pass window_start explicitly")
         window_start = transition_interval(p)[1]
-    t_last = float(traj.t[-1])
-    _check_window(window_start, t_last, p.omegaf)
+    _check_window(window_start, float(traj.t[-1]), p.omegaf)
     mask = traj.t > window_start
-    if np.count_nonzero(mask) < _MIN_WINDOW_RECORDS:
-        raise WindowError("too few records after the transition")
-    t_w = traj.t[mask]
-    r_w = traj.r[mask]
-    big_r_w = traj.R[mask]
-    r_min = float(np.min(r_w))
-    r_max = float(np.max(r_w))
-    inner = (r_w[1:-1] > r_w[:-2]) & (r_w[1:-1] >= r_w[2:])
-    peaks = np.flatnonzero(inner) + 1
-    dt = float(t_w[1] - t_w[0])
-    vertices = []
-    for i in peaks:
-        lo, mid, hi = r_w[i - 1], r_w[i], r_w[i + 1]
-        denom = lo - 2.0 * mid + hi
-        shift = 0.0 if abs(denom) < 1e-300 else 0.5 * dt * (lo - hi) / denom
-        vertices.append(float(t_w[i]) + shift)
-    period = float(np.mean(np.diff(vertices))) if len(vertices) >= 2 else float("nan")
+    r_w, big_r_w = traj.r[mask], traj.R[mask]
+    r_min, r_max, peaks = _extrema(traj.t[mask], r_w, p.omegaf)
+    period = float(np.mean(np.diff(peaks))) if len(peaks) >= 2 else float("nan")
     return PostTransitionSummary(
-        window=(float(window_start), t_last),
-        n_records=int(np.count_nonzero(mask)),
+        window=(float(window_start), float(traj.t[-1])),
+        n_records=len(r_w),
         r_min=r_min,
         r_max=r_max,
         r_midpoint=0.5 * (r_min + r_max),
         amplitude=r_max - r_min,
         period=period,
-        n_maxima=len(vertices),
+        n_maxima=len(peaks),
         R_final=float(np.mean(big_r_w)),
         R_std=float(np.std(big_r_w)),
     )

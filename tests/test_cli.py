@@ -14,6 +14,7 @@ from squeezesim import (
     CompositionError,
     DegenerateDataError,
     SaturationError,
+    SimulationConfig,
     StepSingularityError,
     ValidityWarning,
     WindowError,
@@ -132,6 +133,39 @@ class TestEvolve:
         assert "t_start = 5.00000000000e+00" in out
         assert "\nepsilon = none\n" in out
         assert "\nt0 = none\n" in out
+
+    def test_dropped_summary_is_reported(self, capsys):
+        # the window after the transition, [11.5, 12], is shorter than three
+        # periods: the trajectory report stands, with exit 0, and one stderr
+        # line names why the summary is missing
+        assert main(["evolve", "--omegaf", "3", "--t-end", "12"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "\nconverged = true\n" in captured.out
+        assert "R_final" not in captured.out
+        assert captured.err == (
+            "warning: no summary: WindowError: window [11.5, 12.0] spans 0.5, "
+            "need at least three periods (3.14159)\n"
+        )
+
+    def test_sparse_stride_climbs_until_the_summary_fits(self, capsys):
+        # at stride 64 the ladder climbs past the levels whose window
+        # records are too few or too sparse for the summary
+        assert main(["evolve", "--omegaf", "3", "--stride", "64"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "\nn_slices = 8192\n" in captured.out
+        assert "\nn_records = 129\n" in captured.out
+        assert "\nR_final = " in captured.out
+        assert captured.err == ""
+
+    def test_sampled_profile_has_no_summary_and_no_warning(self, tmp_path, capsys):
+        # a tabulated profile has no transition end to open a window at
+        prof = tmp_path / "omega.txt"
+        prof.write_text("0 1\n5 1\n6 2\n30 2\n")
+        assert main(["evolve", "--profile-file", str(prof)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "profile_kind = sampled" in captured.out
+        assert "R_final" not in captured.out
+        assert captured.err == ""
 
     def test_determinism(self, tmp_path):
         args = ["evolve", "--omegaf", "3", "--eps", "0.5"] + FAST_EVOLVE
@@ -302,7 +336,7 @@ class TestExitStatus:
         [
             (["evolve", "--eps", "0.5"], 2, "usage error: --omegaf is required for evolve"),
             (["evolve", "--omegaf", "3", "--stride", "3"], 3,
-             "error: n_slices (4096) must be a multiple of record_stride (3)"),
+             "error: n_slices (256) must be a multiple of record_stride (3)"),
             (["evolve", "--omegaf", "1e-9", "--eps", "0", "--n", "64"], 4,
              "error: saturation: squeeze magnitude "),
             (["fit", "--source", "simulation", "--t-end", "5"], 8,
@@ -401,9 +435,15 @@ class TestSweep:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] == outs[2]
         assert main(["sweep", "--omegaf", "5", "--stride", "0"]) == EXIT_DOMAIN
-        # the library's sweep has the CLI's seed
+        # the library's sweep has the CLI's defaults
         r_sim = outs[0].split("\n")[1].split(",")[1]
         assert r_sim == output.format_float(sweep_final_sp(1.0, 5.0, [0.1])[0].R_final)
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "contour", "fit"])
+def test_ladder_seed_default_is_the_config_default(command):
+    # one seed: every subcommand that propagates starts where the library does
+    assert cli.build_parser().parse_args([command]).n == SimulationConfig.n_slices
 
 
 class TestContour:

@@ -213,18 +213,27 @@ def lambda_coeffs(zeta: complex, g: BogoliubovCoeffs) -> tuple[complex, complex,
     return complex(lp), complex(lc), complex(lm)
 
 
+def _move(chi, t):
+    """chi moved by the disc automorphism chi -> (chi + t)/(1 + t chi), and the denominator.
+
+    The moved chi is the alpha of _compose, which readers of alpha alone
+    take from here without its beta and gamma.
+    """
+    den = 1.0 + t * chi
+    if (np.abs(den) < 1e-150).any():
+        raise CompositionError("singular denominator in squeeze composition")
+    return (chi + t) / den, den
+
+
 def _compose(chi, t):
     """Disentangled composition of the squeeze variable chi with the basis change t = tanh(rho).
 
     Returns the (alpha, beta, gamma) coefficient arrays of the normal-ordered
     factorization exp(alpha T+) exp(ln(beta) Tc) exp(gamma T-).  alpha is
-    chi moved by the disc automorphism chi -> (chi + t)/(1 + t chi).
+    chi moved by the disc automorphism (_move).
     """
     chi = np.asarray(chi, dtype=complex)
-    den = 1.0 + t * chi
-    if (np.abs(den) < 1e-150).any():
-        raise CompositionError("singular denominator in squeeze composition")
-    alpha = (chi + t) / den
+    alpha, den = _move(chi, t)
     beta = (1.0 - t * t) * (1.0 - np.abs(chi) ** 2) / (den * den)
     gamma = -(np.conj(chi) + t) / den
     return alpha, beta, gamma

@@ -17,8 +17,10 @@ whose window fits, or, for a run that reports only the post-transition
 window mean (a sweep cell), the instantaneous-basis R at the records after
 the window start together with its window mean.  One ladder
 serves a single run and a batch of runs that share a configuration, and one
-function steps each level: its runs side by side as numpy rows from
-_ROW_CELLS runs up, else each run's own Python loop.
+function steps each level, chunk by chunk: a chunk's step coefficients come
+from one vectorised pass per profile kind over all the level's runs, into
+buffers that every chunk reuses, and its recurrence runs side by side as
+numpy rows from _ROW_CELLS runs up, else as each run's own Python loop.
 """
 
 from __future__ import annotations
@@ -28,27 +30,35 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _clamped_magnitude, _compose, _squeeze_of
+from .algebra import _clamped_magnitude, _compose, _move, _squeeze_of
 from .errors import StepSingularityError, WindowError, require_finite
-from .frequency import FrequencyProfile, eval_omega, transition_interval
-
-# slices per chunk: the chunk's lists of Python complex values stay small
-# enough to sit in cache, which larger chunks measurably lose
-_CHUNK = 1 << 12
+from .frequency import (
+    FrequencyProfile,
+    _jump_omega,
+    _ramp_omega,
+    eval_omega,
+    transition_interval,
+)
 
 # A level of at least this many cells steps them side by side, one numpy row
-# per cell; a smaller level runs each cell's Python loop.  A row half-step
-# costs about 3.5-9.5 us from 16 to 256 cells, the loop about 0.47 us per
-# cell.  With the step coefficients, which both pay, a level of k cells at
-# n = 1024 took about 6 + 0.2 k us per half-step as rows and 0.57 k us as
-# loops (2 vCPUs, Python 3.11, numpy 2.4): even at 16 cells, 0.6x the loops
-# at 80.
+# per cell; a smaller level runs each cell's Python loop.  With the step
+# coefficients, which both pay once per chunk, a level of k ramps at
+# n = 1024 took about 3 + 0.07 k us per half-step as rows and 0.33 k us as
+# loops (2 vCPUs, Python 3.11, numpy 2.4): rows break even at about 12 cells
+# and take 0.8x the loops' time at 16 and 0.3x at 80.
 _ROW_CELLS = 16
 # records a level holds at once (cells x records per cell); a level with
 # more runs its cells in several groups
 _ROW_RECORDS = 1 << 20
-# cell-slices whose step coefficients are computed in one vectorised pass
-_ROW_CHUNK = 1 << 16
+# cell-slices in a chunk of a level (at least one slice per cell): the
+# chunk's coefficient buffers and its lists of Python complex values stay
+# small enough to sit in cache, which larger chunks measurably lose
+_BLOCK = 1 << 12
+# profile kinds in column order: ramps and sampled profiles, which step in
+# two CF4 half-steps, then jumps, so each pass fills one slice of columns
+_KINDS = ("tanh", "sampled", "jump")
+# float intermediates of _step_arrays
+_STEP_WORK = 5
 
 # CF4: the Gauss nodes c = 1/2 -+ sqrt(3)/6 of a slice, and the weights
 # beta1,2 = 1/4 +- sqrt(3)/6 that turn omega^2 at the two nodes, w1^2 and
@@ -233,45 +243,119 @@ def step_coeffs(omega_j: float, omega0: float, tau: float) -> tuple[complex, com
     """
     require_finite("frequencies", omega_j, omega0)
     require_finite("step width", tau)
-    a, b = _step_arrays(np.asarray(omega_j, dtype=float), omega0, tau)
-    return complex(a), complex(b)
+    a, b = _step_arrays(np.array([omega_j], dtype=float), omega0, tau)
+    return complex(a[0]), complex(b[0])
 
 
-def _step_arrays(omega, omega0: float, tau):
-    """Vectorized step coefficients for arrays of sampled frequencies and widths."""
-    ph = omega * tau
-    s = np.sin(ph)
-    c = np.cos(ph)
-    w = omega / omega0
+def _step_arrays(omega, omega0, tau, out=None):
+    """Vectorized step coefficients (a, b) for arrays of sampled frequencies,
+    reference frequencies and widths that broadcast together.
+
+    out, if given, is (a, b, work): complex arrays of their broadcast shape
+    that receive the coefficients, and _STEP_WORK float arrays of it that
+    hold the intermediates, so that chunk after chunk allocates nothing.
+    """
+    a, b, work = (None, None, [None] * _STEP_WORK) if out is None else out
+    ph = np.multiply(omega, tau, out=work[0])
+    s = np.sin(ph, out=work[1])
+    c = np.cos(ph, out=ph)
+    w = np.divide(omega, omega0, out=work[2])
+    inv = np.divide(1.0, w, out=work[3])
     # sinh and cosh of 2*rho_j written through the frequency ratio
-    sh2 = 0.5 * (w - 1.0 / w)
-    ch2 = 0.5 * (w + 1.0 / w)
-    den = c + 1j * (ch2 * s)
-    a = -1j * sh2 * s / den
-    b = 1.0 / (den * den)
+    sh2 = np.multiply(0.5, np.subtract(w, inv, out=work[4]), out=work[4])
+    ch2 = np.multiply(0.5, np.add(w, inv, out=w), out=w)
+    # den = c + 1j * ch2 s, a = -1j * sh2 * s / den, b = 1 / den^2
+    den = np.add(c, np.multiply(1j, np.multiply(ch2, s, out=ch2), out=b), out=b)
+    a = np.divide(np.multiply(np.multiply(-1j, sh2, out=a), s, out=a), den, out=a)
+    b = np.divide(1.0, np.multiply(den, den, out=den), out=den)
     return a, b
 
 
-def _slice_steps(p: FrequencyProfile, t_start: float, tau: float, first: int, m: int):
-    """Step coefficients (a, b) of slices first+1 .. first+m, one row per slice.
+class _Group:
+    """The cells of one _propagate call as the columns of its step buffers.
 
-    A row holds the slice's two CF4 half-steps, or for a jump one exact
-    step, run only for the part of the slice past t0 (the omega0 vacuum is
-    stationary before it).
+    cells holds them in _KINDS order, cells[i] = given[order[i]], so the
+    ramps and sampled profiles fill the columns cf4 and the jumps those
+    after.  Their spans, tau and profile parameters are column arrays, and
+    a and b are the (chunk, half_steps, k) coefficient buffers every chunk
+    reuses, as it does nodes and half, the (chunk, 2, cf4) CF4 work arrays,
+    and the float work of _step_arrays.
     """
-    k = np.arange(first, first + m, dtype=float)
-    if p.kind == "jump":
-        ts = t_start + (k + 1.0) * tau
-        widths = np.clip(ts - p.t0, 0.0, tau)
-        return _step_arrays(eval_omega(p, ts)[:, None], p.omega0, widths[:, None])
-    nodes = t_start + (k[:, None] + _NODES) * tau
-    w_sq = eval_omega(p, nodes.ravel()).reshape(m, 2) ** 2
-    half = 2.0 * (_BETA1 * w_sq + _BETA2 * w_sq[:, ::-1])
-    bad = np.flatnonzero(~np.all(half > 0.0, axis=1))
-    if bad.size:
-        step = first + int(bad[0]) + 1
-        raise _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
-    return _step_arrays(np.sqrt(half), p.omega0, 0.5 * tau)
+
+    def __init__(self, cells: list[_Cell], n: int, chunk: int):
+        self.order = sorted(range(len(cells)), key=lambda i: _KINDS.index(cells[i].p.kind))
+        self.cells = [cells[i] for i in self.order]
+        k = len(cells)
+        cf4 = k - sum(c.p.kind == "jump" for c in cells)
+        self.ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
+        self.cf4, self.jumps = slice(0, cf4), slice(cf4, k)
+        self.half_steps = 2 if cf4 else 1
+        self.t_start, self.t_end = np.array([c.span for c in self.cells]).T
+        self.tau = (self.t_end - self.t_start) / n
+        self.omega0, self.omegaf, self.t0, self.epsilon = np.array(
+            [(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in self.cells]
+        ).T
+        shape = (chunk, self.half_steps, k)
+        self.a, self.b = np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex)
+        self.nodes, self.half = np.empty((2, chunk, 2, cf4))
+        self._work = np.empty(_STEP_WORK * chunk * 2 * k)
+
+    def step_out(self, a, b):
+        """The out of _step_arrays that fills a and b, views of the buffers."""
+        return a, b, self._work[: _STEP_WORK * a.size].reshape(_STEP_WORK, *a.shape)
+
+
+def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Step coefficients (a, b) of slices first+1 .. first+m of a group's cells.
+
+    Views of the group's buffers, one row per slice and one column per cell.
+    A ramp's or sampled profile's row holds the slice's two CF4 half-steps,
+    a jump's one exact step, run only for the part of the slice past t0 (the
+    omega0 vacuum is stationary before it), then the identity (a = 0, b = 1).
+    A cell whose half-step omega^2 is not positive gets _UnresolvedSlice in
+    errors, a sampled one whose omega fails that exception, and the column
+    of every cell in errors holds the identity.  No value of a failed
+    cell's column warns.
+    """
+    a, b, k = g.a[:m], g.b[:m], np.arange(first, first + m, dtype=float)
+    cf4, ramps, jumps = g.cf4, g.ramps, g.jumps
+    # each kind's _step_arrays fills its views of the buffers and returns
+    # them, and storing them back then copies nothing
+    if cf4.stop:
+        nodes, half = g.nodes[:m], g.half[:m]
+        np.multiply((k[:, None] + _NODES)[:, :, None], g.tau[cf4], out=nodes)
+        np.add(g.t_start[cf4], nodes, out=nodes)
+        ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
+        _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
+        for i in range(ramps.stop, cf4.stop):  # sampled profiles, one column each
+            if errors[i] is None:
+                try:
+                    nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
+                except Exception as exc:  # this cell fails, its neighbours go on
+                    errors[i] = exc
+        w_sq = np.square(nodes, out=nodes)
+        np.multiply(_BETA2, w_sq[:, ::-1], out=half)
+        np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
+        np.multiply(2.0, half, out=half)
+        resolved = half > 0.0
+        for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
+            if errors[i] is None:
+                step = first + int(np.argmax(~resolved[:, :, i].all(axis=1))) + 1
+                errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
+            half[:, :, i] = 1.0  # no root of a negative: the column is the identity
+        np.sqrt(half, out=half)
+        out = g.step_out(a[:, :, cf4], b[:, :, cf4])
+        a[:, :, cf4], b[:, :, cf4] = _step_arrays(half, g.omega0[cf4], 0.5 * g.tau[cf4], out)
+    if jumps.stop > jumps.start:
+        omega0, t0, tau = g.omega0[jumps], g.t0[jumps], g.tau[jumps]
+        ts = g.t_start[jumps] + (k + 1.0)[:, None] * tau
+        omega = _jump_omega(ts, omega0, g.omegaf[jumps], t0)
+        out = g.step_out(a[:, 0, jumps], b[:, 0, jumps])
+        a[:, 0, jumps], b[:, 0, jumps] = _step_arrays(omega, omega0, np.clip(ts - t0, 0.0, tau), out)
+    failed = [i for i, e in enumerate(errors) if e is not None]
+    if failed:
+        a[:, :, failed], b[:, :, failed] = 0.0, 1.0
+    return a, b
 
 
 def _step_loop(a, b, chi, rec, per_record: int) -> None:
@@ -310,66 +394,52 @@ def _step_rows(a, b, chi, rec, per_record: int) -> None:
 def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     """Run the recurrence of a group of cells over n slices.
 
-    Slices run in chunks of whole record strides, and every step of a slice
-    runs before its record is taken.  A group of at least _ROW_CELLS cells
-    steps as numpy rows (_step_rows), a smaller one through each cell's
-    Python loop (_step_loop); a cell's records differ between the two only
-    in the rounding of complex division.  In a group that is not all jumps
-    a jump's slice is its exact step followed by the identity (a = 0,
-    b = 1), as is every slice of a cell that has failed.  Finiteness is
-    checked once per chunk at record granularity: StepSingularityError
-    names the slice of a cell's first non-finite record (a non-finite chi
-    stays non-finite).  Returns, per cell, its (t_rec, chi_rec) or the
-    exception that ended its run.
+    Slices run in chunks of whole record strides, about _BLOCK cell-slices
+    each, and every step of a slice runs before its record is taken.  A
+    group of at least _ROW_CELLS cells steps as numpy rows (_step_rows), a
+    smaller one through each cell's Python loop (_step_loop); a cell's
+    records differ between the two only in the rounding of complex
+    division.  A cell's step coefficients (_slice_steps) do not depend on
+    its neighbours or the chunking, and a failed cell steps through the
+    identity.  Finiteness is checked once per chunk at record granularity:
+    StepSingularityError names the slice of a cell's first non-finite
+    record (a non-finite chi stays non-finite).  Returns, per cell, its
+    (t_rec, chi_rec) or the exception that ended its run.
     """
     k = len(cells)
-    t_start, t_end = np.array([c.span for c in cells]).T
-    tau = (t_end - t_start) / n
     stride = cfg.record_stride
+    chunk = stride * max(1, _BLOCK // k // stride)
+    g = _Group(cells, n, min(chunk, n))
     n_rec = n // stride
     chi_rec = np.zeros((n_rec + 1, k), dtype=complex)
     errors: list[Exception | None] = [None] * k
     chi = np.zeros(k, dtype=complex)
-    half_steps = 1 if all(c.p.kind == "jump" for c in cells) else 2
-    rows = k >= _ROW_CELLS
-    kernel = _step_rows if rows else _step_loop
-    chunk = stride * max(1, (_ROW_CHUNK // k if rows else _CHUNK) // stride)
+    kernel = _step_rows if k >= _ROW_CELLS else _step_loop
     for j in range(0, n, chunk):
         m = min(chunk, n - j)
-        a = np.zeros((m, half_steps, k), dtype=complex)
-        b = np.ones((m, half_steps, k), dtype=complex)
-        for i, c in enumerate(cells):
-            if errors[i] is None:
-                try:
-                    a_i, b_i = _slice_steps(c.p, t_start[i], tau[i], j, m)
-                except Exception as exc:  # this cell fails, its neighbours go on
-                    errors[i] = exc
-                    continue
-                a[:, : a_i.shape[1], i] = a_i
-                b[:, : b_i.shape[1], i] = b_i
+        a, b = _slice_steps(g, j, m, errors)
         if None not in errors:
             break
         rec = chi_rec[1 + j // stride : 1 + (j + m) // stride]
-        kernel(a.reshape(-1, k), b.reshape(-1, k), chi, rec, half_steps * stride)
+        kernel(a.reshape(-1, k), b.reshape(-1, k), chi, rec, g.half_steps * stride)
         bad = ~np.isfinite(rec)
         for i in np.flatnonzero(bad.any(axis=0)).tolist():
             if errors[i] is None:
                 errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
     steps = np.arange(n_rec + 1, dtype=float) * stride
     # j * tau can pass t_end, and a sampled profile, by an ulp
-    t_rec = np.minimum(t_start[:, None] + steps * tau[:, None], t_end[:, None])
-    return [e if e is not None else (t_rec[i], chi_rec[:, i]) for i, e in enumerate(errors)]
+    t_rec = np.minimum(g.t_start[:, None] + steps * g.tau[:, None], g.t_end[:, None])
+    runs = [None] * k
+    for col, i in enumerate(g.order):
+        runs[i] = errors[col] if errors[col] is not None else (t_rec[col], chi_rec[:, col])
+    return runs
 
 
-def _instantaneous(p: FrequencyProfile, t_rec: np.ndarray, chi_rec: np.ndarray):
-    """omega and the composition (alpha, beta) of records with their instantaneous basis.
-
-    The basis of omega is reached from the omega0 one by t = tanh(rho) =
-    (omega - omega0)/(omega + omega0).
-    """
+def _instantaneous(p: FrequencyProfile, t_rec: np.ndarray):
+    """omega at the records and the t = tanh(rho) = (omega - omega0)/(omega + omega0)
+    by which their instantaneous basis is reached from the omega0 one."""
     omega = np.asarray(eval_omega(p, t_rec), dtype=float)
-    alpha, beta, _ = _compose(chi_rec, (omega - p.omega0) / (omega + p.omega0))
-    return omega, alpha, beta
+    return omega, (omega - p.omega0) / (omega + p.omega0)
 
 
 def _finalize(
@@ -382,7 +452,8 @@ def _finalize(
 ) -> Trajectory:
     """Convert recorded chi values into the full squeeze trajectory."""
     r, phi = _squeeze_of(chi_rec, "squeeze")
-    omega_rec, alpha, beta = _instantaneous(p, t_rec, chi_rec)
+    omega_rec, t_basis = _instantaneous(p, t_rec)
+    alpha, beta, _ = _compose(chi_rec, t_basis)
     big_r, big_phi = _squeeze_of(alpha, "instantaneous squeeze")
     return Trajectory(
         t=t_rec,
@@ -414,7 +485,7 @@ def _ladder_quantity(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray) -> np.nda
     after = t_rec > c.window_start
     chi = chi_rec[after]
     _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
-    alpha = _instantaneous(c.p, t_rec[after], chi)[1]
+    alpha = _move(chi, _instantaneous(c.p, t_rec[after])[1])[0]
     return np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
 
 

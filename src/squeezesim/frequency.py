@@ -132,11 +132,9 @@ def eval_omega(p: FrequencyProfile, t):
     """Frequency at time t (scalar or array)."""
     t_arr = np.asarray(t, dtype=float)
     if p.kind == "tanh":
-        mid = 0.5 * (p.omegaf + p.omega0)
-        amp = 0.5 * (p.omegaf - p.omega0)
-        out = mid + amp * np.tanh((t_arr - p.t0) / p.epsilon)
+        out = _ramp_omega(t_arr, p.omega0, p.omegaf, p.t0, p.epsilon)
     elif p.kind == "jump":
-        out = np.where(t_arr < p.t0, p.omega0, p.omegaf)
+        out = _jump_omega(t_arr, p.omega0, p.omegaf, p.t0)
     else:
         times = np.array([s[0] for s in p.samples])
         omegas = np.array([s[1] for s in p.samples])
@@ -148,6 +146,20 @@ def eval_omega(p: FrequencyProfile, t):
     if np.ndim(t) == 0:
         return float(out)
     return out
+
+
+def _ramp_omega(t, omega0, omegaf, t0, epsilon, out=None):
+    """omega(t) of tanh ramps whose parameters broadcast against t; out,
+    which may be t, receives it."""
+    mid = 0.5 * (omegaf + omega0)
+    amp = 0.5 * (omegaf - omega0)
+    x = np.divide(np.subtract(t, t0, out=out), epsilon, out=out)
+    return np.add(mid, np.multiply(amp, np.tanh(x, out=out), out=out), out=out)
+
+
+def _jump_omega(t, omega0, omegaf, t0):
+    """omega(t) of jumps whose parameters broadcast against t."""
+    return np.where(t < t0, omega0, omegaf)
 
 
 def epsilon_from_slope(omega0: float, omegaf: float, slope: float) -> float:

@@ -43,9 +43,9 @@ def nan_steps_from(monkeypatch):
         step = evolution._step_arrays
         done = 0
 
-        def poisoned(omega, omega0, tau):
+        def poisoned(omega, omega0, tau, out=None):
             nonlocal done
-            a, b = step(omega, omega0, tau)
+            a, b = step(omega, omega0, tau, out)
             a[max(0, first_bad - 1 - done) :] = np.nan
             done += len(a)
             return a, b

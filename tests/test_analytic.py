@@ -305,6 +305,42 @@ class TestSweep:
             assert calls[0] == (cfg.n_slices, 80, {("rows", 80)})
         assert small  # from seed 256 the last level holds one cell
 
+    def test_coefficients_stay_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
+        # each chunk of a level computes its step coefficients in one
+        # _step_arrays call per profile kind, however many cells it holds.
+        # A chunk holds about evolution._BLOCK cell-slices, so a level of
+        # more cells runs more chunks, and the calls are counted per chunk
+        # (one kernel call each); computed per cell, they would be 20 or 80
+        calls, levels = [], []
+        step, propagate = evolution._step_arrays, evolution._propagate
+
+        def step_spy(*args):
+            calls.append(None)
+            return step(*args)
+
+        def propagate_spy(cells, cfg, n):
+            calls.clear()
+            kernel_calls.clear()
+            runs = propagate(cells, cfg, n)
+            kinds = len({c.p.kind for c in cells})
+            levels.append((len(cells), kinds, len(calls), len(kernel_calls)))
+            return runs
+
+        monkeypatch.setattr(evolution, "_step_arrays", step_spy)
+        monkeypatch.setattr(evolution, "_propagate", propagate_spy)
+        lattice = [tanh_profile(1.0, omegaf, epsilon=eps)
+                   for k in SWEEP_RATIOS for omegaf in (k, 1.0 / k) for eps in SWEEP_EPSILONS]
+        per_chunk = {}
+        for k in (20, 80):
+            levels.clear()
+            evolution.window_means(lattice[:k], SimulationConfig())
+            cells, kinds, steps, chunks = levels[0]
+            assert (cells, kinds) == (k, 2)  # ramps and jumps
+            per_chunk[k] = steps / chunks
+            for cells, kinds, steps, chunks in levels:
+                assert steps == kinds * chunks, (k, cells)
+        assert per_chunk[20] == per_chunk[80] == 2
+
     def test_reference_lattice_shape(self):
         data = reference_sweep_data(source="formula")
         assert len(data) == 80
@@ -376,10 +412,11 @@ class TestBatchedSweep:
         # the step coefficients of the eps 0.3 ramp are nan from slice 100 on
         steps = evolution._slice_steps
 
-        def poisoned(p, t_start, tau, first, m):
-            a, b = steps(p, t_start, tau, first, m)
-            if p.epsilon == 0.3:
-                a[max(0, 99 - first) :] = np.nan
+        def poisoned(group, first, m, errors):
+            a, b = steps(group, first, m, errors)
+            for i, c in enumerate(group.cells):
+                if c.p.epsilon == 0.3:
+                    a[max(0, 99 - first) :, :, i] = np.nan
             return a, b
 
         clean, _ = _swept(BATCH_EPS)

@@ -156,9 +156,9 @@ class TestCF4:
         calls = []
         step = evolution._step_arrays
 
-        def spy(omega, omega0, tau):
-            calls.append((np.array(omega), tau))
-            return step(omega, omega0, tau)
+        def spy(omega, omega0, tau, out=None):
+            calls.append((np.array(omega), np.array(tau)))
+            return step(omega, omega0, tau, out)
 
         monkeypatch.setattr(evolution, "_step_arrays", spy)
         p = sampled_profile([(0.0, 1.0), (2.0, 3.0)])  # omega = 1 + t
@@ -166,10 +166,10 @@ class TestCF4:
         ((omega, tau),) = calls
         c, b = math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
         w1, w2 = 2.0 - 2.0 * c, 2.0 + 2.0 * c
-        assert omega.shape == (1, 2)
-        assert tau == 1.0
+        assert omega.shape == (1, 2, 1)  # one slice, two half-steps, one cell
+        assert tau.tolist() == [1.0]
         expected = [2 * (b * w1**2 + (0.5 - b) * w2**2), 2 * ((0.5 - b) * w1**2 + b * w2**2)]
-        np.testing.assert_allclose(omega[0] ** 2, expected, rtol=1e-14)
+        np.testing.assert_allclose(omega[0, :, 0] ** 2, expected, rtol=1e-14)
 
     def test_unresolved_ramp_doubles_before_its_first_level(self):
         # omega 1 -> 5 over eps 1e-3: at 256 slices omega changes about 5x
@@ -289,7 +289,7 @@ class TestRecurrence:
     def test_records_independent_of_chunking_and_stride(self, monkeypatch, p, stride):
         default = self._records(p, stride)
         for chunk in (1, 5, 64):
-            monkeypatch.setattr(evolution, "_CHUNK", chunk)
+            monkeypatch.setattr(evolution, "_BLOCK", chunk)
             assert np.array_equal(self._records(p, stride), default)
         monkeypatch.undo()
         assert len(default) == self.N // stride + 1
@@ -310,7 +310,7 @@ class TestRecurrence:
         monkeypatch.setattr(evolution, "_ROW_CELLS", len(cells))
         rows = evolution._propagate(cells, cfg, self.N)
         for chunk in (1, 100):
-            monkeypatch.setattr(evolution, "_ROW_CHUNK", chunk)
+            monkeypatch.setattr(evolution, "_BLOCK", chunk)
             for (t, chi), (t_c, chi_c) in zip(rows, evolution._propagate(cells, cfg, self.N)):
                 assert np.array_equal(t, t_c) and np.array_equal(chi, chi_c)
         assert set(kernel_calls) == {("rows", len(cells))}
@@ -335,7 +335,7 @@ class TestRecurrence:
         self, monkeypatch, nan_steps_from, chunk, stride, first_bad, n
     ):
         if chunk is not None:
-            monkeypatch.setattr(evolution, "_CHUNK", chunk)
+            monkeypatch.setattr(evolution, "_BLOCK", chunk)
         nan_steps_from(first_bad)
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         cfg = SimulationConfig(t_end=14.0, n_slices=n, record_stride=stride, n_max=n)
@@ -343,6 +343,122 @@ class TestRecurrence:
             propagate_converged(p, cfg)
         # the record that closes the stride holding the first nan step
         assert info.value.step == -(-first_bad // stride) * stride
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# the CF4 nodes and weights and the step formula, written out apart from
+# evolution's own: what each cell computed alone before the group pass
+_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+_B1, _B2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
+
+
+def _own_step(omega, omega0, tau):
+    ph = omega * tau
+    s, c = np.sin(ph), np.cos(ph)
+    w = omega / omega0
+    sh2, ch2 = 0.5 * (w - 1.0 / w), 0.5 * (w + 1.0 / w)
+    den = c + 1j * (ch2 * s)
+    return -1j * sh2 * s / den, 1.0 / (den * den)
+
+
+def _own_steps(p, t_start, tau, first, m):
+    """One cell's (a, b) of slices first+1 .. first+m, a row per slice, or the
+    number of its first slice whose half-step omega^2 is not positive."""
+    k = np.arange(first, first + m, dtype=float)
+    if p.kind == "jump":
+        ts = t_start + (k + 1.0) * tau
+        widths = np.clip(ts - p.t0, 0.0, tau)
+        return _own_step(np.where(ts < p.t0, p.omega0, p.omegaf)[:, None], p.omega0, widths[:, None])
+    nodes = (t_start + (k[:, None] + _NODES) * tau).ravel()
+    if p.kind == "tanh":
+        mid, amp = 0.5 * (p.omegaf + p.omega0), 0.5 * (p.omegaf - p.omega0)
+        omega = mid + amp * np.tanh((nodes - p.t0) / p.epsilon)
+    else:
+        times, omegas = np.array(p.samples).T
+        omega = np.interp(nodes, times, omegas)
+    w_sq = omega.reshape(m, 2) ** 2
+    half = 2.0 * (_B1 * w_sq + _B2 * w_sq[:, ::-1])
+    bad = np.flatnonzero(~np.all(half > 0.0, axis=1))
+    if bad.size:
+        return first + int(bad[0]) + 1
+    return _own_step(np.sqrt(half), p.omega0, 0.5 * tau)
+
+
+class TestGroupSteps:
+    # _slice_steps computes a chunk's coefficients for all cells of a group
+    # in one pass per kind; every cell's are bitwise its own arithmetic's
+    RAMPS = [tanh_profile(1.0, 3.0, 10.0, 0.5), tanh_profile(1.0, 0.2, 10.0, 0.1),
+             tanh_profile(1.0, 5.0, 10.0, 1.6)]
+    JUMPS = [jump_profile(1.0, 3.0, 10.0), jump_profile(1.0, 0.5, 10.0)]
+    SAMPLED = [sampled_profile([(1.0, 1.0), (8.0, 2.0), (14.0, 0.5)])]
+    GROUPS = {
+        "tanh": RAMPS,
+        "jump": JUMPS,
+        "sampled": SAMPLED,
+        "mixed": [JUMPS[0], RAMPS[0], SAMPLED[0], RAMPS[1], JUMPS[1], RAMPS[2]],
+    }
+    N = 512
+
+    def _chunks(self, monkeypatch, profiles, stride):
+        """Each cell's runs through _propagate with chunks of 100 slices, and
+        per chunk (first, m, cells in column order, a, b)."""
+        cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
+        cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
+        monkeypatch.setattr(evolution, "_BLOCK", 100 * len(cells))
+        seen = []
+        steps = evolution._slice_steps
+
+        def spy(group, first, m, errors):
+            a, b = steps(group, first, m, errors)
+            seen.append((first, m, list(group.cells), a.copy(), b.copy()))
+            return a, b
+
+        monkeypatch.setattr(evolution, "_slice_steps", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            runs = evolution._propagate(cells, cfg, self.N)
+        return cells, runs, seen
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("kinds", GROUPS)
+    def test_matches_each_cells_own_arithmetic(self, monkeypatch, kinds, stride):
+        cells, runs, seen = self._chunks(monkeypatch, self.GROUPS[kinds], stride)
+        assert [(first, m) for first, m, *_ in seen] == [(j, 100) for j in range(0, 500, 100)] + [(500, 12)]
+        for first, m, group, a, b in seen:
+            assert sorted(map(id, group)) == sorted(map(id, cells))
+            for i, c in enumerate(group):
+                t_start, t_end = c.span
+                own_a, own_b = _own_steps(c.p, t_start, (t_end - t_start) / self.N, first, m)
+                h = own_a.shape[1]  # a jump in a group with ramps: its step, then the identity
+                assert _same_bits(a[:, :h, i], own_a) and _same_bits(b[:, :h, i], own_b), (kinds, i)
+                assert np.all(a[:, h:, i] == 0.0) and np.all(b[:, h:, i] == 1.0)
+        assert not any(isinstance(run, Exception) for run in runs)
+
+    def test_unresolved_cell_fails_alone_and_quietly(self, monkeypatch):
+        # omega 1 -> 5 over eps 1e-3 is too steep for 512 slices: that cell
+        # fails at the slice its own arithmetic names, without taking the root
+        # of its negative half-step omega^2, and steps through the identity
+        steep = tanh_profile(1.0, 5.0, 10.0, 1e-3)
+        profiles = [self.RAMPS[0], steep, self.JUMPS[0], self.RAMPS[1]]
+        cells, runs, seen = self._chunks(monkeypatch, profiles, 1)
+        t_start, t_end = cells[1].span
+        step = _own_steps(steep, t_start, (t_end - t_start) / self.N, 0, self.N)
+        assert 100 < step <= 400  # past the first chunk
+        assert isinstance(runs[1], evolution._UnresolvedSlice)
+        assert (runs[1].step, str(runs[1])) == (step, f"slice {step} is too coarse for the ramp")
+        for first, m, group, a, b in seen:
+            i = group.index(cells[1])
+            if first + m >= step:
+                assert np.all(a[:, :, i] == 0.0) and np.all(b[:, :, i] == 1.0)
+        for c, run in zip(cells, runs):
+            if c is not cells[1]:
+                ((t, chi),) = evolution._propagate([c], SimulationConfig(
+                    t_end=14.0, n_slices=self.N, n_max=self.N), self.N)
+                assert np.array_equal(run[0], t) and np.array_equal(run[1], chi)
 
 
 class TestPostTransitionSummary:

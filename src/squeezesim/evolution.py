@@ -12,15 +12,17 @@ follow from chi at the recorded slices.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
-magnitude r(t) at every record, with the post_transition_summary of a run
-whose window fits, or, for a run that reports only the post-transition
-window mean (a sweep cell), the instantaneous-basis R at the records after
-the window start together with its window mean.  One ladder
-serves a single run and a batch of runs that share a configuration, and one
-function steps each level, chunk by chunk: a chunk's step coefficients come
-from one vectorised pass per profile kind over all the level's runs, into
-buffers that every chunk reuses, and its recurrence runs side by side as
-numpy rows from _ROW_CELLS runs up, else as each run's own Python loop.
+magnitude r(t) at every record, with the r_min and r_max of the
+post_transition_summary of a run whose window fits (_read_r), or, for a run
+that reports only the post-transition window mean (a sweep cell), the
+instantaneous-basis R at the records after the window start together with
+its window mean (_read_window).  One ladder, which takes its reader from
+its caller, serves a single run and a batch of runs that share a
+configuration, and one function steps each level, chunk by chunk: a chunk's
+step coefficients come from one vectorised pass per profile kind over all
+the level's runs, into buffers that every chunk reuses, and its recurrence
+runs side by side as numpy rows from _ROW_CELLS runs up, else as each run's
+own Python loop.
 """
 
 from __future__ import annotations
@@ -128,10 +130,9 @@ class Trajectory:
     instantaneous-basis squeeze (R, Phi) and the modulus beta_mod of the
     central composition coefficient, recorded at the last ladder level of
     n_slices steps.  delta_history holds one difference per level
-    comparison: the larger of the sup-norm change of r(t) and the change of
-    its summary's extrema, or, for a windowed run, the larger of the sup-norm
-    change of R over the window and the change of its mean.  converged is
-    None when no comparison was made.
+    comparison of propagate_converged: the larger of the sup-norm change of
+    r(t) and the changes of its summary's r_min and r_max, when the run
+    has a summary.  converged is None when no comparison was made.
     """
 
     t: np.ndarray
@@ -197,16 +198,15 @@ class WindowMean(NamedTuple):
 class _Cell:
     """One propagation of a batched ladder: input, ladder state and outcome.
 
-    n is the level it last ran (a window_means cell starts at the seed), q
-    that level's ladder quantity (None after a resolution floor) and
-    records, if kept, its (t_rec, chi_rec).  A cell without a window whose
-    post-transition window fits opens it at summary_start, and extrema are
-    that level's summary (r_min, r_max), None while its records are too few
-    or too sparse for them.
+    start is the transition end after which its reader reads (None for an
+    r(t) with no summary).  n is the level it last ran (a window_means cell
+    starts at the seed), q and scalars what its reader gave that level
+    (scalars None after a resolution floor; see _ladder) and records, if
+    kept, its (t_rec, chi_rec).
     """
 
     p: FrequencyProfile
-    window_start: float | None
+    start: float | None
     span: tuple[float, float] = (0.0, 0.0)
     n: int = 0
     history: list[float] = field(default_factory=list)
@@ -214,8 +214,7 @@ class _Cell:
     q: np.ndarray | None = None
     records: tuple[np.ndarray, np.ndarray] | None = None
     error: Exception | None = None
-    summary_start: float | None = None
-    extrema: tuple[float, float] | None = None
+    scalars: tuple[float, ...] | None = None
 
 
 def default_t_end(p: FrequencyProfile) -> float:
@@ -473,77 +472,50 @@ def _finalize(
     )
 
 
-def _ladder_quantity(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray) -> np.ndarray:
-    """The array the ladder compares for one cell's level.
+def _read_r(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray):
+    """A level of propagate_converged: r at every record, and the summary's
+    (r_min, r_max) of a cell with a start (None while its records do not fit
+    them), or () for one without."""
+    r = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
+    if c.start is None:
+        return r, ()
+    after = t_rec > c.start
+    try:
+        return r, _extrema(t_rec[after], r[after], c.p.omegaf)[:2]
+    except WindowError:
+        return r, None
 
-    r at every record, or, for a windowed cell, R at the records after its
-    window start (a suffix of the records that always holds the last one),
-    computed as the trajectory's R column is.
-    """
-    if c.window_start is None:
-        return np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-    after = t_rec > c.window_start
+
+def _read_window(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray):
+    """A level of window_means: R at the records after the cell's start,
+    computed as the trajectory's R column is, and its mean (R_final), None
+    while the window holds fewer than _MIN_WINDOW_RECORDS records."""
+    after = t_rec > c.start
     chi = chi_rec[after]
     _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
     alpha = _move(chi, _instantaneous(c.p, t_rec[after])[1])[0]
-    return np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
+    big_r = np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
+    if len(big_r) < _MIN_WINDOW_RECORDS:
+        return big_r, None
+    return big_r, (float(np.mean(big_r)),)
 
 
-def _level_extrema(c: _Cell, t_rec: np.ndarray, r: np.ndarray) -> tuple[float, float] | None:
-    """The summary's (r_min, r_max) of a level of a cell with a summary_start,
-    given its r at every record; None while its records do not fit them."""
-    after = t_rec > c.summary_start
-    try:
-        return _extrema(t_rec[after], r[after], c.p.omegaf)[:2]
-    except WindowError:
-        return None
-
-
-def _level_delta(c: _Cell, fine: np.ndarray, extrema: tuple[float, float] | None) -> float:
-    """Change of the ladder quantity from the cell's last level, c.q, to the finer one.
-
-    Both arrays end at t_end and the coarse records are every second fine
-    record, so they are aligned counting back from the last record, and
-    fine[::-2] holds as many as coarse (a window of C coarse records holds
-    2 C - 1 or 2 C fine ones).  For a windowed R the change of its mean,
-    which is R_final, counts as well, and for a cell with extrema their
-    change.
-    """
-    coarse = c.q
-    delta = float(np.max(np.abs(fine[::-2] - coarse[::-1])))
-    if c.window_start is not None:
-        delta = max(delta, abs(float(np.mean(fine)) - float(np.mean(coarse))))
-    if extrema is not None:
-        delta = max(delta, *(abs(a - b) for a, b in zip(extrema, c.extrema)))
-    return delta
-
-
-def _comparable(c: _Cell) -> bool:
-    """Whether a cell's next level is compared with its last one.
-
-    The last one must have run (not a resolution floor) and hold what the
-    cell reads after its window: _MIN_WINDOW_RECORDS window records for a
-    windowed cell, extrema for one with a summary_start.  Coarse record
-    times are bitwise among the fine ones (2 j (tau/2) == j tau) and the
-    record step halves, so a finer level holds them too.
-    """
-    if c.q is None:
-        return False
-    if c.window_start is not None:
-        return len(c.q) >= _MIN_WINDOW_RECORDS
-    return c.summary_start is None or c.extrema is not None
-
-
-def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
+def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None:
     """Run the convergence ladder of every cell (see propagate_converged).
 
     One loop owns the level n: each pass runs every climbing cell at n, in
     groups of at most _ROW_RECORDS records or one cell, then doubles n up
     to n_max.  A cell leaves a level converged, failed, at the last level
     or climbing to 2 n (past a resolution floor, too), so climbing cells
-    share n.  A failure ends only its cell.  A cell without a window keeps
-    the (t_rec, chi_rec) of its last level.  A level is compared with the
-    previous one only when that one is _comparable.
+    share n.  A failure ends only its cell.  read(c, t_rec, chi_rec) gives
+    a level's (q, scalars): q is compared in sup norm at the shared records
+    and covers a suffix of them that holds the last one, and scalars are
+    what the cell reports, None while the level's records cannot hold them.
+    A level is compared only with a previous one that ran and held its
+    scalars; coarse record times are bitwise among the fine ones
+    (2 j (tau/2) == j tau) and the record step halves, so every finer level
+    holds them too.  With keep, a cell keeps the (t_rec, chi_rec) of its
+    last level.
     """
     n = cfg.n_slices
     climbing = [c for c in cells if c.error is None]
@@ -555,23 +527,27 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig) -> None:
                 c.n = n
                 if isinstance(run, _UnresolvedSlice):
                     if 2 * n <= cfg.n_max:
-                        c.q = None  # a resolution floor, not a level
+                        c.scalars = None  # a resolution floor, not a level
                         continue
                     run = StepSingularityError(run.step, str(run))  # the floor at n_max
                 if isinstance(run, Exception):
                     c.error = run
                     continue
                 try:
-                    q = _ladder_quantity(c, *run)
-                    extrema = None if c.summary_start is None else _level_extrema(c, run[0], q)
+                    q, scalars = read(c, *run)
                 except Exception as exc:  # this cell fails, its neighbours go on
                     c.error = exc
                     continue
-                if _comparable(c):
-                    c.history.append(_level_delta(c, q, extrema))
+                if c.scalars is not None:
+                    # both q end at t_end and the coarse records are every
+                    # second fine record, so they align counting back from
+                    # the last (a window of C coarse records holds 2 C - 1
+                    # or 2 C fine ones)
+                    sup = float(np.max(np.abs(q[::-2] - c.q[::-1])))
+                    c.history.append(max([sup, *(abs(x - y) for x, y in zip(scalars, c.scalars))]))
                     c.converged = c.history[-1] < cfg.convergence_tol
-                c.q, c.extrema = q, extrema
-                if c.window_start is None and (c.converged or 2 * n > cfg.n_max):
+                c.q, c.scalars = q, scalars
+                if keep and (c.converged or 2 * n > cfg.n_max):
                     c.records = run
         climbing = [c for c in climbing if c.error is None and not c.converged]
         n *= 2
@@ -590,18 +566,18 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     positive) is abandoned for twice its slices and does not count; at
     n_max it raises StepSingularityError.  Returns the last level, converged
     once a difference drops below convergence_tol.  n_max = n_slices runs
-    one fixed grid (converged None).  This is the ladder of window_means
-    with one cell and no window.
+    one fixed grid (converged None).  window_means runs the same ladder,
+    reading R after the transition instead.
     """
     cell = _Cell(p, None, _time_span(p, cfg))
     if p.kind != "sampled":  # a sampled profile has no transition end
         start = transition_interval(p)[1]
         try:
             _check_window(start, cell.span[1], p.omegaf)
-            cell.summary_start = start
+            cell.start = start
         except WindowError:
             pass  # too short for a summary: the ladder reads r(t) alone
-    _ladder([cell], cfg)
+    _ladder([cell], cfg, _read_r, keep=True)
     if cell.error is not None:
         raise cell.error
     return _finalize(p, cell.n, *cell.records, cell.converged, cell.history)
@@ -619,10 +595,10 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     larger.  The window must span three periods pi/omega_f, which is
     checked before the first level, and a level is compared only once its
     window holds the records post_transition_summary needs.  Every level
-    runs its cells side by side.  R_final is the mean of R over the window
-    records of the last level, post_transition_summary(traj, p).R_final of
-    that trajectory.  A cell fails alone: its WindowMean holds the
-    exception, and R_final is nan.
+    runs its cells side by side, and no cell keeps its records.  R_final is
+    the mean of R over the window records of the last level,
+    post_transition_summary(traj, p).R_final of that trajectory.  A cell
+    fails alone: its WindowMean holds the exception, and R_final is nan.
     """
     # R_final is a window mean: over sparse records it is a coarser
     # quadrature, whose error in n is erratic
@@ -631,19 +607,19 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     for p in profiles:
         cell = _Cell(p, None, n=cfg.n_slices)
         try:
-            cell.window_start = transition_interval(p)[1]
+            cell.start = transition_interval(p)[1]
             cell.span = _time_span(p, cfg)
-            _check_window(cell.window_start, cell.span[1], p.omegaf)
+            _check_window(cell.start, cell.span[1], p.omegaf)
         except Exception as exc:  # this cell fails, its neighbours go on
             cell.error = exc
         cells.append(cell)
-    _ladder(cells, cfg)
+    _ladder(cells, cfg, _read_window, keep=False)
     out = []
     for c in cells:
-        if c.error is None and len(c.q) < _MIN_WINDOW_RECORDS:
+        if c.error is None and c.scalars is None:
             c.error = WindowError("too few records after the transition")
         achieved = c.history[-1] if c.history else None
-        mean = float("nan") if c.error is not None else float(np.mean(c.q))
+        mean = float("nan") if c.error is not None else c.scalars[0]
         out.append(WindowMean(mean, c.n, c.converged, achieved, c.error))
     return out
 

@@ -272,6 +272,42 @@ class TestPropagateConverged:
         assert np.max(np.abs(traj.r[after] - exact)) <= 1e-9
 
 
+class TestLadderDeltas:
+    # The ladder's first delta, recomputed from fixed-grid trajectories at n
+    # and 2 n whose records are matched by time: bit for bit what the ladder
+    # records.  In both cases a reported scalar, not the sup term, decides
+    # the delta, so a ladder that dropped it would record another number.
+    N = 256
+
+    @staticmethod
+    def _fixed(p, n):
+        return propagate_converged(p, SimulationConfig(n_slices=n, n_max=n))
+
+    def test_r_and_summary_extrema(self):
+        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
+        coarse, fine = self._fixed(p, self.N), self._fixed(p, 2 * self.N)
+        assert np.array_equal(fine.t[::2], coarse.t)
+        sup = float(np.max(np.abs(fine.r[::2] - coarse.r)))
+        a, b = post_transition_summary(coarse, p), post_transition_summary(fine, p)
+        extrema = [abs(b.r_min - a.r_min), abs(b.r_max - a.r_max)]
+        assert max(extrema) > sup
+        ladder = propagate_converged(p, SimulationConfig(n_slices=self.N, n_max=2 * self.N))
+        assert ladder.delta_history[0] == max([sup, *extrema])
+
+    def test_window_R_and_its_mean(self):
+        p = tanh_profile(1.0, 5.0, 10.0, 0.1)
+        w = transition_interval(p)[1]
+        coarse, fine = self._fixed(p, self.N), self._fixed(p, 2 * self.N)
+        after = coarse.t > w
+        assert np.array_equal(fine.t[::2], coarse.t) and np.count_nonzero(after) >= 4
+        sup = float(np.max(np.abs(fine.R[::2][after] - coarse.R[after])))
+        mean = abs(float(np.mean(fine.R[fine.t > w])) - float(np.mean(coarse.R[after])))
+        assert mean > sup
+        (cell,) = evolution.window_means([p], SimulationConfig(n_slices=self.N, n_max=2 * self.N))
+        assert cell.n_slices == 2 * self.N
+        assert cell.achieved_delta == max(sup, mean)
+
+
 class TestRecurrence:
     # 1536 steps hold whole records at strides 1, 3 and 64
     N = 1536

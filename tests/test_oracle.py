@@ -1,9 +1,10 @@
 """Closed-form limits of the mode-function oracle used by the acceptance suite.
 
-The oracle (see conftest) is the independent reference for the propagator,
-so its own conventions are pinned here against limits that need no
-simulation: a constant frequency keeps the vacuum, and a near-sudden ramp
-reaches the sudden-limit value |rho_f| = |ln(omegaf/omega0)|/2.
+The oracle (perfbench/oracle.py, loaded by conftest) is the independent
+reference for the propagator, so its own conventions are pinned here
+against limits that need no simulation: a constant frequency keeps the
+vacuum, and a near-sudden ramp reaches the sudden-limit value
+|rho_f| = |ln(omegaf/omega0)|/2.
 """
 
 import math

@@ -1,7 +1,9 @@
 """Package-wide properties that no single module's tests cover."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,3 +24,32 @@ def test_no_module_level_mutable_state(name):
              or isinstance(value, np.ndarray) and value.flags.writeable)
     ]
     assert mutable == [], name
+
+
+def _private_definitions(tree) -> set[str]:
+    """Module-level names with a leading _ (not dunders) that a def, a class
+    or an assignment binds."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_dead_private_names():
+    # a private helper that nothing in the package reads is code kept alive
+    # for no caller
+    package = Path(squeezesim.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = set().union(*map(_private_definitions, trees))
+    assert sorted(defined - read) == []

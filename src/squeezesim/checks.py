@@ -33,7 +33,6 @@ ANCHORS = ((5.0, 0.4, (0.3, 0.4)), (0.2, 0.4, (0.7, 0.8)))
 
 
 class Run(NamedTuple):
-    profile: FrequencyProfile
     traj: Trajectory
     summary: PostTransitionSummary
 
@@ -46,13 +45,14 @@ class Check(NamedTuple):
 
 def _run(p: FrequencyProfile, cfg: SimulationConfig) -> Run:
     traj = propagate_converged(p, cfg)
-    return Run(p, traj, post_transition_summary(traj, p))
+    return Run(traj, post_transition_summary(traj))
 
 
 def reference_runs() -> dict:
     """The runs the checks read, keyed "jump" and by ramp width."""
-    # a jump is propagated exactly at every n; the fixed 2^16 grid is there
-    # for its record spacing, which r_max and the period are read from
+    # a jump is exact at every n, and so are its r_max and period at any
+    # spacing of 4 records per period; the fixed 2^16 grid only keeps verify's
+    # printed jump figures (rounding near 1e-13), which another grid moves
     jump = SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16)
     near = SimulationConfig(n_slices=4096, record_stride=16)
     smooth = SimulationConfig(n_slices=4096, record_stride=4)
@@ -64,7 +64,7 @@ def reference_runs() -> dict:
 
 def _closed_form_deviation(run: Run) -> float:
     """Sup |r - sudden closed form| from the end of the transition on."""
-    p, traj = run.profile, run.traj
+    traj, p = run.traj, run.traj.profile
     mask = traj.t >= transition_interval(p)[1]
     ref = analytic.jump_sp_closed_form(p.omega0, p.omegaf, traj.t[mask] - p.t0)
     return float(np.max(np.abs(traj.r[mask] - ref)))

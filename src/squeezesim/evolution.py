@@ -27,6 +27,7 @@ own Python loop.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -332,10 +333,13 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
                     nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
                 except Exception as exc:  # this cell fails, its neighbours go on
                     errors[i] = exc
-        w_sq = np.square(nodes, out=nodes)
-        np.multiply(_BETA2, w_sq[:, ::-1], out=half)
-        np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
-        np.multiply(2.0, half, out=half)
+        # an omega^2 that overflows makes a half-step inf - inf or -inf (beta2
+        # is negative), which the check below marks unresolved
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_sq = np.square(nodes, out=nodes)
+            np.multiply(_BETA2, w_sq[:, ::-1], out=half)
+            np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
+            np.multiply(2.0, half, out=half)
         resolved = half > 0.0
         for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
             if errors[i] is None:
@@ -441,15 +445,9 @@ def _instantaneous(p: FrequencyProfile, t_rec: np.ndarray):
     return omega, (omega - p.omega0) / (omega + p.omega0)
 
 
-def _finalize(
-    p: FrequencyProfile,
-    n: int,
-    t_rec: np.ndarray,
-    chi_rec: np.ndarray,
-    converged: bool | None,
-    history: list[float],
-) -> Trajectory:
-    """Convert recorded chi values into the full squeeze trajectory."""
+def _finalize(c: _Cell) -> Trajectory:
+    """Convert a finished cell's recorded chi values into the full squeeze trajectory."""
+    p, (t_rec, chi_rec) = c.p, c.records
     r, phi = _squeeze_of(chi_rec, "squeeze")
     omega_rec, t_basis = _instantaneous(p, t_rec)
     alpha, beta, _ = _compose(chi_rec, t_basis)
@@ -465,10 +463,10 @@ def _finalize(
         Phi=big_phi,
         beta_mod=np.abs(beta),
         profile=p,
-        n_slices=n,
-        converged=converged,
-        achieved_delta=history[-1] if history else None,
-        delta_history=history,
+        n_slices=c.n,
+        converged=c.converged,
+        achieved_delta=c.history[-1] if c.history else None,
+        delta_history=c.history,
     )
 
 
@@ -571,16 +569,12 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     """
     cell = _Cell(p, None, _time_span(p, cfg))
     if p.kind != "sampled":  # a sampled profile has no transition end
-        start = transition_interval(p)[1]
-        try:
-            _check_window(start, cell.span[1], p.omegaf)
-            cell.start = start
-        except WindowError:
-            pass  # too short for a summary: the ladder reads r(t) alone
+        with suppress(WindowError):  # too short for a summary: the ladder reads r(t) alone
+            cell.start = _window_start(p, cell.span[1])
     _ladder([cell], cfg, _read_r, keep=True)
     if cell.error is not None:
         raise cell.error
-    return _finalize(p, cell.n, *cell.records, cell.converged, cell.history)
+    return _finalize(cell)
 
 
 def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> list[WindowMean]:
@@ -597,7 +591,7 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     window holds the records post_transition_summary needs.  Every level
     runs its cells side by side, and no cell keeps its records.  R_final is
     the mean of R over the window records of the last level,
-    post_transition_summary(traj, p).R_final of that trajectory.  A cell
+    post_transition_summary(traj).R_final of that trajectory.  A cell
     fails alone: its WindowMean holds the exception, and R_final is nan.
     """
     # R_final is a window mean: over sparse records it is a coarser
@@ -607,9 +601,8 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     for p in profiles:
         cell = _Cell(p, None, n=cfg.n_slices)
         try:
-            cell.start = transition_interval(p)[1]
             cell.span = _time_span(p, cfg)
-            _check_window(cell.start, cell.span[1], p.omegaf)
+            cell.start = _window_start(p, cell.span[1])
         except Exception as exc:  # this cell fails, its neighbours go on
             cell.error = exc
         cells.append(cell)
@@ -624,15 +617,19 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     return out
 
 
-def _check_window(window_start: float, t_last: float, omegaf: float) -> None:
-    """Raise WindowError unless [window_start, t_last] spans three periods pi/omegaf."""
-    period_ref = np.pi / omegaf
-    span = t_last - window_start
+def _window_start(p: FrequencyProfile, t_last: float) -> float:
+    """The transition end w, where the post-transition window of a run ending
+    at t_last opens: transition_interval's ValueError for a sampled profile,
+    and WindowError unless [w, t_last] spans three periods pi/omega_f."""
+    w = transition_interval(p)[1]
+    period_ref = np.pi / p.omegaf
+    span = t_last - w
     if span < 3.0 * period_ref * (1.0 - 1e-9):
         raise WindowError(
-            f"window [{window_start}, {t_last}] spans {span:.6g}, "
+            f"window [{w}, {t_last}] spans {span:.6g}, "
             f"need at least three periods ({3.0 * period_ref:.6g})"
         )
+    return w
 
 
 def _vertices(t: np.ndarray, y: np.ndarray, k: float):
@@ -668,26 +665,22 @@ def _extrema(t: np.ndarray, r: np.ndarray, omegaf: float):
     return float(np.min(r_all)), float(np.max(r_all)), t_v[is_max]
 
 
-def post_transition_summary(
-    traj: Trajectory, p: FrequencyProfile, window_start: float | None = None
-) -> PostTransitionSummary:
+def post_transition_summary(traj: Trajectory) -> PostTransitionSummary:
     """Oscillation statistics over the settled part of a trajectory.
 
-    The window opens at the end of the transition (t0 + 3*epsilon, or
-    window_start for sampled profiles) and must span at least three periods
-    pi/omega_f of the squeeze oscillation and hold _MIN_WINDOW_RECORDS
-    records, _RECORDS_PER_PERIOD or more per period; else WindowError.
+    The window opens at the end of the transition of traj.profile,
+    t0 + 3*epsilon (_window_start; a sampled profile has none and raises
+    ValueError), and must span at least three periods pi/omega_f of the
+    squeeze oscillation and hold _MIN_WINDOW_RECORDS records,
+    _RECORDS_PER_PERIOD or more per period; else WindowError.
     Once omega is omega_f, sinh^2 r is a sinusoid of angular frequency
     2 omega_f, so r_min and r_max are the extrema of r over the records and
     the _vertices of sinh^2 r at that frequency, exact for a jump whatever
     the spacing; the period is the mean spacing of successive maximum
     vertices (nan when fewer than two are found).
     """
-    if window_start is None:
-        if p.kind == "sampled":
-            raise ValueError("sampled profile: pass window_start explicitly")
-        window_start = transition_interval(p)[1]
-    _check_window(window_start, float(traj.t[-1]), p.omegaf)
+    p = traj.profile
+    window_start = _window_start(p, float(traj.t[-1]))
     mask = traj.t > window_start
     r_w, big_r_w = traj.r[mask], traj.R[mask]
     r_min, r_max, peaks = _extrema(traj.t[mask], r_w, p.omegaf)

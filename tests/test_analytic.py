@@ -273,7 +273,16 @@ class TestSweep:
         traj = propagate_converged(p, dataclasses.replace(cfg, record_stride=1))
         assert traj.converged is True
         assert len(traj.delta_history) == 1
-        assert post_transition_summary(traj, p).R_final == jump.R_final
+        assert post_transition_summary(traj).R_final == jump.R_final
+        # a ramp on one fixed grid: the sweep cell's window and the summary's
+        # open at the same time, so their means agree bit for bit
+        for omegaf, eps in ((5.0, 0.1), (3.0, 0.5), (0.2, 2.0)):
+            p = tanh_profile(1.0, omegaf, 10.0, eps)
+            for n in (512, 4096):
+                fixed = SimulationConfig(n_slices=n, n_max=n)
+                (cell,) = evolution.window_means([p], fixed)
+                traj = propagate_converged(p, fixed)
+                assert cell.R_final == post_transition_summary(traj).R_final, (omegaf, eps, n)
 
     def test_stepping_stays_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
         # every level of at least _ROW_CELLS cells steps once, as numpy rows;

@@ -68,6 +68,15 @@ class TestEvolve:
         assert err.startswith("error: step singularity")
         assert "at step 704" in err
 
+    def test_overflowing_frequency_fails_without_warnings(self, capsys):
+        # omega^2 overflows at the CF4 nodes of every level: each level is
+        # unresolved, and the failure line is all that reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--omegaf", "1e155"]) == EXIT_STEP_SINGULARITY
+        err = capsys.readouterr().err
+        assert err.startswith("error: step singularity") and err.count("\n") == 1, err
+
     def test_missing_omegaf_is_usage_error(self, capsys):
         code = main(["evolve", "--eps", "0.5"])
         assert code == EXIT_USAGE
@@ -438,6 +447,20 @@ class TestSweep:
         # the library's sweep has the CLI's defaults
         r_sim = outs[0].split("\n")[1].split(",")[1]
         assert r_sim == output.format_float(sweep_final_sp(1.0, 5.0, [0.1])[0].R_final)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # every `squeezesim ...` line of the README's command-line block, run as
+    # written from a directory holding the omega.txt it reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", readme, re.S)
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["squeezesim"]]
+    assert len(commands) == 6
+    (tmp_path / "omega.txt").write_text("0 1\n5 1\n15 3\n20 3\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
 
 
 @pytest.mark.parametrize("command", ["evolve", "sweep", "contour", "fit"])

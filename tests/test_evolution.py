@@ -288,7 +288,7 @@ class TestLadderDeltas:
         coarse, fine = self._fixed(p, self.N), self._fixed(p, 2 * self.N)
         assert np.array_equal(fine.t[::2], coarse.t)
         sup = float(np.max(np.abs(fine.r[::2] - coarse.r)))
-        a, b = post_transition_summary(coarse, p), post_transition_summary(fine, p)
+        a, b = post_transition_summary(coarse), post_transition_summary(fine)
         extrema = [abs(b.r_min - a.r_min), abs(b.r_max - a.r_max)]
         assert max(extrema) > sup
         ladder = propagate_converged(p, SimulationConfig(n_slices=self.N, n_max=2 * self.N))
@@ -523,7 +523,7 @@ class TestPostTransitionSummary:
         traj = propagate_converged(p, cfg)
         assert traj.converged is True and traj.n_slices <= most_slices
         fine = propagate_converged(p, SimulationConfig(n_slices=1 << 16, n_max=1 << 16))
-        got, ref = post_transition_summary(traj, p), post_transition_summary(fine, p)
+        got, ref = post_transition_summary(traj), post_transition_summary(fine)
         for key in ("r_max", "r_min", "amplitude", "period", "R_final"):
             assert abs(getattr(got, key) - getattr(ref, key)) <= cfg.convergence_tol, key
 
@@ -542,21 +542,21 @@ class TestPostTransitionSummary:
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         traj = propagate_converged(p, SimulationConfig(n_slices=256, record_stride=8, n_max=256))
         with pytest.raises(WindowError, match="4 per period"):
-            post_transition_summary(traj, p)
+            post_transition_summary(traj)
 
     def test_window_too_short_raises(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         traj = propagate_converged(p, SimulationConfig(t_end=12.0, n_slices=1024, n_max=1024))
         with pytest.raises(WindowError):
-            post_transition_summary(traj, p)
+            post_transition_summary(traj)
 
-    def test_sampled_needs_explicit_window(self):
+    def test_sampled_has_no_window(self):
+        # a tabulated profile has no transition end, so its trajectory has no
+        # summary, as its window_means cell has no window mean
         p = sampled_profile([(0.0, 1.0), (20.0, 1.0)])
         traj = propagate_converged(p, SimulationConfig(n_slices=2048, n_max=2048))
-        with pytest.raises(ValueError, match="window_start"):
-            post_transition_summary(traj, p)
-        summary = post_transition_summary(traj, p, window_start=5.0)
-        assert summary.r_max <= 1e-12
+        with pytest.raises(ValueError, match="undefined for sampled profiles"):
+            post_transition_summary(traj)
 
     def test_window_means_opens_at_the_transition_end(self):
         # a sampled profile has no transition end, so its cell fails alone;

@@ -42,7 +42,7 @@ def small_run():
     p = tanh_profile(1.0, 3.0, 10.0, 0.5)
     cfg = SimulationConfig(n_slices=2048, record_stride=32, n_max=2048)
     traj = propagate_converged(p, cfg)
-    return p, traj, post_transition_summary(traj, p)
+    return p, traj, post_transition_summary(traj)
 
 
 class TestFormatFloat:

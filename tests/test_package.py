@@ -53,3 +53,25 @@ def test_no_dead_private_names():
                 read.add(node.attr)
     defined = set().union(*map(_private_definitions, trees))
     assert sorted(defined - read) == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function's body never reads is accepted and
+    # ignored: callers pass it for nothing
+    package = Path(squeezesim.__file__).parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params if a.arg not in read]
+    assert unread == []

@@ -2,16 +2,21 @@
 
 Subcommands: evolve (one trajectory), sweep (ramp widths at a fixed
 frequency pair), contour (ratio by ramp-width grid), fit (decay-constant
-recovery), verify (built-in check suite).  Each subcommand takes only the
-flags it reads, and its parser holds their defaults.  Flags override
-config-file values, which override those defaults.  Each error family maps
-to its exit status through one table, _FAILURES; see the README.
+recovery), verify (built-in check suite).  Each subcommand has one
+definition, its entry in _COMMANDS: it takes only the flags it reads, and
+its parser holds their defaults.  main builds only the parser of the
+subcommand it runs; the full tree of build_parser reads only an argv that
+parser cannot (help, a missing or unknown subcommand, arguments left over)
+and reports it as argparse's top-level errors.  Flags override config-file
+values, which override those defaults.  Each error family maps to its exit
+status through one table, _FAILURES; see the README.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,21 +61,18 @@ _FAILURES = (
     (OSError, EXIT_DOMAIN, "error"),
 )
 
-# parser destinations that a config file may not set
-_NOT_CONFIG_KEYS = frozenset({"help", "config"})
-
-
-def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
-    """Make the values of a `key = value` file the defaults of one subcommand.
+def _config_values(command: str, path: str) -> dict:
+    """The values of a `key = value` file, which replace the flag defaults of
+    one subcommand.
 
     Each value is converted by the type of its flag.  Keys that only another
     subcommand takes are skipped, so one file can serve several subcommands.
     """
-    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {
-        name: {a.dest: a for a in sub._actions if a.dest not in _NOT_CONFIG_KEYS}
-        for name, sub in subs.choices.items()
-    }
+    flags = {}
+    for name, (_, add_flags) in _COMMANDS.items():
+        parser = argparse.ArgumentParser(add_help=False)
+        add_flags(parser)
+        flags[name] = {a.dest: a for a in parser._actions if a.dest != "config"}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -94,7 +96,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
                 if action.choices is not None and values[key] not in action.choices:
                     raise ValueError(f"{path}:{lineno}: {key} must be one of "
                                      f"{', '.join(map(str, action.choices))}, got {text!r}")
-    subs.choices[command].set_defaults(**values)
+    return values
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -115,56 +117,99 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="config file, key = value per line, '#' comments")
 
 
+def _evolve_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--omega0", type=float, default=1.0, help="initial frequency")
+    sub.add_argument("--omegaf", type=float, default=None, help="final frequency")
+    sub.add_argument("--t0", type=float, default=10.0, help="transition centre time")
+    sub.add_argument("--eps", type=float, default=0.5, help="ramp width (0 = sudden jump)")
+    sub.add_argument("--threshold", type=float, default=0.1,
+                     help="adiabaticity classification cutoff")
+    sub.add_argument("--profile-file", type=str, default=None, dest="profile_file",
+                     help="two-column (t, omega) sample file; overrides the ramp flags")
+    _add_run_flags(sub)
+
+
+def _sweep_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--omega0", type=float, default=1.0, help="initial frequency")
+    sub.add_argument("--omegaf", type=float, default=None, help="final frequency")
+    sub.add_argument("--eps", type=str, default="0.5",
+                     help="comma-separated ramp widths, e.g. 0,0.1,0.4")
+    _add_run_flags(sub)
+
+
+def _contour_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--mode", choices=("above-unity", "below-unity"), default="above-unity")
+    sub.add_argument("--source", choices=("formula", "simulation"), default="formula")
+    sub.add_argument("--ratio-min", type=float, default=None, dest="ratio_min")
+    sub.add_argument("--ratio-max", type=float, default=None, dest="ratio_max")
+    sub.add_argument("--eps-min", type=float, default=0.0, dest="eps_min")
+    sub.add_argument("--eps-max", type=float, default=2.0, dest="eps_max")
+    sub.add_argument("--n-ratio", type=int, default=25, dest="n_ratio")
+    sub.add_argument("--n-eps", type=int, default=21, dest="n_eps")
+    _add_run_flags(sub)
+
+
+def _fit_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--source", choices=("formula", "simulation"), default="formula")
+    _add_run_flags(sub)
+
+
+def _verify_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tol", type=float, default=1e-10,
+                     help="unitarity gate: largest allowed defect |alpha|^2 + |beta| - 1 "
+                          "(default 1e-10)")
+
+
+# the one definition of each subcommand, in the order of the top-level help:
+# its help line and the function that adds its flags
+_COMMANDS = MappingProxyType({
+    "evolve": ("run one trajectory, write CSV and summary", _evolve_flags),
+    "sweep": ("final squeezing across ramp widths", _sweep_flags),
+    "contour": ("final squeezing over a ratio/ramp-width grid", _contour_flags),
+    "fit": ("recover the secant decay constants from a sweep", _fit_flags),
+    "verify": ("run the built-in check suite", _verify_flags),
+})
+
+
+def _fill(parser: argparse.ArgumentParser, name: str, values: dict) -> None:
+    """Give a parser the flags of subcommand `name`, with `values` (from a
+    config file) replacing their own defaults."""
+    _COMMANDS[name][1](parser)
+    # the runner is found by name when the parser is built, so that a
+    # replaced module attribute run_<name> is the one that runs
+    parser.set_defaults(command=name, run=globals()["run_" + name], **values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: every subcommand's parser under the top-level one."""
     parser = argparse.ArgumentParser(
         prog="squeezesim",
         description="Squeezing of an oscillator under a time-dependent frequency.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    ev = subs.add_parser("evolve", help="run one trajectory, write CSV and summary")
-    ev.set_defaults(run=run_evolve)
-    ev.add_argument("--omega0", type=float, default=1.0, help="initial frequency")
-    ev.add_argument("--omegaf", type=float, default=None, help="final frequency")
-    ev.add_argument("--t0", type=float, default=10.0, help="transition centre time")
-    ev.add_argument("--eps", type=float, default=0.5, help="ramp width (0 = sudden jump)")
-    ev.add_argument("--threshold", type=float, default=0.1,
-                    help="adiabaticity classification cutoff")
-    ev.add_argument("--profile-file", type=str, default=None, dest="profile_file",
-                    help="two-column (t, omega) sample file; overrides the ramp flags")
-    _add_run_flags(ev)
-
-    sw = subs.add_parser("sweep", help="final squeezing across ramp widths")
-    sw.set_defaults(run=run_sweep)
-    sw.add_argument("--omega0", type=float, default=1.0, help="initial frequency")
-    sw.add_argument("--omegaf", type=float, default=None, help="final frequency")
-    sw.add_argument("--eps", type=str, default="0.5",
-                    help="comma-separated ramp widths, e.g. 0,0.1,0.4")
-    _add_run_flags(sw)
-
-    co = subs.add_parser("contour", help="final squeezing over a ratio/ramp-width grid")
-    co.set_defaults(run=run_contour)
-    co.add_argument("--mode", choices=("above-unity", "below-unity"), default="above-unity")
-    co.add_argument("--source", choices=("formula", "simulation"), default="formula")
-    co.add_argument("--ratio-min", type=float, default=None, dest="ratio_min")
-    co.add_argument("--ratio-max", type=float, default=None, dest="ratio_max")
-    co.add_argument("--eps-min", type=float, default=0.0, dest="eps_min")
-    co.add_argument("--eps-max", type=float, default=2.0, dest="eps_max")
-    co.add_argument("--n-ratio", type=int, default=25, dest="n_ratio")
-    co.add_argument("--n-eps", type=int, default=21, dest="n_eps")
-    _add_run_flags(co)
-
-    ft = subs.add_parser("fit", help="recover the secant decay constants from a sweep")
-    ft.set_defaults(run=run_fit)
-    ft.add_argument("--source", choices=("formula", "simulation"), default="formula")
-    _add_run_flags(ft)
-
-    ve = subs.add_parser("verify", help="run the built-in check suite")
-    ve.set_defaults(run=run_verify)
-    ve.add_argument("--tol", type=float, default=1e-10,
-                    help="unitarity gate: largest allowed defect |alpha|^2 + |beta| - 1 "
-                         "(default 1e-10)")
+    for name, (help_line, _) in _COMMANDS.items():
+        _fill(subs.add_parser(name, help=help_line), name, {})
     return parser
+
+
+def _parse(argv: list[str], values: dict) -> argparse.Namespace:
+    """argv read by the parser of the subcommand it names, alone, with
+    `values` as for _fill.
+
+    The full tree reads what that parser cannot: an argv that names no
+    subcommand (top-level help, a missing or unknown command, a leading
+    `--`) or one whose subcommand leaves arguments over.  The tree rejects
+    every such argv with argparse's top-level errors, so it never needs the
+    config values.
+    """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"squeezesim {name}")
+        _fill(parser, name, values)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _require(args: argparse.Namespace, key: str, command: str):
@@ -291,12 +336,12 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv, {})
     try:
         if getattr(args, "config", None):
-            _apply_config(parser, args.command, args.config)
-            args = parser.parse_args(argv)  # command line > config file > defaults
+            # command line > config file > defaults
+            args = _parse(argv, _config_values(args.command, args.config))
         return args.run(args)
     except tuple(family for family, _, _ in _FAILURES) as exc:
         _, status, label = next(row for row in _FAILURES if isinstance(exc, row[0]))

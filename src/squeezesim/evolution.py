@@ -345,8 +345,12 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
             if errors[i] is None:
                 step = first + int(np.argmax(~resolved[:, :, i].all(axis=1))) + 1
                 errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
-            half[:, :, i] = 1.0  # no root of a negative: the column is the identity
+        failed = [i for i in range(cf4.stop) if errors[i] is not None]
+        half[:, :, failed] = 1.0  # no root of a negative
         np.sqrt(half, out=half)
+        # a failed column is the identity (below); omega0 keeps its every
+        # value finite, where 1.0 / omega0 may overflow (omega0^2 underflows)
+        half[:, :, failed] = g.omega0[failed]
         out = g.step_out(a[:, :, cf4], b[:, :, cf4])
         a[:, :, cf4], b[:, :, cf4] = _step_arrays(half, g.omega0[cf4], 0.5 * g.tau[cf4], out)
     if jumps.stop > jumps.start:
@@ -429,12 +433,16 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
         for i in np.flatnonzero(bad.any(axis=0)).tolist():
             if errors[i] is None:
                 errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
-    steps = np.arange(n_rec + 1, dtype=float) * stride
-    # j * tau can pass t_end, and a sampled profile, by an ulp
-    t_rec = np.minimum(g.t_start[:, None] + steps * g.tau[:, None], g.t_end[:, None])
     runs = [None] * k
     for col, i in enumerate(g.order):
-        runs[i] = errors[col] if errors[col] is not None else (t_rec[col], chi_rec[:, col])
+        runs[i] = errors[col]
+    ran = [col for col in range(k) if errors[col] is None]
+    if ran:  # record times only for the cells that ran: the others end in their error
+        steps = np.arange(n_rec + 1, dtype=float) * stride
+        # j * tau can pass t_end, and a sampled profile, by an ulp
+        t_rec = np.minimum(g.t_start[ran, None] + steps * g.tau[ran, None], g.t_end[ran, None])
+        for col, t in zip(ran, t_rec):
+            runs[g.order[col]] = (t, chi_rec[:, col])
     return runs
 
 

@@ -1,10 +1,12 @@
 """Command-line interface tests, driven through main() for speed."""
 
+import argparse
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from squeezesim import (
 )
 from squeezesim.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_COMPOSITION,
     EXIT_DEGENERATE_DATA,
     EXIT_DOMAIN,
     EXIT_OK,
@@ -76,6 +79,27 @@ class TestEvolve:
             assert main(["evolve", "--omegaf", "1e155"]) == EXIT_STEP_SINGULARITY
         err = capsys.readouterr().err
         assert err.startswith("error: step singularity") and err.count("\n") == 1, err
+
+    def test_unresolvable_ramp_fails_without_warnings(self, capsys):
+        # omega0^2 = 1e-400 underflows to 0, so no level resolves the lead-in;
+        # each failed column steps at omega0 itself, so nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--omega0", "1e-200", "--omegaf", "1"]) == EXIT_STEP_SINGULARITY
+        err = capsys.readouterr().err
+        assert err == "error: step singularity: slice 1 is too coarse for the ramp\n"
+
+    def test_failed_levels_build_no_record_times(self, capsys):
+        # the same run climbs to n_max = 2^24 slices, every level failing in
+        # its first chunk; the time axis of its 2^24 + 1 records and its
+        # temporaries (about 400 MB) are built only for a cell that ran
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--omega0", "1e-200", "--omegaf", "1"]) == EXIT_STEP_SINGULARITY
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2**20, peak
 
     def test_missing_omegaf_is_usage_error(self, capsys):
         code = main(["evolve", "--eps", "0.5"])
@@ -358,7 +382,17 @@ class TestExitStatus:
         captured = capsys.readouterr()
         assert captured.err.startswith(err) and captured.err.count("\n") == 1, captured.err
 
-    # 6, 7 and 9 have no known CLI input (README), so each family is raised
+    def test_composition_status_from_real_input(self, capsys):
+        # the jump from a vanishing omega0 saturates chi at -1, and the basis
+        # change t = (omega - omega0)/(omega + omega0) rounds to 1 (README)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            argv = ["evolve", "--omega0", "1e-200", "--omegaf", "1", "--eps", "0"]
+            assert main(argv) == EXIT_COMPOSITION == 7
+        err = capsys.readouterr().err
+        assert err == "error: composition: singular denominator in squeeze composition\n"
+
+    # 6 and 9 have no known CLI input (README), so each family is raised
     # from inside a subcommand
     @pytest.mark.parametrize(
         "exc, status, label",
@@ -551,6 +585,86 @@ class TestVerify:
         # the corrupted step must not leak into later runs
         monkeypatch.undo()
         assert main(["verify"]) == EXIT_OK
+
+
+def _answer(run, argv, capsys):
+    """(exit status, stdout, stderr) of run(argv), whether it returns or exits."""
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *capsys.readouterr())
+
+
+def _tree_main(argv):
+    """main through the full parser tree alone: the reference of its one-parser path."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # the config values become the defaults of the tree's own subparser
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        subs.choices[args.command].set_defaults(**cli._config_values(args.command, args.config))
+        args = parser.parse_args(argv)
+    return args.run(args)
+
+
+class TestOneParserPerAnswer:
+    def test_a_subcommand_builds_one_parser(self, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["fit", "--source", "formula"]) == EXIT_OK
+        assert progs == ["squeezesim fit"]
+
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+        # the squeezesim console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["squeezesim", "fit", "--source", "formula"])
+        assert main() == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["fit", "--source", "formula"]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert expected.startswith("c1 = ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["-h", "evolve"],
+            ["bogus"],
+            ["evolve", "--help"],
+            ["sweep", "-h"],
+            ["contour", "--help"],
+            ["fit", "--help"],
+            ["verify", "--help"],
+            ["evolve", "--omegaf", "3", "--bogus"],
+            ["evolve", "--omegaf", "abc"],
+            ["evolve", "--omegaf", "3", "extra"],
+            ["sweep", "--omegaf", "3", "--t0", "5"],
+            ["verify", "--out", "x"],
+            ["contour", "--mode", "sideways"],
+            ["--", "evolve", "--omegaf", "3"],
+            ["evolve", "--", "--omegaf", "3"],
+            ["evolve", "--omegaf", "3", "--"],
+            ["evolve", "--omeg", "3"],
+            ["evolve", "--config", "CONFIG"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(none)",
+    )
+    def test_answers_as_the_full_tree(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        # n_eps and mode are contour's keys, which evolve skips
+        cfg.write_text("omegaf = 3\nn = 1024\nstride = 8\ntol = 1e-3\nn_eps = 3\nmode = below-unity\n")
+        answers = "CONFIG" in argv or bool({"-h", "--help"} & set(argv))
+        argv = [str(cfg) if word == "CONFIG" else word for word in argv]
+        expected = _answer(_tree_main, argv, capsys)
+        assert _answer(main, argv, capsys) == expected
+        assert expected[0] == (EXIT_OK if answers else EXIT_USAGE)
 
 
 class TestEntryPoint:

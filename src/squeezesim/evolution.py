@@ -6,9 +6,10 @@ run as the fourth-order commutator-free Magnus step (CF4; Blanes & Moan,
 Appl. Numer. Math. 56 (2006)): two exact constant-frequency half-steps whose
 omega^2 combine the samples at the slice's two Gauss nodes, with an error of
 O(tau^4).  A jump, whose steps start at t0 at the earliest, is exact at
-every n.  The whole product is tracked through a single complex variable
-chi obeying a Moebius recurrence; the squeeze parameters of the state
-follow from chi at the recorded slices.
+every n.  Each step is a Bogoliubov (SU(1,1)) transformation of the
+vacuum, so a slice is their product, one Moebius map of a single complex
+variable chi, built in real arithmetic; chi advances once per slice, and
+the squeeze parameters of the state follow from it at the recorded slices.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
@@ -19,10 +20,9 @@ instantaneous-basis R at the records after the window start together with
 its window mean (_read_window).  One ladder, which takes its reader from
 its caller, serves a single run and a batch of runs that share a
 configuration, and one function steps each level, chunk by chunk: a chunk's
-step coefficients come from one vectorised pass per profile kind over all
-the level's runs, into buffers that every chunk reuses, and its recurrence
-runs side by side as numpy rows from _ROW_CELLS runs up, else as each run's
-own Python loop.
+slice maps come from one vectorised pass over all the level's runs, into
+buffers that every chunk reuses, and its recurrence runs side by side as
+numpy rows from _ROW_CELLS runs up, else as each run's own Python loop.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .frequency import (
 )
 
 # A level of at least this many cells steps them side by side, one numpy row
-# per cell; a smaller level runs each cell's Python loop.  With the step
-# coefficients, which both pay once per chunk, a level of k ramps at
-# n = 1024 took about 3 + 0.07 k us per half-step as rows and 0.33 k us as
-# loops (2 vCPUs, Python 3.11, numpy 2.4): rows break even at about 12 cells
-# and take 0.8x the loops' time at 16 and 0.3x at 80.
+# per cell; a smaller level runs each cell's Python loop.  With the slice
+# maps, which both pay once per chunk, a level of k ramps at n = 1024 took
+# about 3 + 0.1 k us per slice as rows and 0.4 k us as loops (2 vCPUs,
+# Python 3.11, numpy 2.4): rows break even at about 11 cells and take about
+# 0.85x the loops' time at 16 and 0.36x at 70.
 _ROW_CELLS = 16
 # records a level holds at once (cells x records per cell); a level with
 # more runs its cells in several groups
@@ -58,10 +58,8 @@ _ROW_RECORDS = 1 << 20
 # small enough to sit in cache, which larger chunks measurably lose
 _BLOCK = 1 << 12
 # profile kinds in column order: ramps and sampled profiles, which step in
-# two CF4 half-steps, then jumps, so each pass fills one slice of columns
+# two CF4 half-steps, then jumps, so the CF4 pass fills one slice of columns
 _KINDS = ("tanh", "sampled", "jump")
-# float intermediates of _step_arrays
-_STEP_WORK = 5
 
 # CF4: the Gauss nodes c = 1/2 -+ sqrt(3)/6 of a slice, and the weights
 # beta1,2 = 1/4 +- sqrt(3)/6 that turn omega^2 at the two nodes, w1^2 and
@@ -239,36 +237,63 @@ def step_coeffs(omega_j: float, omega0: float, tau: float) -> tuple[complex, com
 
     The propagator variable advances through
     chi -> a_j + b_j * chi / (1 - a_j * chi), with coefficients satisfying
-    |a_j|^2 + |b_j| = 1.
+    |a_j|^2 + |b_j| = 1: the _maps of the step followed by one of zero width.
     """
     require_finite("frequencies", omega_j, omega0)
     require_finite("step width", tau)
-    a, b = _step_arrays(np.array([omega_j], dtype=float), omega0, tau)
+    a, b, _ = _maps(np.array([[omega_j], [omega0]]), omega0, np.array([[tau], [0.0]]))
     return complex(a[0]), complex(b[0])
 
 
-def _step_arrays(omega, omega0, tau, out=None):
-    """Vectorized step coefficients (a, b) for arrays of sampled frequencies,
-    reference frequencies and widths that broadcast together.
+def _map_buffers(shape):
+    """The out of _maps for slices of a shape: (A, B, C) and float work."""
+    return np.empty((3, *shape), dtype=complex), np.empty((5, 2, *shape))
 
-    out, if given, is (a, b, work): complex arrays of their broadcast shape
-    that receive the coefficients, and _STEP_WORK float arrays of it that
-    hold the intermediates, so that chunk after chunk allocates nothing.
+
+def _maps(omega, omega0, width, out=None):
+    """Moebius maps chi -> A + B chi / (1 - C chi) of slices of two steps.
+
+    omega and width, of shape (2, ...), hold each slice's steps in the order
+    they run; omega0 broadcasts against them.  Divided by cos(omega width), a
+    step's SU(1,1) matrix M of chi -> (u chi + v)/(v* chi + u*) has u = 1 - iP
+    and v = -iQ, with t = tan(omega width), (P, Q) = (cosh, sinh)(2 rho) t and
+    e^(2 rho) = omega/omega0.  The slice's M2 M1 has determinant D = (1 +
+    t1^2)(1 + t2^2) = |u|^2 - |v|^2, A = v/u*, C = -v*/u* and B = D/u*^2;
+    each term is written so that none cancels, and u and v are scaled by
+    1/(|Re u| + |Im u|) so that no square overflows.  A zero-width step is
+    the identity, and a one-step slice has A == C.  out, if given, is the
+    _map_buffers of the slices' shape, which receives the maps.
     """
-    a, b, work = (None, None, [None] * _STEP_WORK) if out is None else out
-    ph = np.multiply(omega, tau, out=work[0])
-    s = np.sin(ph, out=work[1])
-    c = np.cos(ph, out=ph)
-    w = np.divide(omega, omega0, out=work[2])
-    inv = np.divide(1.0, w, out=work[3])
-    # sinh and cosh of 2*rho_j written through the frequency ratio
-    sh2 = np.multiply(0.5, np.subtract(w, inv, out=work[4]), out=work[4])
-    ch2 = np.multiply(0.5, np.add(w, inv, out=w), out=w)
-    # den = c + 1j * ch2 s, a = -1j * sh2 * s / den, b = 1 / den^2
-    den = np.add(c, np.multiply(1j, np.multiply(ch2, s, out=ch2), out=b), out=b)
-    a = np.divide(np.multiply(np.multiply(-1j, sh2, out=a), s, out=a), den, out=a)
-    b = np.divide(1.0, np.multiply(den, den, out=den), out=den)
-    return a, b
+    (a, b, c), (t, p, q, x, (e12, e21)) = _map_buffers(np.shape(omega)[1:]) if out is None else out
+    np.tan(np.multiply(omega, width, out=t), out=t)
+    w, inv = np.divide(omega, omega0, out=p), np.divide(1.0, p, out=x)
+    np.multiply(w[0], inv[1], out=e12), np.multiply(w[1], inv[0], out=e21)
+    q1, q2 = np.multiply(np.multiply(0.5, np.subtract(w, inv, out=q), out=q), t, out=q)
+    p1, p2 = np.multiply(np.multiply(0.5, np.add(w, inv, out=p), out=p), t, out=p)
+    # u = ur - i pu and v = vr - i qv, and d = D - 1
+    tt = np.multiply(0.5, np.multiply(*t, out=x[0]), out=x[0])
+    ur = np.subtract(1.0, np.multiply(np.add(e12, e21, out=x[1]), tt, out=x[1]), out=x[1])
+    vr = np.multiply(np.subtract(e21, e12, out=e21), tt, out=e21)
+    t1, t2 = np.square(t, out=t)
+    d = np.add(np.add(np.multiply(t1, t2, out=e12), t1, out=e12), t2, out=e12)
+    pu, qv = np.add(p1, p2, out=p1), np.add(q1, q2, out=q1)
+    r = np.divide(1.0, np.add(np.abs(ur, out=t1), np.abs(pu, out=t2), out=t1), out=t1)
+    ur, pu, vr, qv = (np.multiply(y, r, out=y) for y in (ur, pu, vr, qv))
+    # m = D r^2, qh = 1/(r^2 |u|^2) and then m = D/|u|^2
+    m = np.add(np.multiply(d, np.square(r, out=r), out=d), r, out=d)
+    n = np.add(np.add(np.square(vr, out=t1), np.square(qv, out=t2), out=t1), m, out=t1)
+    qh, m = np.divide(1.0, n, out=x[0]), np.divide(m, n, out=m)
+    vu, qp = np.multiply(vr, ur, out=t1), np.multiply(qv, pu, out=p2)
+    np.multiply(np.subtract(vu, qp, out=q2), qh, out=a.real)
+    np.negative(np.multiply(np.add(vu, qp, out=q2), qh, out=q2), out=c.real)
+    vp, qu = np.multiply(vr, pu, out=vr), np.multiply(qv, ur, out=qv)
+    np.negative(np.multiply(np.add(vp, qu, out=q2), qh, out=q2), out=a.imag)
+    np.multiply(np.subtract(vp, qu, out=q2), qh, out=c.imag)
+    # u^2/|u|^2 = 1 - 2 pu^2/|u|^2 - 2i ur pu/|u|^2
+    s = np.multiply(np.multiply(np.square(pu, out=t1), qh, out=t1), 2.0, out=t1)
+    np.multiply(np.subtract(1.0, s, out=s), m, out=b.real)
+    np.multiply(np.multiply(np.multiply(np.multiply(ur, pu, out=s), qh, out=s), m, out=s), -2.0, out=b.imag)
+    return a, b, c
 
 
 class _Group:
@@ -277,9 +302,9 @@ class _Group:
     cells holds them in _KINDS order, cells[i] = given[order[i]], so the
     ramps and sampled profiles fill the columns cf4 and the jumps those
     after.  Their spans, tau and profile parameters are column arrays, and
-    a and b are the (chunk, half_steps, k) coefficient buffers every chunk
-    reuses, as it does nodes and half, the (chunk, 2, cf4) CF4 work arrays,
-    and the float work of _step_arrays.
+    every chunk reuses the (2, chunk, k) omega and width of each slice's two
+    steps (a jump's second has zero width), the out of _maps and nodes, the
+    (2, chunk, cf4) CF4 node times.
     """
 
     def __init__(self, cells: list[_Cell], n: int, chunk: int):
@@ -289,41 +314,35 @@ class _Group:
         cf4 = k - sum(c.p.kind == "jump" for c in cells)
         self.ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
         self.cf4, self.jumps = slice(0, cf4), slice(cf4, k)
-        self.half_steps = 2 if cf4 else 1
         self.t_start, self.t_end = np.array([c.span for c in self.cells]).T
         self.tau = (self.t_end - self.t_start) / n
         self.omega0, self.omegaf, self.t0, self.epsilon = np.array(
             [(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in self.cells]
         ).T
-        shape = (chunk, self.half_steps, k)
-        self.a, self.b = np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex)
-        self.nodes, self.half = np.empty((2, chunk, 2, cf4))
-        self._work = np.empty(_STEP_WORK * chunk * 2 * k)
-
-    def step_out(self, a, b):
-        """The out of _step_arrays that fills a and b, views of the buffers."""
-        return a, b, self._work[: _STEP_WORK * a.size].reshape(_STEP_WORK, *a.shape)
+        self.omega, self.width = np.empty((2, 2, chunk, k))
+        self.width[:, :, self.cf4] = 0.5 * self.tau[self.cf4]
+        self.omega[1, :, self.jumps], self.width[1, :, self.jumps] = self.omega0[self.jumps], 0.0
+        self.nodes, (self.maps, self.work) = np.empty((2, chunk, cf4)), _map_buffers((chunk, k))
 
 
-def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Step coefficients (a, b) of slices first+1 .. first+m of a group's cells.
+def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarray, ...]:
+    """Moebius maps (A, B, C) of slices first+1 .. first+m of a group's cells.
 
     Views of the group's buffers, one row per slice and one column per cell.
-    A ramp's or sampled profile's row holds the slice's two CF4 half-steps,
-    a jump's one exact step, run only for the part of the slice past t0 (the
-    omega0 vacuum is stationary before it), then the identity (a = 0, b = 1).
-    A cell whose half-step omega^2 is not positive gets _UnresolvedSlice in
-    errors, a sampled one whose omega fails that exception, and the column
-    of every cell in errors holds the identity.  No value of a failed
-    cell's column warns.
+    A ramp's or sampled profile's map is the product of the slice's two CF4
+    half-steps, a jump's that of one exact step, run only for the part of
+    the slice past t0 (the omega0 vacuum is stationary before it), and a
+    step of zero width.  A cell whose half-step omega^2 is not positive gets
+    _UnresolvedSlice in errors, a sampled one whose omega fails that
+    exception, and the column of every cell in errors holds the identity
+    (A = C = 0, B = 1).  No value of a failed cell's column warns.
     """
-    a, b, k = g.a[:m], g.b[:m], np.arange(first, first + m, dtype=float)
+    k = np.arange(first, first + m, dtype=float)
+    omega, width = g.omega[:, :m], g.width[:, :m]
     cf4, ramps, jumps = g.cf4, g.ramps, g.jumps
-    # each kind's _step_arrays fills its views of the buffers and returns
-    # them, and storing them back then copies nothing
     if cf4.stop:
-        nodes, half = g.nodes[:m], g.half[:m]
-        np.multiply((k[:, None] + _NODES)[:, :, None], g.tau[cf4], out=nodes)
+        nodes, half = g.nodes[:, :m], omega[:, :, cf4]
+        np.multiply((k + _NODES[:, None])[:, :, None], g.tau[cf4], out=nodes)
         np.add(g.t_start[cf4], nodes, out=nodes)
         ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
         _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
@@ -337,13 +356,13 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
         # is negative), which the check below marks unresolved
         with np.errstate(over="ignore", invalid="ignore"):
             w_sq = np.square(nodes, out=nodes)
-            np.multiply(_BETA2, w_sq[:, ::-1], out=half)
+            np.multiply(_BETA2, w_sq[::-1], out=half)
             np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
             np.multiply(2.0, half, out=half)
         resolved = half > 0.0
         for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
             if errors[i] is None:
-                step = first + int(np.argmax(~resolved[:, :, i].all(axis=1))) + 1
+                step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
                 errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
         failed = [i for i in range(cf4.stop) if errors[i] is not None]
         half[:, :, failed] = 1.0  # no root of a negative
@@ -351,22 +370,21 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
         # a failed column is the identity (below); omega0 keeps its every
         # value finite, where 1.0 / omega0 may overflow (omega0^2 underflows)
         half[:, :, failed] = g.omega0[failed]
-        out = g.step_out(a[:, :, cf4], b[:, :, cf4])
-        a[:, :, cf4], b[:, :, cf4] = _step_arrays(half, g.omega0[cf4], 0.5 * g.tau[cf4], out)
     if jumps.stop > jumps.start:
-        omega0, t0, tau = g.omega0[jumps], g.t0[jumps], g.tau[jumps]
+        t0, tau = g.t0[jumps], g.tau[jumps]
         ts = g.t_start[jumps] + (k + 1.0)[:, None] * tau
-        omega = _jump_omega(ts, omega0, g.omegaf[jumps], t0)
-        out = g.step_out(a[:, 0, jumps], b[:, 0, jumps])
-        a[:, 0, jumps], b[:, 0, jumps] = _step_arrays(omega, omega0, np.clip(ts - t0, 0.0, tau), out)
+        omega[0, :, jumps] = _jump_omega(ts, g.omega0[jumps], g.omegaf[jumps], t0)
+        np.clip(ts - t0, 0.0, tau, out=width[0, :, jumps])
+    # a map that overflows is not finite, and the caller reports its record
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = _maps(omega, g.omega0, width, (g.maps[:, :m], g.work[:, :, :m]))
     failed = [i for i, e in enumerate(errors) if e is not None]
-    if failed:
-        a[:, :, failed], b[:, :, failed] = 0.0, 1.0
-    return a, b
+    a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
+    return a, b, c
 
 
-def _step_loop(a, b, chi, rec, per_record: int) -> None:
-    """Advance each cell, a column of a and b with one row per half-step, in a Python loop.
+def _step_loop(a, b, c, chi, rec, per_record: int) -> None:
+    """Advance each cell, a column of the maps a, b and c with one row per slice, in a Python loop.
 
     chi holds each cell's value before the first row and is left at its value
     after the last; rec takes the value after every per_record-th row.
@@ -375,21 +393,21 @@ def _step_loop(a, b, chi, rec, per_record: int) -> None:
         x = complex(chi[i])
         out = []
         append = out.append
-        for aj, bj in zip(a[:, i].tolist(), b[:, i].tolist()):
-            x = aj + bj * x / (1.0 - aj * x)
+        for aj, bj, cj in zip(a[:, i].tolist(), b[:, i].tolist(), c[:, i].tolist()):
+            x = aj + bj * x / (1.0 - cj * x)
             append(x)
         rec[:, i] = out[per_record - 1 :: per_record]
         chi[i] = x
 
 
-def _step_rows(a, b, chi, rec, per_record: int) -> None:
-    """The advance of _step_loop for every cell at once, one numpy row per half-step."""
+def _step_rows(a, b, c, chi, rec, per_record: int) -> None:
+    """The advance of _step_loop for every cell at once, one numpy row per slice."""
     den, num = np.empty_like(chi), np.empty_like(chi)
     x = chi
     # a non-finite row is reported by the caller, not warned about
     with np.errstate(all="ignore"):
-        for h, (ah, bh) in enumerate(zip(a, b), 1):
-            np.multiply(ah, x, out=den)
+        for h, (ah, bh, ch) in enumerate(zip(a, b, c), 1):
+            np.multiply(ch, x, out=den)
             np.subtract(1.0, den, out=den)
             np.multiply(bh, x, out=num)
             np.divide(num, den, out=num)
@@ -402,33 +420,35 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     """Run the recurrence of a group of cells over n slices.
 
     Slices run in chunks of whole record strides, about _BLOCK cell-slices
-    each, and every step of a slice runs before its record is taken.  A
-    group of at least _ROW_CELLS cells steps as numpy rows (_step_rows), a
-    smaller one through each cell's Python loop (_step_loop); a cell's
-    records differ between the two only in the rounding of complex
-    division.  A cell's step coefficients (_slice_steps) do not depend on
-    its neighbours or the chunking, and a failed cell steps through the
-    identity.  Finiteness is checked once per chunk at record granularity:
-    StepSingularityError names the slice of a cell's first non-finite
-    record (a non-finite chi stays non-finite).  Returns, per cell, its
-    (t_rec, chi_rec) or the exception that ended its run.
+    each, and each slice is one step through its map.  A group of at least
+    _ROW_CELLS cells steps as numpy rows (_step_rows), a smaller one through
+    each cell's Python loop (_step_loop); a cell's records differ between
+    the two only in the rounding of complex division.  A cell's slice maps
+    (_slice_steps) do not depend on its neighbours or the chunking, and a
+    failed cell steps through the identity; the records are allocated once
+    a chunk leaves a cell running.  Finiteness is checked once per chunk at
+    record granularity: StepSingularityError names the slice of a cell's
+    first non-finite record (a non-finite chi stays non-finite).  Returns,
+    per cell, its (t_rec, chi_rec) or the exception that ended its run.
     """
     k = len(cells)
     stride = cfg.record_stride
     chunk = stride * max(1, _BLOCK // k // stride)
     g = _Group(cells, n, min(chunk, n))
-    n_rec = n // stride
-    chi_rec = np.zeros((n_rec + 1, k), dtype=complex)
+    chi_rec = None
     errors: list[Exception | None] = [None] * k
     chi = np.zeros(k, dtype=complex)
     kernel = _step_rows if k >= _ROW_CELLS else _step_loop
     for j in range(0, n, chunk):
         m = min(chunk, n - j)
-        a, b = _slice_steps(g, j, m, errors)
+        maps = _slice_steps(g, j, m, errors)
         if None not in errors:
             break
+        if chi_rec is None:
+            chi_rec = np.empty((n // stride + 1, k), dtype=complex)
+            chi_rec[0] = 0.0  # every later row is written by its chunk
         rec = chi_rec[1 + j // stride : 1 + (j + m) // stride]
-        kernel(a.reshape(-1, k), b.reshape(-1, k), chi, rec, g.half_steps * stride)
+        kernel(*maps, chi, rec, stride)
         bad = ~np.isfinite(rec)
         for i in np.flatnonzero(bad.any(axis=0)).tolist():
             if errors[i] is None:
@@ -438,7 +458,7 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
         runs[i] = errors[col]
     ran = [col for col in range(k) if errors[col] is None]
     if ran:  # record times only for the cells that ran: the others end in their error
-        steps = np.arange(n_rec + 1, dtype=float) * stride
+        steps = np.arange(n // stride + 1, dtype=float) * stride
         # j * tau can pass t_end, and a sampled profile, by an ulp
         t_rec = np.minimum(g.t_start[ran, None] + steps * g.tau[ran, None], g.t_end[ran, None])
         for col, t in zip(ran, t_rec):

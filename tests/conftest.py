@@ -31,24 +31,24 @@ def physics_checks(reference_runs):
 
 @pytest.fixture
 def nan_steps_from(monkeypatch):
-    """Install a step coefficient a that is nan from a given step on.
+    """Install a slice map coefficient A that is nan from a given slice on.
 
-    Steps count from 1 across every call of evolution._step_arrays after
-    the install, so the count follows one run through its chunks and levels.
+    Slices count from 1 across every call of evolution._maps after the
+    install, so the count follows one run through its chunks and levels.
     """
 
     def install(first_bad: int) -> None:
-        step = evolution._step_arrays
+        maps = evolution._maps
         done = 0
 
-        def poisoned(omega, omega0, tau, out=None):
+        def poisoned(omega, omega0, width, out=None):
             nonlocal done
-            a, b = step(omega, omega0, tau, out)
+            a, b, c = maps(omega, omega0, width, out)
             a[max(0, first_bad - 1 - done) :] = np.nan
             done += len(a)
-            return a, b
+            return a, b, c
 
-        monkeypatch.setattr(evolution, "_step_arrays", poisoned)
+        monkeypatch.setattr(evolution, "_maps", poisoned)
 
     return install
 
@@ -65,9 +65,9 @@ def kernel_calls(monkeypatch):
     for kind in ("rows", "loop"):
         kernel = getattr(evolution, f"_step_{kind}")
 
-        def spy(a, b, chi, rec, per_record, kind=kind, kernel=kernel):
+        def spy(a, b, c, chi, rec, per_record, kind=kind, kernel=kernel):
             calls.append((kind, len(chi)))
-            return kernel(a, b, chi, rec, per_record)
+            return kernel(a, b, c, chi, rec, per_record)
 
         monkeypatch.setattr(evolution, f"_step_{kind}", spy)
     return calls

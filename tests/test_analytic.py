@@ -315,17 +315,17 @@ class TestSweep:
         assert small  # from seed 256 the last level holds one cell
 
     def test_coefficients_stay_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
-        # each chunk of a level computes its step coefficients in one
-        # _step_arrays call per profile kind, however many cells it holds.
+        # each chunk of a level computes the slice maps of all its cells, of
+        # every profile kind, in one _maps call, however many cells it holds.
         # A chunk holds about evolution._BLOCK cell-slices, so a level of
         # more cells runs more chunks, and the calls are counted per chunk
         # (one kernel call each); computed per cell, they would be 20 or 80
         calls, levels = [], []
-        step, propagate = evolution._step_arrays, evolution._propagate
+        maps, propagate = evolution._maps, evolution._propagate
 
-        def step_spy(*args):
+        def maps_spy(*args):
             calls.append(None)
-            return step(*args)
+            return maps(*args)
 
         def propagate_spy(cells, cfg, n):
             calls.clear()
@@ -335,7 +335,7 @@ class TestSweep:
             levels.append((len(cells), kinds, len(calls), len(kernel_calls)))
             return runs
 
-        monkeypatch.setattr(evolution, "_step_arrays", step_spy)
+        monkeypatch.setattr(evolution, "_maps", maps_spy)
         monkeypatch.setattr(evolution, "_propagate", propagate_spy)
         lattice = [tanh_profile(1.0, omegaf, epsilon=eps)
                    for k in SWEEP_RATIOS for omegaf in (k, 1.0 / k) for eps in SWEEP_EPSILONS]
@@ -347,8 +347,8 @@ class TestSweep:
             assert (cells, kinds) == (k, 2)  # ramps and jumps
             per_chunk[k] = steps / chunks
             for cells, kinds, steps, chunks in levels:
-                assert steps == kinds * chunks, (k, cells)
-        assert per_chunk[20] == per_chunk[80] == 2
+                assert steps == chunks, (k, cells)
+        assert per_chunk[20] == per_chunk[80] == 1
 
     def test_reference_lattice_shape(self):
         data = reference_sweep_data(source="formula")
@@ -418,15 +418,15 @@ class TestBatchedSweep:
             assert np.array_equal(pt.R_final, points[i].R_final, equal_nan=True)
 
     def test_failed_steps_stay_in_their_cell(self, monkeypatch):
-        # the step coefficients of the eps 0.3 ramp are nan from slice 100 on
+        # the slice maps of the eps 0.3 ramp are nan from slice 100 on
         steps = evolution._slice_steps
 
         def poisoned(group, first, m, errors):
-            a, b = steps(group, first, m, errors)
-            for i, c in enumerate(group.cells):
-                if c.p.epsilon == 0.3:
-                    a[max(0, 99 - first) :, :, i] = np.nan
-            return a, b
+            a, b, c = steps(group, first, m, errors)
+            for i, cell in enumerate(group.cells):
+                if cell.p.epsilon == 0.3:
+                    a[max(0, 99 - first) :, i] = np.nan
+            return a, b, c
 
         clean, _ = _swept(BATCH_EPS)
         monkeypatch.setattr(evolution, "_slice_steps", poisoned)

@@ -135,6 +135,57 @@ class TestPropagate:
         assert default_t_end(ps) == 7.0
 
 
+class TestSliceMap:
+    # evolution._maps builds a slice's map x -> A + B x / (1 - C x) from its
+    # two steps at once.  Draws: omega0 from 0.1 to 10, each step's ratio
+    # omega/omega0 from 1e-3 to 1e3 and its phase omega tau up to 3 pi, a
+    # fifth of them within about 1e-9 of pi/2, where tan is largest
+    RNG_SEED, DRAWS = 26, 2000
+
+    @classmethod
+    def _draws(cls):
+        rng = np.random.default_rng(cls.RNG_SEED)
+        omega0 = 10.0 ** rng.uniform(-1.0, 1.0, cls.DRAWS)
+        omega = omega0 * 10.0 ** rng.uniform(-3.0, 3.0, (2, cls.DRAWS))
+        phase = rng.uniform(0.0, 3.0 * math.pi, cls.DRAWS)
+        near = rng.random(cls.DRAWS) < 0.2
+        phase[near] = 0.5 * math.pi * (1.0 + 1e-9 * rng.standard_normal(np.count_nonzero(near)))
+        return omega, omega0, phase / omega.max(axis=0)
+
+    def test_equals_its_two_steps_in_turn(self):
+        # x -> f2(f1(x)) through the two steps' step_coeffs maps, at four
+        # points of the disk.  That reference rounds each step's coefficients
+        # and 1 - a2 y loses what a pole near the disk leaves of them, so
+        # the tolerance scales with its amplification
+        # kappa = 1 + |b2| (1 + |y|^2) / |1 - a2 y|^2 of that rounding
+        # (up to 4e4 here; the largest error over kappa is 6e-16)
+        omega, omega0, tau = self._draws()
+        maps = evolution._maps(omega, omega0, np.array([tau, tau]))
+        for i in range(self.DRAWS):
+            a, b, c = (complex(x[i]) for x in maps)
+            (a1, b1), (a2, b2) = (step_coeffs(float(w[i]), float(omega0[i]), float(tau[i])) for w in omega)
+            for x in (0.0, 0.5, -0.3j, 0.6 + 0.2j):
+                y = a1 + b1 * x / (1.0 - a1 * x)
+                kappa = 1.0 + abs(b2) * (1.0 + abs(y) ** 2) / abs(1.0 - a2 * y) ** 2
+                assert abs(a + b * x / (1.0 - c * x) - (a2 + b2 * y / (1.0 - a2 * y))) <= 1e-13 * kappa, i
+
+    def test_is_a_disk_automorphism(self):
+        omega, omega0, tau = self._draws()
+        a, b, c = evolution._maps(omega, omega0, np.array([tau, tau]))
+        assert np.max(np.abs(np.abs(a) - np.abs(c))) <= 1e-13
+        assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) - 1.0)) <= 1e-13
+
+    def test_one_step_is_step_coeffs(self):
+        # a step of zero width, whatever its frequency, is the identity: the
+        # map of one step has A == C, and its (A, B) are step_coeffs', bitwise
+        omega, omega0, tau = self._draws()
+        a, b, c = evolution._maps(omega, omega0, np.array([tau, np.zeros(self.DRAWS)]))
+        assert _same_bits(a, c)
+        for i in range(self.DRAWS):
+            ref = step_coeffs(float(omega[0, i]), float(omega0[i]), float(tau[i]))
+            assert _same_bits(np.array([a[i], b[i]]), np.array(ref)), i
+
+
 class TestCF4:
     def test_fourth_order_on_default_ramp(self):
         # evolve's default ramp against a 2^16-slice run: the sup error of
@@ -154,22 +205,22 @@ class TestCF4:
         # one slice of a linear ramp: omega^2 at the two half-steps is
         # 2 (b1 w1^2 + b2 w2^2), then 2 (b2 w1^2 + b1 w2^2)
         calls = []
-        step = evolution._step_arrays
+        maps = evolution._maps
 
-        def spy(omega, omega0, tau, out=None):
-            calls.append((np.array(omega), np.array(tau)))
-            return step(omega, omega0, tau, out)
+        def spy(omega, omega0, width, out=None):
+            calls.append((np.array(omega), np.array(width)))
+            return maps(omega, omega0, width, out)
 
-        monkeypatch.setattr(evolution, "_step_arrays", spy)
+        monkeypatch.setattr(evolution, "_maps", spy)
         p = sampled_profile([(0.0, 1.0), (2.0, 3.0)])  # omega = 1 + t
         propagate_converged(p, SimulationConfig(n_slices=1, n_max=1))
-        ((omega, tau),) = calls
+        ((omega, width),) = calls
         c, b = math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
         w1, w2 = 2.0 - 2.0 * c, 2.0 + 2.0 * c
-        assert omega.shape == (1, 2, 1)  # one slice, two half-steps, one cell
-        assert tau.tolist() == [1.0]
+        assert omega.shape == width.shape == (2, 1, 1)  # two half-steps, one slice, one cell
+        assert width[:, 0, 0].tolist() == [1.0, 1.0]
         expected = [2 * (b * w1**2 + (0.5 - b) * w2**2), 2 * ((0.5 - b) * w1**2 + b * w2**2)]
-        np.testing.assert_allclose(omega[0, :, 0] ** 2, expected, rtol=1e-14)
+        np.testing.assert_allclose(omega[:, 0, 0] ** 2, expected, rtol=1e-14)
 
     def test_unresolved_ramp_doubles_before_its_first_level(self):
         # omega 1 -> 5 over eps 1e-3: at 256 slices omega changes about 5x
@@ -206,7 +257,7 @@ class TestRatioInversionDuality:
     def test_late_time_R_is_invariant(self, monkeypatch, kernel_calls, kernel, k, eps):
         if kernel == "rows":
             monkeypatch.setattr(evolution, "_ROW_CELLS", 1)
-        # corrupting b -> -b in _step_arrays moves these differences to 2e-6 .. 6e-5
+        # corrupting B -> -B in _maps moves these differences to 7e-7 .. 2e-5
         traj, dual = self._run(k, eps), self._run(1.0 / k, k * eps)
         assert abs(traj.R[-1] - dual.R[-1]) <= 1e-8
         assert traj.converged and dual.converged
@@ -245,18 +296,18 @@ class TestPropagateConverged:
         assert traj.n_slices == 1024
 
     def test_flip_hook_breaks_physics(self, monkeypatch):
-        # a step with the sign of its phase coefficient flipped must
+        # a slice map with the sign of its coefficient B flipped must
         # visibly damage the result
         p = jump_profile(1.0, 3.0, 10.0)
         cfg = SimulationConfig(n_slices=1 << 14, record_stride=16, n_max=1 << 14)
         clean = propagate_converged(p, cfg)
-        step = evolution._step_arrays
+        maps = evolution._maps
 
         def flipped(*args):
-            a, b = step(*args)
-            return a, -b
+            a, b, c = maps(*args)
+            return a, -b, c
 
-        monkeypatch.setattr(evolution, "_step_arrays", flipped)
+        monkeypatch.setattr(evolution, "_maps", flipped)
         broken = propagate_converged(p, cfg)
         assert np.max(np.abs(clean.r - broken.r)) > 0.1
 
@@ -386,29 +437,50 @@ def _same_bits(x, y) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-# the CF4 nodes and weights and the step formula, written out apart from
+# the CF4 nodes and weights and the slice map, written out apart from
 # evolution's own: what each cell computed alone before the group pass
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _B1, _B2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 
 
-def _own_step(omega, omega0, tau):
-    ph = omega * tau
-    s, c = np.sin(ph), np.cos(ph)
+def _own_map(omega, omega0, width):
+    """(A, B, C) of the slices whose two steps have the frequencies omega[0],
+    omega[1] and widths width[0], width[1]: u = 1 - iP, v = -iQ per step
+    over cos(phase), multiplied second by first, scaled, with |u|^2 taken
+    as D + |v|^2 and B as D/|u|^2 times u^2/|u|^2."""
+    t = np.tan(omega * width)
     w = omega / omega0
-    sh2, ch2 = 0.5 * (w - 1.0 / w), 0.5 * (w + 1.0 / w)
-    den = c + 1j * (ch2 * s)
-    return -1j * sh2 * s / den, 1.0 / (den * den)
+    inv = 1.0 / w
+    e12, e21 = w[0] * inv[1], w[1] * inv[0]
+    p = 0.5 * (w + inv) * t
+    q = 0.5 * (w - inv) * t
+    tt = 0.5 * (t[0] * t[1])
+    ur = 1.0 - (e12 + e21) * tt
+    vr = (e21 - e12) * tt
+    t1, t2 = t[0] ** 2, t[1] ** 2
+    d = t1 * t2 + t1 + t2  # D - 1
+    pu, qv = p[0] + p[1], q[0] + q[1]
+    r = 1.0 / (np.abs(ur) + np.abs(pu))
+    ur, pu, vr, qv = ur * r, pu * r, vr * r, qv * r
+    m = d * r**2 + r**2
+    n = vr**2 + qv**2 + m
+    qh = 1.0 / n
+    m = m / n
+    a, b, c = np.empty((3, *ur.shape), dtype=complex)
+    a.real, a.imag = (vr * ur - qv * pu) * qh, -((vr * pu + qv * ur) * qh)
+    c.real, c.imag = -((vr * ur + qv * pu) * qh), (vr * pu - qv * ur) * qh
+    b.real, b.imag = (1.0 - pu**2 * qh * 2.0) * m, ur * pu * qh * m * -2.0
+    return a, b, c
 
 
 def _own_steps(p, t_start, tau, first, m):
-    """One cell's (a, b) of slices first+1 .. first+m, a row per slice, or the
-    number of its first slice whose half-step omega^2 is not positive."""
+    """One cell's (A, B, C) of slices first+1 .. first+m, one per slice, or
+    the number of its first slice whose half-step omega^2 is not positive."""
     k = np.arange(first, first + m, dtype=float)
-    if p.kind == "jump":
+    if p.kind == "jump":  # its exact step, then one of zero width
         ts = t_start + (k + 1.0) * tau
-        widths = np.clip(ts - p.t0, 0.0, tau)
-        return _own_step(np.where(ts < p.t0, p.omega0, p.omegaf)[:, None], p.omega0, widths[:, None])
+        omega = np.array([np.where(ts < p.t0, p.omega0, p.omegaf), np.full(m, p.omega0)])
+        return _own_map(omega, p.omega0, np.array([np.clip(ts - p.t0, 0.0, tau), np.zeros(m)]))
     nodes = (t_start + (k[:, None] + _NODES) * tau).ravel()
     if p.kind == "tanh":
         mid, amp = 0.5 * (p.omegaf + p.omega0), 0.5 * (p.omegaf - p.omega0)
@@ -421,12 +493,12 @@ def _own_steps(p, t_start, tau, first, m):
     bad = np.flatnonzero(~np.all(half > 0.0, axis=1))
     if bad.size:
         return first + int(bad[0]) + 1
-    return _own_step(np.sqrt(half), p.omega0, 0.5 * tau)
+    return _own_map(np.sqrt(half).T, p.omega0, np.full((2, m), 0.5 * tau))
 
 
 class TestGroupSteps:
-    # _slice_steps computes a chunk's coefficients for all cells of a group
-    # in one pass per kind; every cell's are bitwise its own arithmetic's
+    # _slice_steps computes a chunk's slice maps for all cells of a group
+    # in one pass; every cell's are bitwise its own arithmetic's
     RAMPS = [tanh_profile(1.0, 3.0, 10.0, 0.5), tanh_profile(1.0, 0.2, 10.0, 0.1),
              tanh_profile(1.0, 5.0, 10.0, 1.6)]
     JUMPS = [jump_profile(1.0, 3.0, 10.0), jump_profile(1.0, 0.5, 10.0)]
@@ -441,7 +513,7 @@ class TestGroupSteps:
 
     def _chunks(self, monkeypatch, profiles, stride):
         """Each cell's runs through _propagate with chunks of 100 slices, and
-        per chunk (first, m, cells in column order, a, b)."""
+        per chunk (first, m, cells in column order, (A, B, C))."""
         cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
         cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
         monkeypatch.setattr(evolution, "_BLOCK", 100 * len(cells))
@@ -449,9 +521,9 @@ class TestGroupSteps:
         steps = evolution._slice_steps
 
         def spy(group, first, m, errors):
-            a, b = steps(group, first, m, errors)
-            seen.append((first, m, list(group.cells), a.copy(), b.copy()))
-            return a, b
+            maps = steps(group, first, m, errors)
+            seen.append((first, m, list(group.cells), [x.copy() for x in maps]))
+            return maps
 
         monkeypatch.setattr(evolution, "_slice_steps", spy)
         with warnings.catch_warnings():
@@ -464,14 +536,13 @@ class TestGroupSteps:
     def test_matches_each_cells_own_arithmetic(self, monkeypatch, kinds, stride):
         cells, runs, seen = self._chunks(monkeypatch, self.GROUPS[kinds], stride)
         assert [(first, m) for first, m, *_ in seen] == [(j, 100) for j in range(0, 500, 100)] + [(500, 12)]
-        for first, m, group, a, b in seen:
+        for first, m, group, maps in seen:
             assert sorted(map(id, group)) == sorted(map(id, cells))
             for i, c in enumerate(group):
                 t_start, t_end = c.span
-                own_a, own_b = _own_steps(c.p, t_start, (t_end - t_start) / self.N, first, m)
-                h = own_a.shape[1]  # a jump in a group with ramps: its step, then the identity
-                assert _same_bits(a[:, :h, i], own_a) and _same_bits(b[:, :h, i], own_b), (kinds, i)
-                assert np.all(a[:, h:, i] == 0.0) and np.all(b[:, h:, i] == 1.0)
+                own = _own_steps(c.p, t_start, (t_end - t_start) / self.N, first, m)
+                for x, own_x in zip(maps, own):
+                    assert _same_bits(x[:, i], own_x), (kinds, i)
         assert not any(isinstance(run, Exception) for run in runs)
 
     def test_unresolved_cell_fails_alone_and_quietly(self, monkeypatch):
@@ -486,10 +557,10 @@ class TestGroupSteps:
         assert 100 < step <= 400  # past the first chunk
         assert isinstance(runs[1], evolution._UnresolvedSlice)
         assert (runs[1].step, str(runs[1])) == (step, f"slice {step} is too coarse for the ramp")
-        for first, m, group, a, b in seen:
+        for first, m, group, (a, b, c) in seen:
             i = group.index(cells[1])
             if first + m >= step:
-                assert np.all(a[:, :, i] == 0.0) and np.all(b[:, :, i] == 1.0)
+                assert np.all(a[:, i] == 0.0) and np.all(b[:, i] == 1.0) and np.all(c[:, i] == 0.0)
         for c, run in zip(cells, runs):
             if c is not cells[1]:
                 ((t, chi),) = evolution._propagate([c], SimulationConfig(

@@ -265,7 +265,7 @@ def run_evolve(args: argparse.Namespace) -> int:
     if profile.kind != "sampled":  # a sampled profile has no transition end
         try:
             summary = post_transition_summary(traj)
-        except WindowError as exc:  # a short or sparse run: the trajectory stands alone
+        except WindowError as exc:  # a short run: the trajectory stands alone
             print(f"warning: no summary: WindowError: {exc}", file=sys.stderr)
         if profile.omegaf != profile.omega0:
             ramp = (profile.omega0, profile.omegaf, profile.epsilon)

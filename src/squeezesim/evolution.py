@@ -13,10 +13,9 @@ the squeeze parameters of the state follow from it at the recorded slices.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
-magnitude r(t) at every record, with the r_min and r_max of the
-post_transition_summary of a run whose window fits (_read_r), or, for a run
-that reports only the post-transition window mean (a sweep cell), the
-instantaneous-basis R at the records after the window start together with
+magnitude r(t) at every record, with the instantaneous-basis R at the last
+one (_read_r), or, for a run that reports only the post-transition window
+mean (a sweep cell), R at the records after the window start together with
 its window mean (_read_window).  One ladder, which takes its reader from
 its caller, serves a single run and a batch of runs that share a
 configuration, and one function steps each level, chunk by chunk: a chunk's
@@ -27,14 +26,13 @@ numpy rows from _ROW_CELLS runs up, else as each run's own Python loop.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _clamped_magnitude, _compose, _move, _squeeze_of
-from .errors import StepSingularityError, WindowError, require_finite
+from .algebra import _CLAMP_TO, _clamped_magnitude, _compose, _move, _squeeze_of, rho_of
+from .errors import SaturationError, StepSingularityError, WindowError, require_finite
 from .frequency import (
     FrequencyProfile,
     _jump_omega,
@@ -70,13 +68,9 @@ _NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 _NODES.flags.writeable = False
 _BETA1, _BETA2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 
-# post_transition_summary and window_means need this many window records,
-# and the windowed ladder neither compares nor stops on fewer
+# window_means needs this many window records, and its ladder neither
+# compares nor stops on fewer
 _MIN_WINDOW_RECORDS = 4
-# post_transition_summary's sinusoid fit needs this many records per period
-# pi/omega_f of the squeeze oscillation: a phase step 2 omega_f dt of pi/2
-# at most, where the fit breaks down at pi
-_RECORDS_PER_PERIOD = 4
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ class SimulationConfig:
     of the final frequency, or to the last sample time of a sampled profile;
     an explicit t_end must be positive.  n_slices is the seed slice count;
     the convergence ladder doubles it until the quantity it compares (r(t)
-    and its summary, or R over the post-transition window and its mean; see
+    and the final R, or R over the post-transition window and its mean; see
     propagate_converged) moves by less than convergence_tol or n_max is
     hit; n_max = n_slices runs the single fixed grid of n_slices slices.
     Records are kept every record_stride slices.
@@ -130,8 +124,8 @@ class Trajectory:
     central composition coefficient, recorded at the last ladder level of
     n_slices steps.  delta_history holds one difference per level
     comparison of propagate_converged: the larger of the sup-norm change of
-    r(t) and the changes of its summary's r_min and r_max, when the run
-    has a summary.  converged is None when no comparison was made.
+    r(t) and the change of R at the last record.  converged is None when no
+    comparison was made.
     """
 
     t: np.ndarray
@@ -197,11 +191,11 @@ class WindowMean(NamedTuple):
 class _Cell:
     """One propagation of a batched ladder: input, ladder state and outcome.
 
-    start is the transition end after which its reader reads (None for an
-    r(t) with no summary).  n is the level it last ran (a window_means cell
-    starts at the seed), q and scalars what its reader gave that level
-    (scalars None after a resolution floor; see _ladder) and records, if
-    kept, its (t_rec, chi_rec).
+    start is the transition end after which _read_window reads (None for
+    _read_r, which reads every record).  n is the level it last ran (a
+    window_means cell starts at the seed), q and scalars what its reader
+    gave that level (scalars None after a resolution floor; see _ladder)
+    and records, if kept, its (t_rec, chi_rec).
     """
 
     p: FrequencyProfile
@@ -498,29 +492,26 @@ def _finalize(c: _Cell) -> Trajectory:
     )
 
 
+def _big_r(p: FrequencyProfile, t_rec: np.ndarray, chi_rec: np.ndarray) -> np.ndarray:
+    """R at records (t_rec, chi_rec), computed as the trajectory's R column is."""
+    alpha = _move(chi_rec, _instantaneous(p, t_rec)[1])[0]
+    return np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
+
+
 def _read_r(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray):
-    """A level of propagate_converged: r at every record, and the summary's
-    (r_min, r_max) of a cell with a start (None while its records do not fit
-    them), or () for one without."""
+    """A level of propagate_converged: r at every record, and R at the last."""
     r = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-    if c.start is None:
-        return r, ()
-    after = t_rec > c.start
-    try:
-        return r, _extrema(t_rec[after], r[after], c.p.omegaf)[:2]
-    except WindowError:
-        return r, None
+    return r, (float(_big_r(c.p, t_rec[-1:], chi_rec[-1:])[0]),)
 
 
 def _read_window(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray):
-    """A level of window_means: R at the records after the cell's start,
-    computed as the trajectory's R column is, and its mean (R_final), None
-    while the window holds fewer than _MIN_WINDOW_RECORDS records."""
+    """A level of window_means: R at the records after the cell's start and
+    its mean (R_final), None while the window holds fewer than
+    _MIN_WINDOW_RECORDS records."""
     after = t_rec > c.start
     chi = chi_rec[after]
     _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
-    alpha = _move(chi, _instantaneous(c.p, t_rec[after])[1])[0]
-    big_r = np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
+    big_r = _big_r(c.p, t_rec[after], chi)
     if len(big_r) < _MIN_WINDOW_RECORDS:
         return big_r, None
     return big_r, (float(np.mean(big_r)),)
@@ -580,25 +571,20 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
 
 
 def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
-    """Propagate with step doubling until r(t) and its summary stabilise.
+    """Propagate with step doubling until r(t) and the final R stabilise.
 
     Levels run n_slices, 2 n_slices, ... slices up to n_max, and consecutive
     levels share every record time of the coarser one, so the ladder
-    compares r(t) in sup norm over exactly aligned records.  For a ramp or
-    jump whose post-transition window spans three periods, it compares only
-    from a level whose records fit post_transition_summary, and compares
-    that summary's r_min and r_max as well.  A level with a
-    slice too coarse for the ramp (a CF4 half-step omega^2 that is not
-    positive) is abandoned for twice its slices and does not count; at
+    compares r(t) in sup norm over exactly aligned records, and R at the
+    last record, from which post_transition_summary reads the oscillation,
+    as well.  A level with a slice too coarse for the ramp (a CF4 half-step
+    omega^2 that is not positive) is abandoned for twice its slices and does not count; at
     n_max it raises StepSingularityError.  Returns the last level, converged
     once a difference drops below convergence_tol.  n_max = n_slices runs
     one fixed grid (converged None).  window_means runs the same ladder,
     reading R after the transition instead.
     """
     cell = _Cell(p, None, _time_span(p, cfg))
-    if p.kind != "sampled":  # a sampled profile has no transition end
-        with suppress(WindowError):  # too short for a summary: the ladder reads r(t) alone
-            cell.start = _window_start(p, cell.span[1])
     _ladder([cell], cfg, _read_r, keep=True)
     if cell.error is not None:
         raise cell.error
@@ -616,8 +602,8 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     shared window records and the change of its window mean, and takes the
     larger.  The window must span three periods pi/omega_f, which is
     checked before the first level, and a level is compared only once its
-    window holds the records post_transition_summary needs.  Every level
-    runs its cells side by side, and no cell keeps its records.  R_final is
+    window holds _MIN_WINDOW_RECORDS records.  Every level runs its cells
+    side by side, and no cell keeps its records.  R_final is
     the mean of R over the window records of the last level,
     post_transition_summary(traj).R_final of that trajectory.  A cell
     fails alone: its WindowMean holds the exception, and R_final is nan.
@@ -660,68 +646,40 @@ def _window_start(p: FrequencyProfile, t_last: float) -> float:
     return w
 
 
-def _vertices(t: np.ndarray, y: np.ndarray, k: float):
-    """(time, value, is maximum) of the extremum of the sinusoid
-    c + a cos(k t) + b sin(k t) through each interior extremum of y at evenly
-    spaced times t and its two neighbours.  Exact for such a sinusoid when
-    k times the spacing is below pi; as k goes to 0, the parabola's vertex."""
-    lo, mid, hi = y[:-2], y[1:-1], y[2:]
-    i = np.flatnonzero(((mid > lo) & (mid >= hi)) | ((mid < lo) & (mid <= hi)))
-    lo, mid, hi = lo[i], mid[i], hi[i]
-    h = k * (t[1] - t[0])
-    # the cosine and sine parts about the middle record: a is never 0, since
-    # mid - lo is not and mid - hi is 0 or of its sign
-    a = ((mid - lo) + (mid - hi)) / (4.0 * np.sin(0.5 * h) ** 2)
-    x = 0.5 * (lo - hi) / np.sin(h) / a  # b / a, the tangent of the vertex phase
-    return t[i + 1] - np.arctan(x) / k, mid + a * x * x / (1.0 + np.sqrt(1.0 + x * x)), a > 0.0
-
-
-def _extrema(t: np.ndarray, r: np.ndarray, omegaf: float):
-    """(r_min, r_max, times of the maxima) of the post_transition_summary of
-    the records (t, r) after its window start."""
-    if len(t) < _MIN_WINDOW_RECORDS:
-        raise WindowError("too few records after the transition")
-    step = float(t[1] - t[0])
-    if step * _RECORDS_PER_PERIOD * omegaf > np.pi:
-        raise WindowError(
-            f"records {step:.6g} apart after the transition, need at most "
-            f"{np.pi / (_RECORDS_PER_PERIOD * omegaf):.6g} "
-            f"({_RECORDS_PER_PERIOD} per period pi/omega_f)"
-        )
-    t_v, y_v, is_max = _vertices(t, np.sinh(r) ** 2, 2.0 * omegaf)
-    r_all = np.concatenate([r, np.arcsinh(np.sqrt(np.maximum(y_v, 0.0)))])
-    return float(np.min(r_all)), float(np.max(r_all)), t_v[is_max]
-
-
 def post_transition_summary(traj: Trajectory) -> PostTransitionSummary:
     """Oscillation statistics over the settled part of a trajectory.
 
     The window opens at the end of the transition of traj.profile,
     t0 + 3*epsilon (_window_start; a sampled profile has none and raises
     ValueError), and must span at least three periods pi/omega_f of the
-    squeeze oscillation and hold _MIN_WINDOW_RECORDS records,
-    _RECORDS_PER_PERIOD or more per period; else WindowError.
-    Once omega is omega_f, sinh^2 r is a sinusoid of angular frequency
-    2 omega_f, so r_min and r_max are the extrema of r over the records and
-    the _vertices of sinh^2 r at that frequency, exact for a jump whatever
-    the spacing; the period is the mean spacing of successive maximum
-    vertices (nan when fewer than two are found).
+    squeeze oscillation; else WindowError.  Once omega is omega_f, the state
+    is a squeeze R in the omega_f basis whose phase Phi turns at -2 omega_f,
+    seen from the omega0 basis through the basis change rho_f: r swings
+    between |R - |rho_f|| and R + |rho_f| with period pi/omega_f, and peaks
+    where Phi is 0 (omega_f > omega0) or pi (omega_f < omega0).  So r_min,
+    r_max, r_midpoint, amplitude, period and n_maxima, the number of peaks in
+    the window, come from R and Phi at the last record; an R whose
+    magnitude tanh R reached 1 there is beyond double precision, and raises
+    SaturationError.  R_final and R_std are the mean and spread of R over
+    the window records.
     """
-    p = traj.profile
-    window_start = _window_start(p, float(traj.t[-1]))
-    mask = traj.t > window_start
-    r_w, big_r_w = traj.r[mask], traj.R[mask]
-    r_min, r_max, peaks = _extrema(traj.t[mask], r_w, p.omegaf)
-    period = float(np.mean(np.diff(peaks))) if len(peaks) >= 2 else float("nan")
+    p, t, big_r = traj.profile, float(traj.t[-1]), float(traj.R[-1])
+    window_start = _window_start(p, t)
+    if big_r >= np.arctanh(_CLAMP_TO):
+        raise SaturationError(f"instantaneous squeeze R = {big_r:.6g} at t_end is beyond double precision")
+    rho, period = abs(rho_of(p.omegaf, p.omega0)), np.pi / p.omegaf
+    # the last peak lies `back` before t_end, and the others a period apart
+    back = np.mod((0.0 if p.omegaf > p.omega0 else np.pi) - traj.Phi[-1], 2.0 * np.pi) / (2.0 * p.omegaf)
+    big_r_w = traj.R[traj.t > window_start]
     return PostTransitionSummary(
-        window=(float(window_start), float(traj.t[-1])),
-        n_records=len(r_w),
-        r_min=r_min,
-        r_max=r_max,
-        r_midpoint=0.5 * (r_min + r_max),
-        amplitude=r_max - r_min,
+        window=(float(window_start), t),
+        n_records=len(big_r_w),
+        r_min=abs(big_r - rho),
+        r_max=big_r + rho,
+        r_midpoint=max(big_r, rho),
+        amplitude=2.0 * min(big_r, rho),
         period=period,
-        n_maxima=len(peaks),
+        n_maxima=int(np.ceil((t - back - window_start) / period)) if rho > 0.0 else 0,
         R_final=float(np.mean(big_r_w)),
         R_std=float(np.std(big_r_w)),
     )

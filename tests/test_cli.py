@@ -1,6 +1,7 @@
 """Command-line interface tests, driven through main() for speed."""
 
 import argparse
+import dataclasses
 import math
 import os
 import re
@@ -22,6 +23,7 @@ from squeezesim import (
     ValidityWarning,
     WindowError,
     analytic,
+    checks,
     cli,
     evolution,
     output,
@@ -181,15 +183,39 @@ class TestEvolve:
             "need at least three periods (3.14159)\n"
         )
 
-    def test_sparse_stride_climbs_until_the_summary_fits(self, capsys):
-        # at stride 64 the ladder climbs past the levels whose window
-        # records are too few or too sparse for the summary
+    def test_sparse_stride_stops_at_the_second_level(self, capsys):
+        # the summary reads the swing from the last record, so records
+        # fewer than one per period need no further level
         assert main(["evolve", "--omegaf", "3", "--stride", "64"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert "\nn_slices = 8192\n" in captured.out
-        assert "\nn_records = 129\n" in captured.out
+        assert "\nn_slices = 512\n" in captured.out
+        assert "\nn_records = 9\n" in captured.out
         assert "\nR_final = " in captured.out
         assert captured.err == ""
+
+    def test_final_R_beyond_double_precision_exits_4(self, capsys):
+        # the jump from omega0 = 1e-100 clamps R at the last record to 17.6,
+        # where the sudden switch gives 115.1: a swing read from it would put
+        # r_max at 132.7 for about 230
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            assert main(["evolve", "--omega0", "1e-100", "--omegaf", "1", "--eps", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: saturation: instantaneous squeeze R = 17.6164 at t_end is beyond double precision\n"
+        )
+
+    def test_readme_quotes_the_stop_levels(self, capsys):
+        # "`evolve ...` stops at N slices": each quoted run, made as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quoted = re.findall(r"`(evolve [-\w. ]+)` stops\s+at\s+([\d,]+)\s+slices", readme)
+        assert {argv for argv, _ in quoted} == {
+            "evolve --omegaf 3", "evolve --omegaf 100 --eps 0", "evolve --omegaf 3 --stride 64"
+        }
+        for argv, n in quoted:
+            assert main(argv.split()) == EXIT_OK
+            assert f"\nn_slices = {n.replace(',', '')}\n" in capsys.readouterr().out, argv
 
     def test_sampled_profile_has_no_summary_and_no_warning(self, tmp_path, capsys):
         # a tabulated profile has no transition end to open a window at
@@ -574,6 +600,20 @@ class TestVerify:
     def test_tightened_unitarity_tolerance_still_passes(self, capsys):
         main(["verify", "--tol", "1e-12"])
         assert "[PASS] unitarity" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape", ["monotone", "one peak"])
+    def test_jump_period_from_too_few_maxima_fails_without_warning(self, reference_runs, shape):
+        # records with fewer than two interior maxima have no period: it
+        # reads nan, quietly, and the check fails
+        run = reference_runs["jump"]
+        t = run.traj.t
+        r = t if shape == "monotone" else -((t - t[-1] + 0.5) ** 2)
+        runs = dict(reference_runs, jump=checks.Run(dataclasses.replace(run.traj, r=r), run.summary))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = next(c for c in checks.physics_checks(runs) if c.name == "jump-extrema")
+        assert not check.passed
+        assert check.detail.endswith("period rel err nan")
 
     def test_corrupted_step_sign_fails_jump_oracle(self, monkeypatch, capsys):
         maps = evolution._maps

@@ -1,5 +1,6 @@
 """Unit tests for the propagation machinery and its convergence ladder."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from squeezesim import (
+    SaturationError,
+    SaturationWarning,
     SimulationConfig,
     StepSingularityError,
     WindowError,
@@ -334,16 +337,19 @@ class TestLadderDeltas:
     def _fixed(p, n):
         return propagate_converged(p, SimulationConfig(n_slices=n, n_max=n))
 
-    def test_r_and_summary_extrema(self):
-        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        coarse, fine = self._fixed(p, self.N), self._fixed(p, 2 * self.N)
+    def test_r_and_final_R(self):
+        # a run that ends inside a wide ramp reads its last R in a basis that
+        # still turns, so R there moves between levels more than r does
+        p = tanh_profile(1.0, 40.0, 10.0, 2.0)
+        cfg = SimulationConfig(t_end=12.0, n_slices=self.N, n_max=self.N)
+        coarse = propagate_converged(p, cfg)
+        fine = propagate_converged(p, dataclasses.replace(cfg, n_slices=2 * self.N, n_max=2 * self.N))
         assert np.array_equal(fine.t[::2], coarse.t)
         sup = float(np.max(np.abs(fine.r[::2] - coarse.r)))
-        a, b = post_transition_summary(coarse), post_transition_summary(fine)
-        extrema = [abs(b.r_min - a.r_min), abs(b.r_max - a.r_max)]
-        assert max(extrema) > sup
-        ladder = propagate_converged(p, SimulationConfig(n_slices=self.N, n_max=2 * self.N))
-        assert ladder.delta_history[0] == max([sup, *extrema])
+        final = abs(float(fine.R[-1] - coarse.R[-1]))
+        assert final > sup
+        ladder = propagate_converged(p, dataclasses.replace(cfg, n_max=2 * self.N))
+        assert ladder.delta_history[0] == max(sup, final)
 
     def test_window_R_and_its_mean(self):
         p = tanh_profile(1.0, 5.0, 10.0, 0.1)
@@ -584,11 +590,10 @@ class TestPostTransitionSummary:
          (50.0, 0.0, 2048), (100.0, 0.0, 4096)],
     )
     def test_defaults_match_a_fine_grid(self, omegaf, eps, most_slices):
-        # from the default seed the ladder climbs until r(t) and the summary
+        # from the default seed the ladder climbs until r(t) and the final R
         # settle: the extrema, the period and the window mean R_final hold
-        # to the ladder tolerance against a fixed 2^16-slice run, for the
-        # default ramp within two levels; a jump's first levels hold too few
-        # window records, and the narrow trough of 40/0.05 needs 8192 slices
+        # to the ladder tolerance against a fixed 2^16-slice run; most_slices
+        # is a ceiling (test_stop_levels pins where each run stops)
         p = tanh_profile(1.0, omegaf, 10.0, eps)
         cfg = SimulationConfig()
         traj = propagate_converged(p, cfg)
@@ -598,21 +603,38 @@ class TestPostTransitionSummary:
         for key in ("r_max", "r_min", "amplitude", "period", "R_final"):
             assert abs(getattr(got, key) - getattr(ref, key)) <= cfg.convergence_tol, key
 
-    def test_vertices_of_sampled_sinusoids(self):
-        # exact on a sinusoid of the given angular frequency, wherever its
-        # extrema fall between samples; a monotone run has no interior extremum
-        t = np.arange(12) * 0.25
-        t_v, y_v, is_max = evolution._vertices(t, 1.5 + 0.7 * np.cos(2.0 * (t - 0.6)), 2.0)
-        assert list(is_max) == [True, False]
-        assert t_v == pytest.approx([0.6, 0.6 + 0.5 * math.pi], abs=1e-12)
-        assert y_v == pytest.approx([2.2, 0.8], abs=1e-12)
-        assert all(v.size == 0 for v in evolution._vertices(t, t, 2.0))
+    @pytest.mark.parametrize(
+        "omegaf, eps, tol, n_slices",
+        [(40.0, 0.05, 1e-4, 2048), (40.0, 0.05, 1e-6, 8192), (50.0, 0.0, 1e-4, 512),
+         (100.0, 0.0, 1e-4, 512), (200.0, 0.0, 1e-4, 512), (3.0, 0.5, 1e-4, 512),
+         (5.0, 0.1, 1e-4, 512), (0.2, 2.0, 1e-4, 512), (0.2, 0.1, 1e-4, 1024)],
+    )
+    def test_stop_levels(self, omegaf, eps, tol, n_slices):
+        # the ladder compares r(t) and the final R alone: a jump, exact at
+        # every n, stops at its second level whatever the ratio
+        traj = propagate_converged(tanh_profile(1.0, omegaf, 10.0, eps), SimulationConfig(convergence_tol=tol))
+        assert (traj.converged, traj.n_slices) == (True, n_slices)
 
-    def test_sparse_records_raise(self):
-        # 33 records over 14.6: fewer than four per period pi/3
+    def test_sparse_records_give_the_dense_summary(self):
+        # 33 records over 14.6, fewer than two per period pi/3: the summary
+        # reads the oscillation from the last record, bitwise that of every
+        # slice, and its window mean and spread hold to the ladder tolerance
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
-        traj = propagate_converged(p, SimulationConfig(n_slices=256, record_stride=8, n_max=256))
-        with pytest.raises(WindowError, match="4 per period"):
+        cfg = SimulationConfig(n_slices=256, record_stride=8, n_max=256)
+        sparse = post_transition_summary(propagate_converged(p, cfg))
+        dense = post_transition_summary(propagate_converged(p, dataclasses.replace(cfg, record_stride=1)))
+        assert (sparse.n_records, dense.n_records) == (7, 55)
+        for key in ("window", "r_min", "r_max", "r_midpoint", "amplitude", "period", "n_maxima"):
+            assert getattr(sparse, key) == getattr(dense, key), key
+        for key in ("R_final", "R_std"):
+            assert abs(getattr(sparse, key) - getattr(dense, key)) <= cfg.convergence_tol, key
+
+    def test_saturated_final_R_raises(self):
+        # the jump from omega0 = 1e-100 squeezes past double precision: R at
+        # the last record is clamped, so no swing can be read from it
+        with pytest.warns(SaturationWarning, match="magnitude reached 1"):
+            traj = propagate_converged(jump_profile(1e-100, 1.0), SimulationConfig(n_slices=512, n_max=512))
+        with pytest.raises(SaturationError, match="beyond double precision"):
             post_transition_summary(traj)
 
     def test_window_too_short_raises(self):
@@ -659,6 +681,59 @@ class TestPostTransitionSummary:
         assert summary.amplitude == pytest.approx(
             summary.r_max - summary.r_min, abs=1e-15
         )
+
+
+def _vertex(r, i):
+    """r at the vertex of the parabola through record i and its two neighbours."""
+    lo, mid, hi = r[i - 1], r[i], r[i + 1]
+    return mid + (lo - hi) ** 2 / (8.0 * (2.0 * mid - lo - hi))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(3.0, 0.5), (0.2, 2.0), (5.0, 0.1), (40.0, 0.05), (3.0, 0.0)],
+    ids=["3/0.5", "0.2/2", "5/0.1", "40/0.05", "jump"],
+)
+def fine_run(request):
+    """A fixed 2^16-slice run whose window spans 3.25 periods, and its
+    summary: the quarter period makes the number of peaks in the window
+    depend on where they fall."""
+    omegaf, eps = request.param
+    p = tanh_profile(1.0, omegaf, 10.0, eps)
+    cfg = SimulationConfig(t_end=default_t_end(p) + 0.25 * math.pi / omegaf, n_slices=1 << 16, n_max=1 << 16)
+    traj = propagate_converged(p, cfg)
+    return traj, post_transition_summary(traj)
+
+
+class TestSummaryIdentity:
+    # the summary reads r's swing from R and Phi at the last record; the
+    # stepped records must show the same swing
+
+    def test_last_period_extrema(self, fine_run):
+        # the extreme record of the last period, refined to the vertex of
+        # the parabola through it and its neighbours: the largest record of
+        # 40/0.05 is 2.8e-6 below its peak.  Only the smooth ramps' troughs are
+        # compared: the jump's is a cusp at r = 0, and that of 40/0.05 spans
+        # about five records, too few for a parabola to hold to 1e-6
+        traj, s = fine_run
+        p = traj.profile
+        last = np.flatnonzero(traj.t >= traj.t[-1] - math.pi / p.omegaf)[:-1]
+        i, j = last[np.argmax(traj.r[last])], last[np.argmin(traj.r[last])]
+        assert abs(_vertex(traj.r, i) - s.r_max) <= 1e-6
+        if p.kind == "tanh" and p.epsilon >= 0.1:
+            assert abs(_vertex(traj.r, j) - s.r_min) <= 1e-6
+
+    def test_n_maxima_counts_the_record_maxima(self, fine_run):
+        traj, s = fine_run
+        r = traj.r[traj.t > s.window[0]]
+        maxima = int(np.count_nonzero((r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:])))
+        assert s.n_maxima == maxima and maxima in (3, 4)
+
+    def test_no_switch_no_swing(self):
+        p = tanh_profile(1.0, 1.0, 10.0, 0.5)
+        s = post_transition_summary(propagate_converged(p, SimulationConfig()))
+        assert (s.amplitude, s.n_maxima) == (0.0, 0)
+        assert s.r_min == s.r_max == s.r_midpoint
 
 
 def test_readme_library_sketch_runs(capsys):

@@ -16,17 +16,20 @@ moves by less than a tolerance between consecutive refinements: the squeeze
 magnitude r(t) at every record, with the instantaneous-basis R at the last
 one (_read_r), or, for a run that reports only the post-transition window
 mean (a sweep cell), R at the records after the window start together with
-its window mean (_read_window).  One ladder, which takes its reader from
+its window mean (_read_windows).  One ladder, which takes its reader from
 its caller, serves a single run and a batch of runs that share a
 configuration, and one function steps each level, chunk by chunk: a chunk's
 slice maps come from one vectorised pass over all the level's runs, into
 buffers that every chunk reuses, and its recurrence runs side by side as
 numpy rows from _ROW_CELLS runs up, else as each run's own Python loop.
+The reader takes the whole level too: the sweep cells' windows are read end
+to end, in one pass per block of whole cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -191,7 +194,7 @@ class WindowMean(NamedTuple):
 class _Cell:
     """One propagation of a batched ladder: input, ladder state and outcome.
 
-    start is the transition end after which _read_window reads (None for
+    start is the transition end after which _read_windows reads (None for
     _read_r, which reads every record).  n is the level it last ran (a
     window_means cell starts at the seed), q and scalars what its reader
     gave that level (scalars None after a resolution floor; see _ladder)
@@ -492,29 +495,108 @@ def _finalize(c: _Cell) -> Trajectory:
     )
 
 
-def _big_r(p: FrequencyProfile, t_rec: np.ndarray, chi_rec: np.ndarray) -> np.ndarray:
-    """R at records (t_rec, chi_rec), computed as the trajectory's R column is."""
+def _big_r(p: FrequencyProfile, t_rec: np.ndarray, chi_rec: np.ndarray, where: str) -> np.ndarray:
+    """R at records (t_rec, chi_rec), computed as the trajectory's R column
+    is; SaturationError if it reached artanh(_CLAMP_TO), where |alpha| was
+    clamped at 1 and R is beyond double precision (where says at which
+    records)."""
     alpha = _move(chi_rec, _instantaneous(p, t_rec)[1])[0]
-    return np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
+    big_r = np.arctanh(_clamped_magnitude(np.abs(alpha), "instantaneous squeeze"))
+    if (big_r >= np.arctanh(_CLAMP_TO)).any():
+        raise SaturationError(f"instantaneous squeeze R = {big_r.max():.6g} {where} is beyond double precision")
+    return big_r
 
 
-def _read_r(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray):
-    """A level of propagate_converged: r at every record, and R at the last."""
-    r = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-    return r, (float(_big_r(c.p, t_rec[-1:], chi_rec[-1:])[0]),)
+def _read_r(cells: list[_Cell], runs: list) -> list:
+    """A level of propagate_converged: for each cell, r at every record and
+    R at the last, or the exception that ends the cell."""
+    out = []
+    for c, (t_rec, chi_rec) in zip(cells, runs):
+        try:
+            r = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
+            out.append((r, (float(_big_r(c.p, t_rec[-1:], chi_rec[-1:], "at t_end")[0]),)))
+        except Exception as exc:  # this cell fails, its neighbours go on
+            out.append(exc)
+    return out
 
 
-def _read_window(c: _Cell, t_rec: np.ndarray, chi_rec: np.ndarray):
-    """A level of window_means: R at the records after the cell's start and
-    its mean (R_final), None while the window holds fewer than
-    _MIN_WINDOW_RECORDS records."""
-    after = t_rec > c.start
-    chi = chi_rec[after]
-    _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
-    big_r = _big_r(c.p, t_rec[after], chi)
-    if len(big_r) < _MIN_WINDOW_RECORDS:
-        return big_r, None
-    return big_r, (float(np.mean(big_r)),)
+def _window_block(cells: list[_Cell], windows: list) -> list:
+    """R over the windows (t, chi) of some cells, ramps before jumps, laid
+    end to end and read in one pass: one slice of R per cell, and whether a
+    guard of the per-cell reading (_big_r) would act on it, a magnitude
+    |chi| at 1, a singular composition (_move's bound) or an |alpha| at
+    _CLAMP_TO.  Such a cell's values are discarded, so its arithmetic here
+    warns about nothing."""
+    sizes = [len(t) for t, _ in windows]
+    bounds = list(accumulate(sizes, initial=0))
+    t = np.concatenate([t for t, _ in windows])
+    chi = np.concatenate([x for _, x in windows])
+    params = np.array([(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in cells]).T
+    omega0, omegaf, t0, epsilon = np.repeat(params, sizes, axis=1)
+    ramps = bounds[sum(c.p.kind == "tanh" for c in cells)]
+    omega = np.empty_like(t)
+    _ramp_omega(t[:ramps], omega0[:ramps], omegaf[:ramps], t0[:ramps], epsilon[:ramps], out=omega[:ramps])
+    omega[ramps:] = _jump_omega(t[ramps:], omega0[ramps:], omegaf[ramps:], t0[ramps:])
+    basis = (omega - omega0) / (omega + omega0)
+    starts = bounds[:-1]
+    with np.errstate(all="ignore"):
+        den = 1.0 + basis * chi
+        mag = np.abs((chi + basis) / den)
+        big_r = np.arctanh(mag)
+    acting = (
+        (np.maximum.reduceat(np.abs(chi), starts) >= 1.0)
+        | (np.maximum.reduceat(mag, starts) >= _CLAMP_TO)
+        | (np.minimum.reduceat(np.abs(den), starts) < 1e-150)
+    ).tolist()
+    return [(big_r[a:b], act) for a, b, act in zip(bounds, bounds[1:], acting)]
+
+
+def _read_windows(cells: list[_Cell], runs: list) -> list:
+    """A level of window_means: for each cell, R at the records after its
+    start and their mean (R_final), None while they are fewer than
+    _MIN_WINDOW_RECORDS, or the exception that ends the cell.
+
+    A cell's window is cut by searchsorted (t_rec never decreases, so it is
+    exactly t_rec > start), and the level's windows are read in blocks of
+    whole cells of at most _BLOCK records, or one cell, through
+    _window_block.  A cell on which a guard would act, and one with an
+    empty window, is read alone through the guards, in cell order, so it
+    warns and fails as it would alone: |chi| clamped as the r column is,
+    then _big_r.  A mean is np.add.reduce over the cell's R over its count,
+    np.mean bitwise.
+    """
+    windows = []
+    for c, (t_rec, chi_rec) in zip(cells, runs):
+        cut = int(t_rec.searchsorted(c.start, side="right"))
+        windows.append((t_rec[cut:], chi_rec[cut:]))
+    read: list = [None] * len(cells)
+    blocks, size = [], _BLOCK
+    # ramps before jumps, so that a block computes omega in one call per kind
+    for i in sorted((i for i, (t, _) in enumerate(windows) if len(t)), key=lambda i: cells[i].p.kind == "jump"):
+        if size + len(windows[i][0]) > _BLOCK:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(i)
+        size += len(windows[i][0])
+    for block in blocks:
+        for i, got in zip(block, _window_block([cells[i] for i in block], [windows[i] for i in block])):
+            read[i] = got
+    out = []
+    for c, (t, chi), got in zip(cells, windows, read):
+        try:
+            if got is None or got[1]:
+                _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
+                big_r = _big_r(c.p, t, chi, "after the transition")
+            else:
+                big_r = got[0]
+        except Exception as exc:  # this cell fails, its neighbours go on
+            out.append(exc)
+            continue
+        scalars = None
+        if len(big_r) >= _MIN_WINDOW_RECORDS:
+            scalars = (float(np.add.reduce(big_r) / len(big_r)),)  # np.mean, bitwise
+        out.append((big_r, scalars))
+    return out
 
 
 def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None:
@@ -524,10 +606,12 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
     groups of at most _ROW_RECORDS records or one cell, then doubles n up
     to n_max.  A cell leaves a level converged, failed, at the last level
     or climbing to 2 n (past a resolution floor, too), so climbing cells
-    share n.  A failure ends only its cell.  read(c, t_rec, chi_rec) gives
-    a level's (q, scalars): q is compared in sup norm at the shared records
-    and covers a suffix of them that holds the last one, and scalars are
-    what the cell reports, None while the level's records cannot hold them.
+    share n.  A failure ends only its cell.  read(cells, runs) reads a
+    group's cells that ran, with their (t_rec, chi_rec), in one call, and
+    gives for each cell its (q, scalars) or the exception that ends it: q
+    is compared in sup norm at the shared records and covers a suffix of
+    them that holds the last one, and scalars are what the cell reports,
+    Python floats, None while the level's records cannot hold them.
     A level is compared only with a previous one that ran and held its
     scalars; coarse record times are bitwise among the fine ones
     (2 j (tau/2) == j tau) and the record step halves, so every finer level
@@ -539,7 +623,7 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
     while climbing and n <= cfg.n_max:
         size = max(1, _ROW_RECORDS // (n // cfg.record_stride + 1))
         for g in range(0, len(climbing), size):
-            group = climbing[g : g + size]
+            group, ran, runs = climbing[g : g + size], [], []
             for c, run in zip(group, _propagate(group, cfg, n)):
                 c.n = n
                 if isinstance(run, _UnresolvedSlice):
@@ -549,12 +633,14 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
                     run = StepSingularityError(run.step, str(run))  # the floor at n_max
                 if isinstance(run, Exception):
                     c.error = run
+                else:
+                    ran.append(c)
+                    runs.append(run)
+            for c, run, got in zip(ran, runs, read(ran, runs)):
+                if isinstance(got, Exception):
+                    c.error = got
                     continue
-                try:
-                    q, scalars = read(c, *run)
-                except Exception as exc:  # this cell fails, its neighbours go on
-                    c.error = exc
-                    continue
+                q, scalars = got
                 if c.scalars is not None:
                     # both q end at t_end and the coarse records are every
                     # second fine record, so they align counting back from
@@ -577,9 +663,11 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     levels share every record time of the coarser one, so the ladder
     compares r(t) in sup norm over exactly aligned records, and R at the
     last record, from which post_transition_summary reads the oscillation,
-    as well.  A level with a slice too coarse for the ramp (a CF4 half-step
-    omega^2 that is not positive) is abandoned for twice its slices and does not count; at
-    n_max it raises StepSingularityError.  Returns the last level, converged
+    as well; an R whose magnitude tanh R reached 1 there is beyond double
+    precision and raises SaturationError.  A level with a slice too coarse
+    for the ramp (a CF4 half-step omega^2 that is not positive) is abandoned
+    for twice its slices and does not count; at n_max it raises
+    StepSingularityError.  Returns the last level, converged
     once a difference drops below convergence_tol.  n_max = n_slices runs
     one fixed grid (converged None).  window_means runs the same ladder,
     reading R after the transition instead.
@@ -603,7 +691,9 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     larger.  The window must span three periods pi/omega_f, which is
     checked before the first level, and a level is compared only once its
     window holds _MIN_WINDOW_RECORDS records.  Every level runs its cells
-    side by side, and no cell keeps its records.  R_final is
+    side by side and reads their windows in one pass (_read_windows), and
+    no cell keeps its records.  A cell whose R reached artanh(_CLAMP_TO)
+    in its window fails with SaturationError.  R_final is
     the mean of R over the window records of the last level,
     post_transition_summary(traj).R_final of that trajectory.  A cell
     fails alone: its WindowMean holds the exception, and R_final is nan.
@@ -620,7 +710,7 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
         except Exception as exc:  # this cell fails, its neighbours go on
             cell.error = exc
         cells.append(cell)
-    _ladder(cells, cfg, _read_window, keep=False)
+    _ladder(cells, cfg, _read_windows, keep=False)
     out = []
     for c in cells:
         if c.error is None and c.scalars is None:
@@ -658,15 +748,12 @@ def post_transition_summary(traj: Trajectory) -> PostTransitionSummary:
     between |R - |rho_f|| and R + |rho_f| with period pi/omega_f, and peaks
     where Phi is 0 (omega_f > omega0) or pi (omega_f < omega0).  So r_min,
     r_max, r_midpoint, amplitude, period and n_maxima, the number of peaks in
-    the window, come from R and Phi at the last record; an R whose
-    magnitude tanh R reached 1 there is beyond double precision, and raises
-    SaturationError.  R_final and R_std are the mean and spread of R over
-    the window records.
+    the window, come from R and Phi at the last record (propagate_converged
+    fails a run whose R there is beyond double precision).  R_final and
+    R_std are the mean and spread of R over the window records.
     """
     p, t, big_r = traj.profile, float(traj.t[-1]), float(traj.R[-1])
     window_start = _window_start(p, t)
-    if big_r >= np.arctanh(_CLAMP_TO):
-        raise SaturationError(f"instantaneous squeeze R = {big_r:.6g} at t_end is beyond double precision")
     rho, period = abs(rho_of(p.omegaf, p.omega0)), np.pi / p.omegaf
     # the last peak lies `back` before t_end, and the others a period apart
     back = np.mod((0.0 if p.omegaf > p.omega0 else np.pi) - traj.Phi[-1], 2.0 * np.pi) / (2.0 * p.omegaf)

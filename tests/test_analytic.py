@@ -314,6 +314,24 @@ class TestSweep:
             assert calls[0] == (cfg.n_slices, 80, {("rows", 80)})
         assert small  # from seed 256 the last level holds one cell
 
+    def test_each_level_is_read_once(self, monkeypatch):
+        # a level's cells are read in one call of the ladder's reader, as
+        # they are stepped in one _propagate: 3 reads on the default
+        # lattice, not one per cell and level (161)
+        calls = []
+        for name in ("_read_windows", "_read_r"):
+            def spy(cells, runs, read=getattr(evolution, name)):
+                calls.append((read.__name__, len(cells)))
+                return read(cells, runs)
+
+            monkeypatch.setattr(evolution, name, spy)
+        assert len(reference_sweep_data()) == 80
+        assert calls == [("_read_windows", 80), ("_read_windows", 80), ("_read_windows", 1)]
+        calls.clear()
+        traj = propagate_converged(tanh_profile(1.0, 40.0, 10.0, 0.05), SimulationConfig())
+        assert (traj.n_slices, len(traj.delta_history)) == (2048, 3)
+        assert calls == [("_read_r", 1)] * 4  # levels 256 to 2048
+
     def test_coefficients_stay_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
         # each chunk of a level computes the slice maps of all its cells, of
         # every profile kind, in one _maps call, however many cells it holds.

@@ -206,6 +206,33 @@ class TestEvolve:
             "error: saturation: instantaneous squeeze R = 17.6164 at t_end is beyond double precision\n"
         )
 
+    def test_saturated_run_without_a_summary_exits_4(self, capsys):
+        # the same jump ended at 12 has no summary window, and its ladder,
+        # not the summary, fails it: at its seed R at t_end is 18.7 where
+        # the sudden switch gives 115.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            argv = ["evolve", "--omega0", "1e-100", "--omegaf", "1", "--eps", "0", "--t-end", "12"]
+            assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: saturation: instantaneous squeeze R = 18.715 at t_end is beyond double precision\n"
+        )
+
+    def test_saturated_sweep_cell_fails(self, capsys):
+        # a sweep cell's R is read over its window, where it saturates too:
+        # its row is nan and its failure is warned once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--omega0", "1e-100", "--omegaf", "1", "--eps", "0"]) == EXIT_OK
+        failed = [str(w.message) for w in caught if w.category is UserWarning]
+        assert failed == [
+            "sweep cell (omegaf=1, eps=0) failed: SaturationError: instantaneous squeeze "
+            "R = 18.715 after the transition is beyond double precision"
+        ]
+        assert capsys.readouterr().out.split()[1].startswith("0.00000000000e+00,nan,")
+
     def test_readme_quotes_the_stop_levels(self, capsys):
         # "`evolve ...` stops at N slices": each quoted run, made as written
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from squeezesim import (
+    CompositionError,
     SaturationError,
     SaturationWarning,
     SimulationConfig,
     StepSingularityError,
     WindowError,
     default_t_end,
+    eval_omega,
     evolution,
     jump_profile,
     jump_sp_closed_form,
@@ -365,6 +367,117 @@ class TestLadderDeltas:
         assert cell.achieved_delta == max(sup, mean)
 
 
+# One window_means level of every kind of cell: ramps, jumps, a jump of
+# ratio 1e9 whose |alpha| passes 1 beyond the clamping window, a jump from
+# omega0 = 1e-100 whose R saturates, and a late jump to 100 whose window
+# holds 2 records at the seed, fewer than _MIN_WINDOW_RECORDS (n_max keeps
+# a cell that failed to fail from climbing far)
+LEVEL_CFG = SimulationConfig(t_end=16.0, n_max=1 << 12)
+LEVEL = (
+    [tanh_profile(1.0, omegaf, 10.0, eps) for omegaf in (2.0, 3.0, 5.0, 8.0) for eps in (0.1, 0.2, 0.4)]
+    + [jump_profile(1.0, omegaf) for omegaf in (2.0, 3.0, 5.0)]
+    + [jump_profile(1.0, 1e9), jump_profile(1e-100, 1.0, 5.0), jump_profile(1.0, 100.0, 15.9)]
+)
+
+
+def _window_r(c, t_rec, chi_rec):
+    """One cell's window reading, written out: R after its start and the mean."""
+    after = t_rec > c.start
+    chi = chi_rec[after]
+    evolution._clamped_magnitude(np.abs(chi), "squeeze")
+    omega = eval_omega(c.p, t_rec[after])
+    t = (omega - c.p.omega0) / (omega + c.p.omega0)
+    den = 1.0 + t * chi
+    if (np.abs(den) < 1e-150).any():
+        raise CompositionError("singular denominator in squeeze composition")
+    big_r = np.arctanh(evolution._clamped_magnitude(np.abs((chi + t) / den), "instantaneous squeeze"))
+    if (big_r >= np.arctanh(1.0 - 1e-15)).any():
+        raise SaturationError(
+            f"instantaneous squeeze R = {big_r.max():.6g} after the transition is beyond double precision"
+        )
+    return big_r, (float(np.mean(big_r)),) if len(big_r) >= 4 else None
+
+
+def _read_each(cells, runs):
+    """A level read cell by cell through _window_r."""
+    out = []
+    for c, run in zip(cells, runs):
+        try:
+            out.append(_window_r(c, *run))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _level_means(profiles):
+    """window_means of profiles under LEVEL_CFG and its warnings as (text, category)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        means = evolution.window_means(profiles, LEVEL_CFG)
+    return means, [(str(w.message), w.category) for w in caught]
+
+
+class TestLevelRead:
+    def test_each_cell_reads_as_alone(self, monkeypatch):
+        # every level's cells, read in one pass, give bitwise what each
+        # cell's own reading gives on the same records
+        levels, read = [], evolution._read_windows
+
+        def spy(cells, runs):
+            got = read(cells, runs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                levels.append((len(cells), got, _read_each(cells, runs)))
+            return got
+
+        monkeypatch.setattr(evolution, "_read_windows", spy)
+        _level_means(LEVEL)
+        assert levels[0][0] == len(LEVEL) >= evolution._ROW_CELLS
+        few = 0
+        for _, got, want in levels:
+            for g, w in zip(got, want, strict=True):
+                if isinstance(w, Exception):
+                    assert (type(g), str(g)) == (type(w), str(w))
+                    continue
+                assert np.array_equal(g[0], w[0]) and g[1] == w[1]
+                few += w[1] is None
+        assert few == 1  # the late jump at the seed
+
+    def test_ladder_matches_the_per_cell_reading(self, monkeypatch):
+        batched, warned = _level_means(LEVEL)
+        monkeypatch.setattr(evolution, "_read_windows", _read_each)
+        each, each_warned = _level_means(LEVEL)
+        assert warned == each_warned
+        for got, want in zip(batched, each, strict=True):
+            assert np.array_equal(got.R_final, want.R_final, equal_nan=True)
+            assert (got.n_slices, got.converged, got.achieved_delta) == (
+                want.n_slices, want.converged, want.achieved_delta)
+            assert (type(got.error), str(got.error)) == (type(want.error), str(want.error))
+            # Python scalars: _sweep_points tests `converged is False`
+            assert type(got.R_final) is float
+            assert got.achieved_delta is None or type(got.achieved_delta) is float
+            assert got.converged is None or type(got.converged) is bool
+
+    def test_saturated_cells_fail_as_alone(self):
+        means, warned = _level_means(LEVEL)
+        alone_warned = []
+        for i in (15, 16):
+            (alone,), w = _level_means([LEVEL[i]])
+            alone_warned += w
+            assert isinstance(means[i].error, SaturationError)
+            assert (means[i].n_slices, str(means[i].error)) == (alone.n_slices, str(alone.error))
+        assert warned == alone_warned
+        assert [text for text, _ in warned] == [
+            "squeeze magnitude reached 1; clamped 96 value(s)",
+            "squeeze magnitude reached 1; clamped 176 value(s)",
+            "instantaneous squeeze magnitude reached 1; clamped 152 value(s)",
+        ]
+        assert str(means[15].error).endswith("exceeds 1 beyond the clamping window")
+        assert str(means[16].error) == (
+            "instantaneous squeeze R = 18.715 after the transition is beyond double precision"
+        )
+
+
 class TestRecurrence:
     # 1536 steps hold whole records at strides 1, 3 and 64
     N = 1536
@@ -631,11 +744,11 @@ class TestPostTransitionSummary:
 
     def test_saturated_final_R_raises(self):
         # the jump from omega0 = 1e-100 squeezes past double precision: R at
-        # the last record is clamped, so no swing can be read from it
+        # the last record is clamped, so the run fails before any summary
+        # could read a swing from it
         with pytest.warns(SaturationWarning, match="magnitude reached 1"):
-            traj = propagate_converged(jump_profile(1e-100, 1.0), SimulationConfig(n_slices=512, n_max=512))
-        with pytest.raises(SaturationError, match="beyond double precision"):
-            post_transition_summary(traj)
+            with pytest.raises(SaturationError, match="R = 17.6164 at t_end is beyond double precision"):
+                propagate_converged(jump_profile(1e-100, 1.0), SimulationConfig(n_slices=512, n_max=512))
 
     def test_window_too_short_raises(self):
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)

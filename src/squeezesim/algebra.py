@@ -159,10 +159,12 @@ class BchCoeffs:
             )
 
 
-def rho_of(omega: float, omega0: float) -> float:
-    """Basis-change squeeze exponent 0.5*ln(omega/omega0)."""
+def rho_of(omega, omega0):
+    """Basis-change squeeze exponent 0.5*ln(omega/omega0): a float for scalar
+    frequencies, else an array; ValueError unless each is positive and finite."""
     require_finite("frequencies", omega, omega0)
-    return 0.5 * float(np.log(omega / omega0))
+    rho = 0.5 * np.log(np.divide(omega, omega0))
+    return float(rho) if np.ndim(rho) == 0 else rho
 
 
 def bogoliubov_coeffs(rho: float) -> BogoliubovCoeffs:

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import rho_of
 from .errors import (
     DegenerateDataError,
     FitConditionWarning,
@@ -46,6 +47,14 @@ def jump_sp_closed_form(omega0: float, omegaf: float, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _secant(rf, c1, c2, wmin, eps):
+    """The secant ansatz and its argument, (rf sech z, z = c1 (rf + c2) wmin eps) for
+    rf = |rho_f| and wmin = omega_min; a wide ramp's cosh overflows, to an R of 0."""
+    with np.errstate(over="ignore"):
+        z = c1 * (rf + c2) * wmin * eps
+        return rf / np.cosh(z), z
+
+
 def fitted_sp(omega0: float, omegaf: float, epsilon, c1: float = 2.0, c2: float = 1.0):
     """Secant-decay approximation of the final instantaneous-basis squeezing.
 
@@ -64,9 +73,7 @@ def fitted_sp(omega0: float, omegaf: float, epsilon, c1: float = 2.0, c2: float 
             ValidityWarning,
             stacklevel=caller_stacklevel(),
         )
-    rf = abs(0.5 * np.log(ratio))
-    with np.errstate(over="ignore"):  # a wide ramp's cosh overflows: R is 0
-        out = rf / np.cosh(c1 * (rf + c2) * min(omega0, omegaf) * eps)
+    out = _secant(abs(rho_of(omegaf, omega0)), c1, c2, min(omega0, omegaf), eps)[0]
     return float(out) if np.ndim(epsilon) == 0 else out
 
 
@@ -82,7 +89,7 @@ def adiabaticity_measure(omega0: float, omegaf: float, epsilon: float) -> float:
     require_finite("epsilon", epsilon, positive=False)
     if epsilon == 0.0:
         return float("inf")
-    rf = abs(0.5 * np.log(omegaf / omega0))
+    rf = abs(rho_of(omegaf, omega0))
     return float(1.0 / (2.0 * epsilon * min(omega0, omegaf) * (rf + 1.0)))
 
 
@@ -197,26 +204,22 @@ def fit_ansatz(sweep_data) -> FitResult:
         raise DegenerateDataError(
             "all data points have epsilon = 0; the decay constants are unconstrained"
         )
-    rho_mags = {round(abs(0.5 * np.log(of / o0)), 12) for o0, of, _, _ in pts}
-    if len(rho_mags) < 2:
+    o0s, ofs, eps, robs = np.array(pts).T
+    rfs = np.abs(rho_of(ofs, o0s))
+    if len(set(np.round(rfs, 12).tolist())) < 2:
         warnings.warn(
             "single frequency ratio in fit data: c1 and c2 are only jointly "
             "constrained and c2 is poorly determined",
             FitConditionWarning,
             stacklevel=caller_stacklevel(),
         )
-
-    o0s, ofs, eps, robs = np.array(pts).T
-    rfs = np.abs(0.5 * np.log(ofs / o0s))
     wmin = np.minimum(o0s, ofs)
 
     def residuals(c):
         """Residuals in R and their Jacobian in (c1, c2)."""
         # cosh overflow in a trial step is benign: the model value
         # underflows to 0, the cost rises and the step is rejected
-        with np.errstate(over="ignore"):
-            z = c[0] * (rfs + c[1]) * wmin * eps
-            f = rfs / np.cosh(z)
+        f, z = _secant(rfs, c[0], c[1], wmin, eps)
         g = -f * np.tanh(z) * wmin * eps
         return f - robs, np.column_stack([g * (rfs + c[1]), g * c[0]])
 

@@ -15,6 +15,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import analytic
+from .algebra import rho_of
 from .evolution import (
     PostTransitionSummary,
     SimulationConfig,
@@ -25,7 +26,7 @@ from .evolution import (
 from .frequency import FrequencyProfile, jump_profile, tanh_profile, transition_interval
 
 OMEGA0, OMEGAF, T0 = 1.0, 3.0, 10.0
-RHO_F = 0.5 * math.log(OMEGAF / OMEGA0)
+RHO_F = rho_of(OMEGAF, OMEGA0)
 NEAR_SUDDEN = 1e-3
 SMOOTH_WIDTHS = (0.5, 1.0, 1.5)
 # (omega_f, width, band) at omega0 = 1: points the formula contour must cross

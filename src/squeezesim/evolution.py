@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _CLAMP_TO, _clamped_magnitude, _compose, _move, _squeeze_of, rho_of
-from .errors import SaturationError, StepSingularityError, WindowError, require_finite
+from .algebra import _CLAMP_TO, _clamped_magnitude, _compose, _move, _squeeze_of, _wrap_angle, rho_of
+from .errors import CompositionError, SaturationError, StepSingularityError, WindowError, require_finite
 from .frequency import (
     FrequencyProfile,
     _jump_omega,
@@ -196,8 +196,8 @@ class _Cell:
 
     start is the transition end after which _read_windows reads (None for
     _read_r, which reads every record).  n is the level it last ran (a
-    window_means cell starts at the seed), q and scalars what its reader
-    gave that level (scalars None after a resolution floor; see _ladder)
+    window_means cell starts at the seed), q and scalar what its reader
+    gave that level (scalar None after a resolution floor; see _ladder)
     and records, if kept, its (t_rec, chi_rec).
     """
 
@@ -210,7 +210,7 @@ class _Cell:
     q: np.ndarray | None = None
     records: tuple[np.ndarray, np.ndarray] | None = None
     error: Exception | None = None
-    scalars: tuple[float, ...] | None = None
+    scalar: float | None = None
 
 
 def default_t_end(p: FrequencyProfile) -> float:
@@ -471,19 +471,18 @@ def _instantaneous(p: FrequencyProfile, t_rec: np.ndarray):
 
 
 def _finalize(c: _Cell) -> Trajectory:
-    """Convert a finished cell's recorded chi values into the full squeeze trajectory."""
+    """Convert a finished cell's records into the full squeeze trajectory; r is its last reading's."""
     p, (t_rec, chi_rec) = c.p, c.records
-    r, phi = _squeeze_of(chi_rec, "squeeze")
     omega_rec, t_basis = _instantaneous(p, t_rec)
     alpha, beta, _ = _compose(chi_rec, t_basis)
     big_r, big_phi = _squeeze_of(alpha, "instantaneous squeeze")
     return Trajectory(
         t=t_rec,
         omega=omega_rec,
-        rho=0.5 * np.log(omega_rec / p.omega0),
+        rho=rho_of(omega_rec, p.omega0),
         chi=chi_rec,
-        r=r,
-        phi=phi,
+        r=c.q,
+        phi=_wrap_angle(np.angle(chi_rec) + np.pi),
         R=big_r,
         Phi=big_phi,
         beta_mod=np.abs(beta),
@@ -514,41 +513,35 @@ def _read_r(cells: list[_Cell], runs: list) -> list:
     for c, (t_rec, chi_rec) in zip(cells, runs):
         try:
             r = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
-            out.append((r, (float(_big_r(c.p, t_rec[-1:], chi_rec[-1:], "at t_end")[0]),)))
+            out.append((r, float(_big_r(c.p, t_rec[-1:], chi_rec[-1:], "at t_end")[0])))
         except Exception as exc:  # this cell fails, its neighbours go on
             out.append(exc)
     return out
 
 
-def _window_block(cells: list[_Cell], windows: list) -> list:
-    """R over the windows (t, chi) of some cells, ramps before jumps, laid
-    end to end and read in one pass: one slice of R per cell, and whether a
-    guard of the per-cell reading (_big_r) would act on it, a magnitude
-    |chi| at 1, a singular composition (_move's bound) or an |alpha| at
-    _CLAMP_TO.  Such a cell's values are discarded, so its arithmetic here
-    warns about nothing."""
-    sizes = [len(t) for t, _ in windows]
-    bounds = list(accumulate(sizes, initial=0))
+def _window_block(cells: list[_Cell], windows: list) -> list | None:
+    """R over the windows (t, chi) of some cells in _KINDS order, laid end
+    to end and read in one pass through _move: one slice of R per cell, or
+    None if a guard of the per-cell reading (_big_r) would act on any cell
+    of the block, a magnitude |chi| at 1, a singular composition (_move's
+    CompositionError) or an |alpha| at _CLAMP_TO."""
+    bounds = list(accumulate((len(t) for t, _ in windows), initial=0))
     t = np.concatenate([t for t, _ in windows])
     chi = np.concatenate([x for _, x in windows])
     params = np.array([(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in cells]).T
-    omega0, omegaf, t0, epsilon = np.repeat(params, sizes, axis=1)
+    omega0, omegaf, t0, epsilon = np.repeat(params, np.diff(bounds), axis=1)
     ramps = bounds[sum(c.p.kind == "tanh" for c in cells)]
     omega = np.empty_like(t)
     _ramp_omega(t[:ramps], omega0[:ramps], omegaf[:ramps], t0[:ramps], epsilon[:ramps], out=omega[:ramps])
     omega[ramps:] = _jump_omega(t[ramps:], omega0[ramps:], omegaf[ramps:], t0[ramps:])
-    basis = (omega - omega0) / (omega + omega0)
-    starts = bounds[:-1]
-    with np.errstate(all="ignore"):
-        den = 1.0 + basis * chi
-        mag = np.abs((chi + basis) / den)
-        big_r = np.arctanh(mag)
-    acting = (
-        (np.maximum.reduceat(np.abs(chi), starts) >= 1.0)
-        | (np.maximum.reduceat(mag, starts) >= _CLAMP_TO)
-        | (np.minimum.reduceat(np.abs(den), starts) < 1e-150)
-    ).tolist()
-    return [(big_r[a:b], act) for a, b, act in zip(bounds, bounds[1:], acting)]
+    try:
+        mag = np.abs(_move(chi, (omega - omega0) / (omega + omega0))[0])
+    except CompositionError:
+        return None
+    if (np.abs(chi) >= 1.0).any() or (mag >= _CLAMP_TO).any():
+        return None
+    big_r = np.arctanh(mag)
+    return [big_r[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _read_windows(cells: list[_Cell], runs: list) -> list:
@@ -557,45 +550,41 @@ def _read_windows(cells: list[_Cell], runs: list) -> list:
     _MIN_WINDOW_RECORDS, or the exception that ends the cell.
 
     A cell's window is cut by searchsorted (t_rec never decreases, so it is
-    exactly t_rec > start), and the level's windows are read in blocks of
-    whole cells of at most _BLOCK records, or one cell, through
-    _window_block.  A cell on which a guard would act, and one with an
-    empty window, is read alone through the guards, in cell order, so it
-    warns and fails as it would alone: |chi| clamped as the r column is,
-    then _big_r.  A mean is np.add.reduce over the cell's R over its count,
-    np.mean bitwise.
+    exactly t_rec > start), and the level's windows, in _KINDS order, are
+    read in blocks of whole cells of at most _BLOCK records, or one cell,
+    through _window_block; an empty window reads as no records.  Every cell
+    of a block in which a guard would act is read alone through the guards,
+    in cell order, so it warns and fails as it would alone: |chi| clamped
+    as the r column is, then _big_r.  A mean is np.add.reduce over the
+    cell's R over its count, np.mean bitwise.
     """
     windows = []
     for c, (t_rec, chi_rec) in zip(cells, runs):
         cut = int(t_rec.searchsorted(c.start, side="right"))
         windows.append((t_rec[cut:], chi_rec[cut:]))
     read: list = [None] * len(cells)
-    blocks, size = [], _BLOCK
-    # ramps before jumps, so that a block computes omega in one call per kind
-    for i in sorted((i for i, (t, _) in enumerate(windows) if len(t)), key=lambda i: cells[i].p.kind == "jump"):
-        if size + len(windows[i][0]) > _BLOCK:
+    blocks, size = [], 0
+    for i in sorted(range(len(cells)), key=lambda i: _KINDS.index(cells[i].p.kind)):
+        if not blocks or size + len(windows[i][0]) > _BLOCK:
             blocks.append([])
             size = 0
         blocks[-1].append(i)
         size += len(windows[i][0])
     for block in blocks:
-        for i, got in zip(block, _window_block([cells[i] for i in block], [windows[i] for i in block])):
-            read[i] = got
+        got = _window_block([cells[i] for i in block], [windows[i] for i in block])
+        for i, big_r in zip(block, got or ()):
+            read[i] = big_r
     out = []
-    for c, (t, chi), got in zip(cells, windows, read):
+    for c, (t, chi), big_r in zip(cells, windows, read):
         try:
-            if got is None or got[1]:
+            if big_r is None:
                 _clamped_magnitude(np.abs(chi), "squeeze")  # the saturation check of the r column
                 big_r = _big_r(c.p, t, chi, "after the transition")
-            else:
-                big_r = got[0]
         except Exception as exc:  # this cell fails, its neighbours go on
             out.append(exc)
             continue
-        scalars = None
-        if len(big_r) >= _MIN_WINDOW_RECORDS:
-            scalars = (float(np.add.reduce(big_r) / len(big_r)),)  # np.mean, bitwise
-        out.append((big_r, scalars))
+        enough = len(big_r) >= _MIN_WINDOW_RECORDS
+        out.append((big_r, float(np.add.reduce(big_r) / len(big_r)) if enough else None))  # np.mean, bitwise
     return out
 
 
@@ -608,12 +597,12 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
     or climbing to 2 n (past a resolution floor, too), so climbing cells
     share n.  A failure ends only its cell.  read(cells, runs) reads a
     group's cells that ran, with their (t_rec, chi_rec), in one call, and
-    gives for each cell its (q, scalars) or the exception that ends it: q
+    gives for each cell its (q, scalar) or the exception that ends it: q
     is compared in sup norm at the shared records and covers a suffix of
-    them that holds the last one, and scalars are what the cell reports,
-    Python floats, None while the level's records cannot hold them.
-    A level is compared only with a previous one that ran and held its
-    scalars; coarse record times are bitwise among the fine ones
+    them that holds the last one, and scalar is what the cell reports, a
+    Python float, None while the level's records cannot hold it.  A level's
+    delta, the larger of the sup change of q and the change of scalar, is
+    taken only against a previous one that ran and held its scalar; coarse record times are bitwise among the fine ones
     (2 j (tau/2) == j tau) and the record step halves, so every finer level
     holds them too.  With keep, a cell keeps the (t_rec, chi_rec) of its
     last level.
@@ -628,7 +617,7 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
                 c.n = n
                 if isinstance(run, _UnresolvedSlice):
                     if 2 * n <= cfg.n_max:
-                        c.scalars = None  # a resolution floor, not a level
+                        c.scalar = None  # a resolution floor, not a level
                         continue
                     run = StepSingularityError(run.step, str(run))  # the floor at n_max
                 if isinstance(run, Exception):
@@ -640,16 +629,16 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
                 if isinstance(got, Exception):
                     c.error = got
                     continue
-                q, scalars = got
-                if c.scalars is not None:
+                q, scalar = got
+                if c.scalar is not None:
                     # both q end at t_end and the coarse records are every
                     # second fine record, so they align counting back from
                     # the last (a window of C coarse records holds 2 C - 1
                     # or 2 C fine ones)
                     sup = float(np.max(np.abs(q[::-2] - c.q[::-1])))
-                    c.history.append(max([sup, *(abs(x - y) for x, y in zip(scalars, c.scalars))]))
+                    c.history.append(max(sup, abs(scalar - c.scalar)))
                     c.converged = c.history[-1] < cfg.convergence_tol
-                c.q, c.scalars = q, scalars
+                c.q, c.scalar = q, scalar
                 if keep and (c.converged or 2 * n > cfg.n_max):
                     c.records = run
         climbing = [c for c in climbing if c.error is None and not c.converged]
@@ -713,10 +702,10 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     _ladder(cells, cfg, _read_windows, keep=False)
     out = []
     for c in cells:
-        if c.error is None and c.scalars is None:
+        if c.error is None and c.scalar is None:
             c.error = WindowError("too few records after the transition")
         achieved = c.history[-1] if c.history else None
-        mean = float("nan") if c.error is not None else c.scalars[0]
+        mean = float("nan") if c.error is not None else c.scalar
         out.append(WindowMean(mean, c.n, c.converged, achieved, c.error))
     return out
 

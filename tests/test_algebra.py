@@ -91,6 +91,22 @@ class TestBogoliubov:
         with pytest.raises(ValueError):
             rho_of(1.0, 0.0)
 
+    def test_rho_of_arrays_match_the_scalar_calls(self):
+        omega = np.array([3.0, 1.0, 0.5, 1e-200, 1e200, 7.3])
+        omega0 = np.array([1.0, 1.0, 2.0, 1.0, 3.0, 0.1])
+        assert type(rho_of(3.0, 1.0)) is float
+        for got, want in [
+            (rho_of(omega, omega0), [rho_of(a, b) for a, b in zip(omega.tolist(), omega0.tolist())]),
+            (rho_of(omega, 2.0), [rho_of(a, 2.0) for a in omega.tolist()]),
+        ]:
+            assert isinstance(got, np.ndarray)
+            assert got.tobytes() == np.array(want).tobytes()  # bitwise
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="frequencies must be positive and finite"):
+                rho_of(np.array([1.0, bad]), 1.0)
+            with pytest.raises(ValueError, match="frequencies must be positive and finite"):
+                rho_of(omega, np.array([1.0, bad, 1.0, 1.0, 1.0, 1.0]))
+
 
 class TestChiToSqueeze:
     def test_vacuum(self):

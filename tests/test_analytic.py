@@ -544,6 +544,14 @@ class TestFitAnsatz:
             with pytest.raises(ValueError, match="not finite"):
                 fit_ansatz([bad, good])
 
+    def test_non_positive_frequency_rejected_without_warning(self):
+        good = [(1.0, 3.0, 0.5, 0.2), (1.0, 2.0, 0.1, 0.3)]
+        for bad in ((1.0, -2.0, 0.4, 0.1), (0.0, 2.0, 0.4, 0.1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="frequencies must be positive and finite"):
+                    fit_ansatz([*good, bad])
+
     def test_single_ratio_warns(self):
         data = [(1.0, 3.0, e, fitted_sp(1.0, 3.0, e)) for e in (0.0, 0.2, 0.5, 1.0)]
         with pytest.warns(FitConditionWarning) as record:

@@ -16,6 +16,7 @@ from squeezesim import (
     SimulationConfig,
     StepSingularityError,
     WindowError,
+    algebra,
     default_t_end,
     eval_omega,
     evolution,
@@ -300,7 +301,7 @@ class TestPropagateConverged:
         assert traj.converged is False
         assert traj.n_slices == 1024
 
-    def test_flip_hook_breaks_physics(self, monkeypatch):
+    def test_flipped_slice_map_breaks_physics(self, monkeypatch):
         # a slice map with the sign of its coefficient B flipped must
         # visibly damage the result
         p = jump_profile(1.0, 3.0, 10.0)
@@ -315,6 +316,22 @@ class TestPropagateConverged:
         monkeypatch.setattr(evolution, "_maps", flipped)
         broken = propagate_converged(p, cfg)
         assert np.max(np.abs(clean.r - broken.r)) > 0.1
+
+    def test_each_level_clamps_chi_once(self, monkeypatch):
+        # the kept level's r is its reading's, so |chi| is clamped (and a
+        # magnitude at 1 warns) once per level, not again by _finalize
+        calls, clamp = [], evolution._clamped_magnitude
+
+        def spy(mag, what):
+            calls.append(what)
+            return clamp(mag, what)
+
+        monkeypatch.setattr(algebra, "_clamped_magnitude", spy)
+        monkeypatch.setattr(evolution, "_clamped_magnitude", spy)
+        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
+        traj = propagate_converged(p, SimulationConfig(n_slices=256, n_max=512))
+        assert traj.n_slices == 512 and len(traj.delta_history) == 1
+        assert calls.count("squeeze") == 2
 
     @pytest.mark.parametrize("n_slices", [4096, 5000])
     def test_jump_is_exact_at_every_level(self, n_slices):
@@ -395,7 +412,7 @@ def _window_r(c, t_rec, chi_rec):
         raise SaturationError(
             f"instantaneous squeeze R = {big_r.max():.6g} after the transition is beyond double precision"
         )
-    return big_r, (float(np.mean(big_r)),) if len(big_r) >= 4 else None
+    return big_r, float(np.mean(big_r)) if len(big_r) >= 4 else None
 
 
 def _read_each(cells, runs):
@@ -417,31 +434,83 @@ def _level_means(profiles):
     return means, [(str(w.message), w.category) for w in caught]
 
 
+def _spy_levels(monkeypatch):
+    """Each level _read_windows reads, as (its cell count, its reading, _read_each's)."""
+    levels, read = [], evolution._read_windows
+
+    def spy(cells, runs):
+        got = read(cells, runs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            levels.append((len(cells), got, _read_each(cells, runs)))
+        return got
+
+    monkeypatch.setattr(evolution, "_read_windows", spy)
+    return levels
+
+
+def _count_short_windows(levels):
+    """Check that every cell of the levels reads bitwise as _read_each reads
+    it; return how many had too few window records for a mean."""
+    few = 0
+    for _, got, want in levels:
+        for g, w in zip(got, want, strict=True):
+            if isinstance(w, Exception):
+                assert (type(g), str(g)) == (type(w), str(w))
+                continue
+            assert np.array_equal(g[0], w[0]) and g[1] == w[1]
+            few += w[1] is None
+    return few
+
+
 class TestLevelRead:
     def test_each_cell_reads_as_alone(self, monkeypatch):
         # every level's cells, read in one pass, give bitwise what each
         # cell's own reading gives on the same records
-        levels, read = [], evolution._read_windows
-
-        def spy(cells, runs):
-            got = read(cells, runs)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                levels.append((len(cells), got, _read_each(cells, runs)))
-            return got
-
-        monkeypatch.setattr(evolution, "_read_windows", spy)
+        levels = _spy_levels(monkeypatch)
         _level_means(LEVEL)
         assert levels[0][0] == len(LEVEL) >= evolution._ROW_CELLS
-        few = 0
-        for _, got, want in levels:
-            for g, w in zip(got, want, strict=True):
-                if isinstance(w, Exception):
-                    assert (type(g), str(g)) == (type(w), str(w))
-                    continue
-                assert np.array_equal(g[0], w[0]) and g[1] == w[1]
-                few += w[1] is None
-        assert few == 1  # the late jump at the seed
+        assert _count_short_windows(levels) == 1  # the late jump at the seed
+
+    def test_a_singular_cell_reads_its_block_alone(self, monkeypatch):
+        # a jump from omega0 = 1e-200 makes _move raise CompositionError on
+        # the seed level's one block, so every cell of it is read alone:
+        # bitwise as _read_each reads it, and warning and failing as alone
+        profiles = [
+            tanh_profile(1.0, 3.0, 10.0, 0.2), jump_profile(1.0, 2.0), jump_profile(1e-200, 1.0, 5.0),
+            tanh_profile(1.0, 5.0, 10.0, 0.1), jump_profile(1.0, 5.0),
+        ]
+        alone = [_level_means([p]) for p in profiles]
+        levels, blocks, moves = _spy_levels(monkeypatch), [], []
+        block, move = evolution._window_block, evolution._move
+
+        def block_spy(cells, windows):
+            got = block(cells, windows)
+            blocks.append((len(cells), got is None))
+            return got
+
+        def move_spy(chi, t):
+            try:
+                return move(chi, t)
+            except CompositionError:
+                moves.append(len(chi))
+                raise
+
+        monkeypatch.setattr(evolution, "_window_block", block_spy)
+        monkeypatch.setattr(evolution, "_move", move_spy)
+        means, warned = _level_means(profiles)
+        assert blocks[0] == (len(profiles), True) and len(levels) > 1
+        # the block's _move raised, then the jump's own reading
+        assert len(moves) == 2 and moves[0] > moves[1]
+        assert _count_short_windows(levels) == 0
+        assert warned == [w for _, ws in alone for w in ws] != []
+        for got, ((want,), _) in zip(means, alone, strict=True):
+            assert (type(got.error), str(got.error)) == (type(want.error), str(want.error))
+            assert np.array_equal(got.R_final, want.R_final, equal_nan=True)
+            assert (got.n_slices, got.converged, got.achieved_delta) == (
+                want.n_slices, want.converged, want.achieved_delta)
+        assert isinstance(means[2].error, CompositionError)
+        assert [m.error for i, m in enumerate(means) if i != 2] == [None] * 4
 
     def test_ladder_matches_the_per_cell_reading(self, monkeypatch):
         batched, warned = _level_means(LEVEL)

@@ -221,11 +221,15 @@ def default_t_end(p: FrequencyProfile) -> float:
 
 
 def _time_span(p: FrequencyProfile, cfg: SimulationConfig) -> tuple[float, float]:
-    """(t_start, t_end) of a run: the first sample time of a sampled profile, else 0."""
+    """(t_start, t_end) of a run: the first sample time of a sampled profile,
+    else 0; a sampled run that ends past its last sample raises eval_omega's
+    ValueError here, so no slice of it reads omega outside the table."""
     t_start = p.samples[0][0] if p.kind == "sampled" else 0.0
     t_end = default_t_end(p) if cfg.t_end is None else cfg.t_end
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed t_start {t_start}")
+    if p.kind == "sampled":
+        eval_omega(p, t_end)
     return float(t_start), float(t_end)
 
 
@@ -330,50 +334,39 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
     half-steps, a jump's that of one exact step, run only for the part of
     the slice past t0 (the omega0 vacuum is stationary before it), and a
     step of zero width.  A cell whose half-step omega^2 is not positive gets
-    _UnresolvedSlice in errors, a sampled one whose omega fails that
-    exception, and the column of every cell in errors holds the identity
-    (A = C = 0, B = 1).  No value of a failed cell's column warns.
+    _UnresolvedSlice in errors, and the column of every cell in errors
+    becomes the identity (A = C = 0, B = 1) once, after its maps.  No value
+    warns: a healthy column's map that is not finite is the caller's to report.
     """
     k = np.arange(first, first + m, dtype=float)
     omega, width = g.omega[:, :m], g.width[:, :m]
     cf4, ramps, jumps = g.cf4, g.ramps, g.jumps
-    if cf4.stop:
-        nodes, half = g.nodes[:, :m], omega[:, :, cf4]
-        np.multiply((k + _NODES[:, None])[:, :, None], g.tau[cf4], out=nodes)
-        np.add(g.t_start[cf4], nodes, out=nodes)
-        ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
-        _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
-        for i in range(ramps.stop, cf4.stop):  # sampled profiles, one column each
-            if errors[i] is None:
-                try:
-                    nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
-                except Exception as exc:  # this cell fails, its neighbours go on
-                    errors[i] = exc
-        # an omega^2 that overflows makes a half-step inf - inf or -inf (beta2
-        # is negative), which the check below marks unresolved
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        if cf4.stop:
+            nodes, half = g.nodes[:, :m], omega[:, :, cf4]
+            np.multiply((k + _NODES[:, None])[:, :, None], g.tau[cf4], out=nodes)
+            np.add(g.t_start[cf4], nodes, out=nodes)
+            ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
+            _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
+            for i in range(ramps.stop, cf4.stop):  # sampled profiles, one column each
+                nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
+            # an omega^2 that overflows makes a half-step inf - inf or -inf
+            # (beta2 is negative), which the test below marks unresolved
             w_sq = np.square(nodes, out=nodes)
             np.multiply(_BETA2, w_sq[::-1], out=half)
             np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
             np.multiply(2.0, half, out=half)
-        resolved = half > 0.0
-        for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
-            if errors[i] is None:
-                step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
-                errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
-        failed = [i for i in range(cf4.stop) if errors[i] is not None]
-        half[:, :, failed] = 1.0  # no root of a negative
-        np.sqrt(half, out=half)
-        # a failed column is the identity (below); omega0 keeps its every
-        # value finite, where 1.0 / omega0 may overflow (omega0^2 underflows)
-        half[:, :, failed] = g.omega0[failed]
-    if jumps.stop > jumps.start:
-        t0, tau = g.t0[jumps], g.tau[jumps]
-        ts = g.t_start[jumps] + (k + 1.0)[:, None] * tau
-        omega[0, :, jumps] = _jump_omega(ts, g.omega0[jumps], g.omegaf[jumps], t0)
-        np.clip(ts - t0, 0.0, tau, out=width[0, :, jumps])
-    # a map that overflows is not finite, and the caller reports its record
-    with np.errstate(over="ignore", invalid="ignore"):
+            resolved = half > 0.0
+            for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
+                if errors[i] is None:
+                    step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
+                    errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
+            np.sqrt(half, out=half)
+        if jumps.stop > jumps.start:
+            t0, tau = g.t0[jumps], g.tau[jumps]
+            ts = g.t_start[jumps] + (k + 1.0)[:, None] * tau
+            omega[0, :, jumps] = _jump_omega(ts, g.omega0[jumps], g.omegaf[jumps], t0)
+            np.clip(ts - t0, 0.0, tau, out=width[0, :, jumps])
         a, b, c = _maps(omega, g.omega0, width, (g.maps[:, :m], g.work[:, :, :m]))
     failed = [i for i, e in enumerate(errors) if e is not None]
     a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
@@ -673,7 +666,8 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
 
     A cell's window opens where post_transition_summary opens it, at its
     profile's transition end w; a sampled profile has none, and its cell
-    fails with transition_interval's ValueError.  Each cell runs the ladder
+    fails with a ValueError (_time_span's past its last sample, else
+    transition_interval's).  Each cell runs the ladder
     of propagate_converged at every slice, whatever cfg.record_stride, read
     through its window (t > w): the ladder compares R in sup norm over the
     shared window records and the change of its window mean, and takes the

@@ -153,7 +153,9 @@ def _ramp_omega(t, omega0, omegaf, t0, epsilon, out=None):
     which may be t, receives it."""
     mid = 0.5 * (omegaf + omega0)
     amp = 0.5 * (omegaf - omega0)
-    x = np.divide(np.subtract(t, t0, out=out), epsilon, out=out)
+    # a tiny epsilon overflows (t - t0)/epsilon, and tanh(+-inf) = +-1 is right
+    with np.errstate(over="ignore"):
+        x = np.divide(np.subtract(t, t0, out=out), epsilon, out=out)
     return np.add(mid, np.multiply(amp, np.tanh(x, out=out), out=out), out=out)
 
 

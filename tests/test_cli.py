@@ -85,7 +85,7 @@ class TestEvolve:
 
     def test_unresolvable_ramp_fails_without_warnings(self, capsys):
         # omega0^2 = 1e-400 underflows to 0, so no level resolves the lead-in;
-        # each failed column steps at omega0 itself, so nothing overflows
+        # each failed column becomes the identity, and none of its values warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["evolve", "--omega0", "1e-200", "--omegaf", "1"]) == EXIT_STEP_SINGULARITY
@@ -169,6 +169,14 @@ class TestEvolve:
         assert "t_start = 5.00000000000e+00" in out
         assert "\nepsilon = none\n" in out
         assert "\nt0 = none\n" in out
+
+    def test_profile_file_past_its_last_sample_exits_3(self, tmp_path, capsys):
+        prof = tmp_path / "omega.txt"
+        prof.write_text("0 1\n3 1\n4 2\n7 2\n")
+        assert main(["evolve", "--profile-file", str(prof), "--t-end", "20"]) == EXIT_DOMAIN == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: time outside sampled range [0.0, 7.0]\n"
 
     def test_dropped_summary_is_reported(self, capsys):
         # the window after the transition, [11.5, 12], is shorter than three
@@ -414,6 +422,77 @@ def test_each_failed_cell_warns_once(argv, status, failed, capsys):
     else:
         assert out == ""
         assert err == "error: degenerate data: need at least 2 data points, got 0\n"
+
+
+# the report of a ramp whose width, 1e-320, is far below every |t - t0| at
+# which omega is read: (t - t0)/eps overflows and tanh of it is +-1, a jump
+_TINY_WIDTH_REPORT = """\
+profile_kind = tanh
+omega0 = 1.00000000000e+00
+omegaf = 3.00000000000e+00
+epsilon = 9.99988867183e-321
+t0 = 1.00000000000e+01
+t_start = 0.00000000000e+00
+t_end = 1.31415926536e+01
+n_slices = 4096
+n_records = 4097
+converged = true
+achieved_delta = 6.36974717860e-06
+unitarity_defect = 8.88178419700e-16
+r_end = 2.28935355440e-03
+phi_end = -1.56793463599e+00
+R_end = 5.49306144334e-01
+Phi_end = -3.13815861857e+00
+window_start = 1.00000000000e+01
+window_end = 1.31415926536e+01
+r_min = 1.12576614697e-13
+r_max = 1.09861228867e+00
+r_midpoint = 5.49306144334e-01
+amplitude = 1.09861228867e+00
+period = 1.04719755120e+00
+n_maxima = 3
+R_final = 5.49306144334e-01
+R_std = 3.38610049537e-14
+adiabaticity_measure = inf
+adiabatic = false
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, status, out, formula_warnings",
+    [
+        (["evolve", "--omegaf", "3", "--eps", "1e-320"], EXIT_OK, _TINY_WIDTH_REPORT, []),
+        (["sweep", "--omegaf", "3", "--eps", "1e-320"], EXIT_OK,
+         "epsilon,R_sim,R_formula,rel_err\n"
+         "9.99988867183e-321,5.49312514056e-01,5.49306144334e-01,1.15959415220e-05\n", []),
+        (["contour", "--source", "simulation", "--n-ratio", "2", "--n-eps", "2",
+          "--eps-max", "1e-310"], EXIT_OK,
+         "ratio,omega0_eps,R\n"
+         "1.50000000000e+00,0.00000000000e+00,2.02732554054e-01\n"
+         "1.50000000000e+00,1.00000000000e-310,2.02756999118e-01\n"
+         "1.00000000000e+01,0.00000000000e+00,1.15129254650e+00\n"
+         "1.00000000000e+01,1.00000000000e-310,1.15129254650e+00\n", []),
+        (["evolve", "--omega0", "1e200", "--omegaf", "1e-200", "--eps", "0"],
+         EXIT_STEP_SINGULARITY, "", []),
+        (["sweep", "--omega0", "1e200", "--omegaf", "1e-200", "--eps", "0"], EXIT_OK,
+         "epsilon,R_sim,R_formula,rel_err\n0.00000000000e+00,nan,nan,nan\n",
+         ["divide by zero encountered in log", "invalid value encountered in multiply"]),
+    ],
+    ids=["evolve-tiny-width", "sweep-tiny-width", "contour-tiny-width",
+         "evolve-extreme-ratio", "sweep-extreme-ratio"],
+)
+def test_extreme_inputs_step_without_numpy_warnings(argv, status, out, formula_warnings, capsys):
+    # a tiny width overflows (t - t0)/eps, and omega/omega0 = 1e-400
+    # underflows to 0 in the slice maps; neither warns, and the answer is
+    # what it was.  The sweep's formula column still takes the log of that
+    # underflowed ratio: rho_of gives -inf, where rho_f is about -460.5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == status
+    leaked = [str(w.message) for w in caught
+              if issubclass(w.category, RuntimeWarning) and w.category is not SaturationWarning]
+    assert leaked == formula_warnings
+    assert capsys.readouterr().out == out
 
 
 class TestExitStatus:

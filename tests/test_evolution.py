@@ -735,8 +735,9 @@ class TestGroupSteps:
 
     def test_unresolved_cell_fails_alone_and_quietly(self, monkeypatch):
         # omega 1 -> 5 over eps 1e-3 is too steep for 512 slices: that cell
-        # fails at the slice its own arithmetic names, without taking the root
-        # of its negative half-step omega^2, and steps through the identity
+        # fails at the slice its own arithmetic names, without a warning from
+        # the root of its negative half-step omega^2, and steps through the
+        # identity
         steep = tanh_profile(1.0, 5.0, 10.0, 1e-3)
         profiles = [self.RAMPS[0], steep, self.JUMPS[0], self.RAMPS[1]]
         cells, runs, seen = self._chunks(monkeypatch, profiles, 1)
@@ -832,6 +833,21 @@ class TestPostTransitionSummary:
         traj = propagate_converged(p, SimulationConfig(n_slices=2048, n_max=2048))
         with pytest.raises(ValueError, match="undefined for sampled profiles"):
             post_transition_summary(traj)
+
+    def test_sampled_run_past_its_table_fails_before_stepping(self, monkeypatch):
+        # t_end beyond the last sample is rejected with the span, before any
+        # slice steps, by a single run and by a sweep cell alike
+        def no_stepping(*args):
+            raise AssertionError("stepped a run that leaves its table")
+
+        monkeypatch.setattr(evolution, "_propagate", no_stepping)
+        p = sampled_profile([(0.0, 1.0), (3.0, 1.0), (4.0, 2.0), (7.0, 2.0)])
+        cfg = SimulationConfig(t_end=20.0)
+        message = "time outside sampled range [0.0, 7.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            propagate_converged(p, cfg)
+        (cell,) = evolution.window_means([p], cfg)
+        assert isinstance(cell.error, ValueError) and str(cell.error) == message
 
     def test_window_means_opens_at_the_transition_end(self):
         # a sampled profile has no transition end, so its cell fails alone;

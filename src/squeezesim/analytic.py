@@ -194,8 +194,11 @@ def fit_ansatz(sweep_data) -> FitResult:
     taken in R and minimised by damped Gauss-Newton from the starting point
     (1, 0.5), with the analytic Jacobian and Levenberg's damping on the
     diagonal of the normal matrix (Marquardt's scaling), then polished by
-    undamped Gauss-Newton steps for as long as they shrink.  The model is
-    even in c1, so its sign is normalised to +.
+    undamped Gauss-Newton steps for as long as they shrink.  The damped loop
+    ends at its first accepted step that, at a damping no larger than the
+    starting 1e-3, lowers the cost by at most 1e-12 of itself: there rounding
+    decides its steps.  The model is even in c1, so its sign is normalised
+    to +.
     """
     pts = [(float(o0), float(of), float(e), float(r)) for o0, of, e, r in sweep_data]
     if len(pts) < 2:
@@ -234,14 +237,18 @@ def fit_ansatz(sweep_data) -> FitResult:
         except np.linalg.LinAlgError:  # singular: a failed step raises the damping
             step = np.full(2, np.nan)
         trial, trial_jac = residuals(c + step)
-        if trial @ trial < res @ res:
-            c, res, jac, lam = c + step, trial, trial_jac, lam / 10.0
+        cost, trial_cost = res @ res, trial @ trial
+        if trial_cost < cost:
+            c, res, jac = c + step, trial, trial_jac
+            if cost - trial_cost <= 1e-12 * cost and lam <= 1e-3:
+                break  # arrived: the cost moves at rounding level
+            lam /= 10.0
         elif lam > 1e12:  # no descent even along the scaled gradient
             break
         else:
             lam *= 10.0
     # Near the optimum rounding decides whether a step lowers the cost, so
-    # the damped loop can stop short of it; undamped Gauss-Newton steps end
+    # the damped loop stops short of it; undamped Gauss-Newton steps end
     # there, taken while they keep shrinking
     size = np.inf
     for _ in range(50):

@@ -369,7 +369,8 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
             np.clip(ts - t0, 0.0, tau, out=width[0, :, jumps])
         a, b, c = _maps(omega, g.omega0, width, (g.maps[:, :m], g.work[:, :, :m]))
     failed = [i for i, e in enumerate(errors) if e is not None]
-    a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
+    if failed:
+        a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
     return a, b, c
 
 
@@ -449,8 +450,11 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     ran = [col for col in range(k) if errors[col] is None]
     if ran:  # record times only for the cells that ran: the others end in their error
         steps = np.arange(n // stride + 1, dtype=float) * stride
-        # j * tau can pass t_end, and a sampled profile, by an ulp
-        t_rec = np.minimum(g.t_start[ran, None] + steps * g.tau[ran, None], g.t_end[ran, None])
+        # t_start + j * tau, built in one buffer; it can pass t_end, and a
+        # sampled profile, by an ulp
+        t_rec = np.multiply(steps, g.tau[ran, None])
+        np.add(g.t_start[ran, None], t_rec, out=t_rec)
+        np.minimum(t_rec, g.t_end[ran, None], out=t_rec)
         for col, t in zip(ran, t_rec):
             runs[g.order[col]] = (t, chi_rec[:, col])
     return runs

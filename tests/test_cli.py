@@ -666,6 +666,9 @@ class TestFit:
         out = capsys.readouterr().out
         assert "c1 = 2.00000000000e+00" in out
         assert "c2 = 1.00000000000e+00" in out
+        # the damped loop runs on to an exact fit: a stop one step early
+        # prints c2 = 1.0000000000000002 and a residual of about 1e-17
+        assert "residual_rms = 0.00000000000e+00" in out
 
 
 class TestVerify:

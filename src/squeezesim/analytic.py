@@ -280,8 +280,6 @@ class ContourGrid:
     ratios: np.ndarray
     omega0_eps: np.ndarray
     R: np.ndarray
-    mode: str
-    source: str
 
 
 def contour_grid(
@@ -324,4 +322,4 @@ def contour_grid(
     else:
         cells = [(1.0, k, x) for k in ratios.tolist() for x in xs.tolist()]
         big_r = np.reshape([pt.R_final for pt in _sweep_points(cells, cfg)], (n_ratio, n_eps))
-    return ContourGrid(ratios, xs, big_r, mode, source)
+    return ContourGrid(ratios, xs, big_r)

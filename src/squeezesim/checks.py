@@ -72,7 +72,7 @@ def _closed_form_deviation(run: Run) -> float:
 
 def _window_records(run: Run) -> tuple[np.ndarray, np.ndarray]:
     """(t, r) at the records of a run's post-transition window."""
-    after = run.traj.t > run.summary.window[0]
+    after = run.traj.t > run.summary.window_start
     return run.traj.t[after], run.traj.r[after]
 
 

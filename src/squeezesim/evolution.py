@@ -156,10 +156,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PostTransitionSummary:
-    """Oscillation statistics of a trajectory after the frequency switch."""
+    """Oscillation statistics after the switch; summary_text prints every field."""
 
-    window: tuple[float, float]
-    n_records: int
+    window_start: float
+    window_end: float
     r_min: float
     r_max: float
     r_midpoint: float
@@ -746,8 +746,8 @@ def post_transition_summary(traj: Trajectory) -> PostTransitionSummary:
     back = np.mod((0.0 if p.omegaf > p.omega0 else np.pi) - traj.Phi[-1], 2.0 * np.pi) / (2.0 * p.omegaf)
     big_r_w = traj.R[traj.t > window_start]
     return PostTransitionSummary(
-        window=(float(window_start), t),
-        n_records=len(big_r_w),
+        window_start=float(window_start),
+        window_end=t,
         r_min=abs(big_r - rho),
         r_max=big_r + rho,
         r_midpoint=max(big_r, rho),

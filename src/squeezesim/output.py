@@ -142,6 +142,7 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None) -> str:
+    """The run's `key = value` lines, then one per summary field, in field order."""
     p = traj.profile
     sampled = p.kind == "sampled"  # a tabulated profile has no ramp centre or width
     items: list[tuple[str, object]] = [
@@ -163,18 +164,7 @@ def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None)
         ("Phi_end", traj.Phi[-1]),
     ]
     if summary is not None:
-        items += [
-            ("window_start", summary.window[0]),
-            ("window_end", summary.window[1]),
-            ("r_min", summary.r_min),
-            ("r_max", summary.r_max),
-            ("r_midpoint", summary.r_midpoint),
-            ("amplitude", summary.amplitude),
-            ("period", summary.period),
-            ("n_maxima", summary.n_maxima),
-            ("R_final", summary.R_final),
-            ("R_std", summary.R_std),
-        ]
+        items += dataclasses.asdict(summary).items()
     return report(items)
 
 
@@ -208,5 +198,5 @@ def fit_text(fit: FitResult) -> str:
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

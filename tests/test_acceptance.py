@@ -6,6 +6,7 @@ and the formula halves of 7 and 8 are the squeezesim.checks verdicts that
 `squeezesim verify` prints; their runs and bounds live there.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -156,80 +157,93 @@ def test_criterion_08_fit_recovery(design_sweep, physics_checks):
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: randomized invariants, ten thousand cases per property
+# criterion 9: randomized invariants, at least ten thousand distinct cases per
+# property.  Hypothesis draws one seed per batch and numpy draws the batch's
+# cases from it, uniform over each argument's range; every corner of the
+# ranges is checked first, as an explicit case.  BATCHES * BATCH exceeds
+# MIN_CASES by a thousand, room for seeds that Hypothesis draws more than once.
 
-MANY = settings(max_examples=10_000, deadline=None)
-finite = dict(allow_nan=False, allow_infinity=False)
-radii = st.floats(min_value=0.0, max_value=3.0, **finite)
-angles = st.floats(min_value=-10.0, max_value=10.0, **finite)
+BATCHES, BATCH, MIN_CASES = 110, 100, 10_000
+RADII, ANGLES = (0.0, 3.0), (-10.0, 10.0)
 
 
-@MANY
-@given(radii, angles)
-def _prop_basis_coincidence(r, phi):
+def _basis_coincidence(r, phi):
     s = bch_to_inst(compose_bch(SqueezeParams(r, phi), bogoliubov_coeffs(0.0)))
-    assert abs(s.R - r) <= 1e-9 * (1.0 + r)
+    return abs(s.R - r) <= 1e-9 * (1.0 + r)
 
 
-@MANY
-@given(st.floats(min_value=-4.0, max_value=4.0, **finite),
-       st.floats(min_value=-4.0, max_value=4.0, **finite),
-       st.floats(min_value=-1.5, max_value=1.5, **finite))
-def _prop_lambda_conjugation(re, im, rho):
+def _lambda_conjugation(re, im, rho):
     lp, _, lm = lambda_coeffs(complex(re, im), bogoliubov_coeffs(rho))
-    assert abs(lm + np.conj(lp)) <= 1e-12 * (1.0 + abs(lp))
+    return abs(lm + np.conj(lp)) <= 1e-12 * (1.0 + abs(lp))
 
 
-@MANY
-@given(radii, angles)
-def _prop_variance_extrema(r, phi):
+def _variance_extrema(r, phi):
     s = SqueezeParams(r, phi)
     vmin = quadrature_variance(s, s.phi / 2.0)
     vmax = quadrature_variance(s, s.phi / 2.0 + math.pi / 2.0)
-    assert abs(vmin - 0.5 * math.exp(-2.0 * r)) <= 1e-12 * math.exp(2.0 * r)
-    assert abs(vmax - 0.5 * math.exp(2.0 * r)) <= 1e-12 * math.exp(2.0 * r)
+    tol = 1e-12 * math.exp(2.0 * r)
+    return abs(vmin - 0.5 * math.exp(-2.0 * r)) <= tol and abs(vmax - 0.5 * math.exp(2.0 * r)) <= tol
 
 
-@MANY
-@given(radii, angles, angles)
-def _prop_heisenberg_floor(r, phi, lam):
+def _heisenberg_floor(r, phi, lam):
     s = SqueezeParams(r, phi)
-    prod = quadrature_variance(s, lam) * quadrature_variance(s, lam + math.pi / 2.0)
-    assert prod >= 0.25 - 1e-9
+    return quadrature_variance(s, lam) * quadrature_variance(s, lam + math.pi / 2.0) >= 0.25 - 1e-9
 
 
-@MANY
-@given(st.floats(min_value=0.0, max_value=10.0, **finite),
-       st.floats(min_value=0.05, max_value=20.0, **finite),
-       st.floats(min_value=0.05, max_value=20.0, **finite))
-def _prop_cross_basis_product_invariance(var0, w, w0):
+def _cross_basis_product_invariance(var0, w, w0):
     vp = variance_cross_basis(var0, w, w0, "position")
     vm = variance_cross_basis(var0, w, w0, "momentum")
-    assert abs(vp * vm - var0 * var0) <= 1e-12 * (1.0 + var0 * var0)
+    return abs(vp * vm - var0 * var0) <= 1e-12 * (1.0 + var0 * var0)
 
 
-@MANY
-@given(st.floats(min_value=0.0, max_value=1.2, **finite), angles)
-def _prop_fock_normalization(r, phi):
+def _fock_normalization(r, phi):
     # levels through 200, even amplitudes only
     c = fock_coefficients(SqueezeParams(r, phi), 100)
-    assert float(np.sum(np.abs(c) ** 2)) >= 1.0 - 1e-8
+    return float(np.sum(np.abs(c) ** 2)) >= 1.0 - 1e-8
+
+
+PROPERTIES = [
+    ("basis coincidence", _basis_coincidence, (RADII, ANGLES)),
+    ("ladder-coefficient conjugation", _lambda_conjugation, ((-4.0, 4.0), (-4.0, 4.0), (-1.5, 1.5))),
+    ("variance extrema", _variance_extrema, (RADII, ANGLES)),
+    ("Heisenberg floor", _heisenberg_floor, (RADII, ANGLES, ANGLES)),
+    ("cross-basis product invariance", _cross_basis_product_invariance,
+     ((0.0, 10.0), (0.05, 20.0), (0.05, 20.0))),
+    ("Fock normalization", _fock_normalization, ((0.0, 1.2), ANGLES)),
+]
+
+
+def _distinct_cases(name, holds, ranges) -> int:
+    """Check holds on every corner of ranges and on BATCHES seeded batches
+    of BATCH uniform cases; the number of distinct cases checked."""
+    seen = set()
+
+    def check(case):
+        seen.add(case)
+        assert holds(*case), f"{name} violated at {case}"
+
+    for corner in itertools.product(*ranges):
+        check(corner)
+    lo, hi = np.array(ranges).T
+
+    @settings(max_examples=BATCHES, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def batch(seed):
+        for case in np.random.default_rng(seed).uniform(lo, hi, (BATCH, len(ranges))).tolist():
+            check(tuple(case))
+
+    batch()
+    return len(seen)
 
 
 def test_criterion_09_property_suite():
-    """Randomized invariants, ten thousand cases each."""
-    props = [
-        ("basis coincidence", _prop_basis_coincidence),
-        ("ladder-coefficient conjugation", _prop_lambda_conjugation),
-        ("variance extrema", _prop_variance_extrema),
-        ("Heisenberg floor", _prop_heisenberg_floor),
-        ("cross-basis product invariance", _prop_cross_basis_product_invariance),
-        ("Fock normalization", _prop_fock_normalization),
-    ]
+    """Randomized invariants, at least ten thousand distinct cases each."""
+    counts = []
     try:
-        for _, prop in props:
-            prop()
+        for name, holds, ranges in PROPERTIES:
+            counts.append(_distinct_cases(name, holds, ranges))
+            assert counts[-1] >= MIN_CASES, f"{name}: {counts[-1]} distinct cases"
     except Exception:
         _verdict(9, False, "randomized invariant violated, see traceback")
         raise
-    _verdict(9, True, f"{len(props)} properties x 10000 cases")
+    _verdict(9, True, f"{len(PROPERTIES)} properties x " + "/".join(map(str, counts)) + " distinct cases")

@@ -847,6 +847,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_written_files_name_their_encoding(self, tmp_path):
+        # with the default-encoding warning an error, evolve still writes its
+        # CSV and summary, byte for byte those of an in-process run
+        out = tmp_path / "run.csv"
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "squeezesim.cli", "evolve", "--omegaf", "3", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(["evolve", "--omegaf", "3", "--out", str(tmp_path / "ref.csv")]) == EXIT_OK
+        for suffix in ("", ".summary"):
+            assert Path(f"{out}{suffix}").read_bytes() == (tmp_path / f"ref.csv{suffix}").read_bytes()
+
     def test_module_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "squeezesim.cli", "--help"],

@@ -804,10 +804,12 @@ class TestPostTransitionSummary:
         # slice, and its window mean and spread hold to the ladder tolerance
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         cfg = SimulationConfig(n_slices=256, record_stride=8, n_max=256)
-        sparse = post_transition_summary(propagate_converged(p, cfg))
-        dense = post_transition_summary(propagate_converged(p, dataclasses.replace(cfg, record_stride=1)))
-        assert (sparse.n_records, dense.n_records) == (7, 55)
-        for key in ("window", "r_min", "r_max", "r_midpoint", "amplitude", "period", "n_maxima"):
+        runs = [propagate_converged(p, dataclasses.replace(cfg, record_stride=k)) for k in (8, 1)]
+        sparse, dense = map(post_transition_summary, runs)
+        in_window = [int(np.count_nonzero(run.t > sparse.window_start)) for run in runs]
+        assert in_window == [7, 55]
+        for key in ("window_start", "window_end", "r_min", "r_max", "r_midpoint", "amplitude",
+                    "period", "n_maxima"):
             assert getattr(sparse, key) == getattr(dense, key), key
         for key in ("R_final", "R_std"):
             assert abs(getattr(sparse, key) - getattr(dense, key)) <= cfg.convergence_tol, key
@@ -923,7 +925,7 @@ class TestSummaryIdentity:
 
     def test_n_maxima_counts_the_record_maxima(self, fine_run):
         traj, s = fine_run
-        r = traj.r[traj.t > s.window[0]]
+        r = traj.r[traj.t > s.window_start]
         maxima = int(np.count_nonzero((r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:])))
         assert s.n_maxima == maxima and maxima in (3, 4)
 

@@ -1,5 +1,6 @@
 """Unit tests for the text serialisation layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,19 @@ class TestSummaryText:
         for expected in ("omega0", "n_slices", "converged", "R_final", "period"):
             assert expected in keys
 
+    def test_prints_every_summary_field_once_in_field_order(self, small_run):
+        # the post-transition lines are PostTransitionSummary's own fields,
+        # after the trajectory's keys, as fit_text prints FitResult's
+        _, traj, summary = small_run
+        head, text = summary_text(traj), summary_text(traj, summary)
+        assert text.startswith(head)
+        names = [f.name for f in dataclasses.fields(summary)]
+        tail = text[len(head):].splitlines()
+        assert [line.split(" = ")[0] for line in tail] == names
+        assert tail == report((name, getattr(summary, name)) for name in names).splitlines()
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert len(keys) == len(set(keys))
+
     def test_summary_optional(self, small_run):
         _, traj, _ = small_run
         text = summary_text(traj)
@@ -288,7 +302,7 @@ class TestContourCsv:
         ratios = np.array([1.5, 2.0, 4.0])
         xs = np.array([-0.0, 0.5])
         big_r = np.array([[0.2, math.nan], [math.inf, -0.0], [1e-300, -2.5e-13]])
-        grid = ContourGrid(ratios, xs, big_r, "above-unity", "simulation")
+        grid = ContourGrid(ratios, xs, big_r)
         lines = contour_csv(grid).split("\n")
         expected = [
             ",".join(format_float(v) for v in (k, x, big_r[i, j]))

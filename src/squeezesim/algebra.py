@@ -89,13 +89,13 @@ class InstSqueezeParams:
 
     beta_mod is the modulus of the central coefficient of the disentangled
     composition; it is redundant with R (tanh(R)^2 + beta_mod = 1) and is
-    filled in when omitted.  upsilon is the phase of that coefficient.
+    filled in when omitted.  Its phase only multiplies the state by a
+    global phase, and fock_coefficients reads beta_mod alone.
     """
 
     R: float
     Phi: float
     beta_mod: float | None = None
-    upsilon: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.R) or self.R < 0.0:
@@ -103,7 +103,6 @@ class InstSqueezeParams:
         if not np.isfinite(self.Phi):
             raise ValueError(f"squeeze phase must be finite, got {self.Phi}")
         object.__setattr__(self, "Phi", float(_wrap_angle(self.Phi)))
-        object.__setattr__(self, "upsilon", float(_wrap_angle(self.upsilon)))
         expected = 1.0 - np.tanh(self.R) ** 2
         if self.beta_mod is None:
             object.__setattr__(self, "beta_mod", expected)
@@ -268,7 +267,7 @@ def compose_bch(z: SqueezeParams, g: BogoliubovCoeffs) -> BchCoeffs:
 def bch_to_inst(c: BchCoeffs) -> InstSqueezeParams:
     """Instantaneous-basis squeeze parameters from composition coefficients."""
     big_r, big_phi = _squeeze_of(c.alpha, "instantaneous squeeze")
-    return InstSqueezeParams(float(big_r), float(big_phi), abs(c.beta), float(np.angle(c.beta)))
+    return InstSqueezeParams(float(big_r), float(big_phi), abs(c.beta))
 
 
 def quadrature_variance(s, lam: float) -> float:

@@ -198,7 +198,7 @@ class _Cell:
     _read_r, which reads every record).  n is the level it last ran (a
     window_means cell starts at the seed), q and scalar what its reader
     gave that level (scalar None after a resolution floor; see _ladder)
-    and records, if kept, its (t_rec, chi_rec).
+    and records the (t_rec, chi_rec) _read_r last read.
     """
 
     p: FrequencyProfile
@@ -300,17 +300,16 @@ def _maps(omega, omega0, width, out=None):
 class _Group:
     """The cells of one _propagate call as the columns of its step buffers.
 
-    cells holds them in _KINDS order, cells[i] = given[order[i]], so the
-    ramps and sampled profiles fill the columns cf4 and the jumps those
-    after.  Their spans, tau and profile parameters are column arrays, and
-    every chunk reuses the (2, chunk, k) omega and width of each slice's two
-    steps (a jump's second has zero width), the out of _maps and nodes, the
-    (2, chunk, cf4) CF4 node times.
+    cells come in _KINDS order (_ladder sorts them), so the ramps and
+    sampled profiles fill the columns cf4 and the jumps those after.  Their
+    spans, tau and profile parameters are column arrays, and every chunk
+    reuses the (2, chunk, k) omega and width of each slice's two steps (a
+    jump's second has zero width), the out of _maps and nodes, the (2,
+    chunk, cf4) CF4 node times.
     """
 
     def __init__(self, cells: list[_Cell], n: int, chunk: int):
-        self.order = sorted(range(len(cells)), key=lambda i: _KINDS.index(cells[i].p.kind))
-        self.cells = [cells[i] for i in self.order]
+        self.cells = cells
         k = len(cells)
         cf4 = k - sum(c.p.kind == "jump" for c in cells)
         self.ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
@@ -408,7 +407,7 @@ def _step_rows(a, b, c, chi, rec, per_record: int) -> None:
 
 
 def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
-    """Run the recurrence of a group of cells over n slices.
+    """Run the recurrence of a group of cells, in _KINDS order, over n slices.
 
     Slices run in chunks of whole record strides, about _BLOCK cell-slices
     each, and each slice is one step through its map.  A group of at least
@@ -420,7 +419,7 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     a chunk leaves a cell running.  Finiteness is checked once per chunk at
     record granularity: StepSingularityError names the slice of a cell's
     first non-finite record (a non-finite chi stays non-finite).  Returns,
-    per cell, its (t_rec, chi_rec) or the exception that ended its run.
+    per cell as given, its (t_rec, chi_rec) or the exception that ended it.
     """
     k = len(cells)
     stride = cfg.record_stride
@@ -444,9 +443,7 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
         for i in np.flatnonzero(bad.any(axis=0)).tolist():
             if errors[i] is None:
                 errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
-    runs = [None] * k
-    for col, i in enumerate(g.order):
-        runs[i] = errors[col]
+    runs = list(errors)
     ran = [col for col in range(k) if errors[col] is None]
     if ran:  # record times only for the cells that ran: the others end in their error
         steps = np.arange(n // stride + 1, dtype=float) * stride
@@ -456,7 +453,7 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
         np.add(g.t_start[ran, None], t_rec, out=t_rec)
         np.minimum(t_rec, g.t_end[ran, None], out=t_rec)
         for col, t in zip(ran, t_rec):
-            runs[g.order[col]] = (t, chi_rec[:, col])
+            runs[col] = (t, chi_rec[:, col])
     return runs
 
 
@@ -505,9 +502,10 @@ def _big_r(p: FrequencyProfile, t_rec: np.ndarray, chi_rec: np.ndarray, where: s
 
 def _read_r(cells: list[_Cell], runs: list) -> list:
     """A level of propagate_converged: for each cell, r at every record and
-    R at the last, or the exception that ends the cell."""
+    R at the last, or the exception that ends the cell; it keeps the records."""
     out = []
-    for c, (t_rec, chi_rec) in zip(cells, runs):
+    for c, run in zip(cells, runs):
+        t_rec, chi_rec = c.records = run
         try:
             r = np.arctanh(_clamped_magnitude(np.abs(chi_rec), "squeeze"))
             out.append((r, float(_big_r(c.p, t_rec[-1:], chi_rec[-1:], "at t_end")[0])))
@@ -547,30 +545,28 @@ def _read_windows(cells: list[_Cell], runs: list) -> list:
     _MIN_WINDOW_RECORDS, or the exception that ends the cell.
 
     A cell's window is cut by searchsorted (t_rec never decreases, so it is
-    exactly t_rec > start), and the level's windows, in _KINDS order, are
-    read in blocks of whole cells of at most _BLOCK records, or one cell,
-    through _window_block; an empty window reads as no records.  Every cell
-    of a block in which a guard would act is read alone through the guards,
-    in cell order, so it warns and fails as it would alone: |chi| clamped
-    as the r column is, then _big_r.  A mean is np.add.reduce over the
-    cell's R over its count, np.mean bitwise.
+    exactly t_rec > start), and the level's windows, in the order given
+    (_KINDS order, as _ladder sorts the cells), are read in blocks of whole
+    cells of at most _BLOCK records, or one cell, through _window_block; an
+    empty window reads as no records.  Every cell of a block in which a
+    guard would act is read alone through the guards, in that order, so it
+    warns and fails as it would alone: |chi| clamped as the r column is,
+    then _big_r.  A mean is np.add.reduce over the cell's R over its count,
+    np.mean bitwise.
     """
     windows = []
     for c, (t_rec, chi_rec) in zip(cells, runs):
         cut = int(t_rec.searchsorted(c.start, side="right"))
         windows.append((t_rec[cut:], chi_rec[cut:]))
-    read: list = [None] * len(cells)
-    blocks, size = [], 0
-    for i in sorted(range(len(cells)), key=lambda i: _KINDS.index(cells[i].p.kind)):
-        if not blocks or size + len(windows[i][0]) > _BLOCK:
-            blocks.append([])
+    starts, size = [], 0  # the first cell of each block
+    for i, (t, _) in enumerate(windows):
+        if not starts or size + len(t) > _BLOCK:
+            starts.append(i)
             size = 0
-        blocks[-1].append(i)
-        size += len(windows[i][0])
-    for block in blocks:
-        got = _window_block([cells[i] for i in block], [windows[i] for i in block])
-        for i, big_r in zip(block, got or ()):
-            read[i] = big_r
+        size += len(t)
+    read: list = []
+    for a, b in zip(starts, starts[1:] + [len(cells)]):
+        read += _window_block(cells[a:b], windows[a:b]) or [None] * (b - a)
     out = []
     for c, (t, chi), big_r in zip(cells, windows, read):
         try:
@@ -585,9 +581,11 @@ def _read_windows(cells: list[_Cell], runs: list) -> list:
     return out
 
 
-def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None:
+def _ladder(cells: list[_Cell], cfg: SimulationConfig, read) -> None:
     """Run the convergence ladder of every cell (see propagate_converged).
 
+    The climbing cells are sorted into _KINDS order once, the column order
+    of _propagate and the reading order of read, which every level keeps.
     One loop owns the level n: each pass runs every climbing cell at n, in
     groups of at most _ROW_RECORDS records or one cell, then doubles n up
     to n_max.  A cell leaves a level converged, failed, at the last level
@@ -599,13 +597,13 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
     them that holds the last one, and scalar is what the cell reports, a
     Python float, None while the level's records cannot hold it.  A level's
     delta, the larger of the sup change of q and the change of scalar, is
-    taken only against a previous one that ran and held its scalar; coarse record times are bitwise among the fine ones
-    (2 j (tau/2) == j tau) and the record step halves, so every finer level
-    holds them too.  With keep, a cell keeps the (t_rec, chi_rec) of its
-    last level.
+    taken only against a previous one that ran and held its scalar; coarse
+    record times are bitwise among the fine ones (2 j (tau/2) == j tau) and
+    the record step halves, so every finer level holds them too.  A group's
+    records are dropped once read, before the next group steps.
     """
     n = cfg.n_slices
-    climbing = [c for c in cells if c.error is None]
+    climbing = sorted((c for c in cells if c.error is None), key=lambda c: _KINDS.index(c.p.kind))
     while climbing and n <= cfg.n_max:
         size = max(1, _ROW_RECORDS // (n // cfg.record_stride + 1))
         for g in range(0, len(climbing), size):
@@ -622,7 +620,8 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
                 else:
                     ran.append(c)
                     runs.append(run)
-            for c, run, got in zip(ran, runs, read(ran, runs)):
+            del run  # runs alone holds the group's records, until the next group
+            for c, got in zip(ran, read(ran, runs)):
                 if isinstance(got, Exception):
                     c.error = got
                     continue
@@ -636,8 +635,6 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read, keep: bool) -> None
                     c.history.append(max(sup, abs(scalar - c.scalar)))
                     c.converged = c.history[-1] < cfg.convergence_tol
                 c.q, c.scalar = q, scalar
-                if keep and (c.converged or 2 * n > cfg.n_max):
-                    c.records = run
         climbing = [c for c in climbing if c.error is None and not c.converged]
         n *= 2
 
@@ -659,7 +656,7 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     reading R after the transition instead.
     """
     cell = _Cell(p, None, _time_span(p, cfg))
-    _ladder([cell], cfg, _read_r, keep=True)
+    _ladder([cell], cfg, _read_r)
     if cell.error is not None:
         raise cell.error
     return _finalize(cell)
@@ -697,7 +694,7 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
         except Exception as exc:  # this cell fails, its neighbours go on
             cell.error = exc
         cells.append(cell)
-    _ladder(cells, cfg, _read_windows, keep=False)
+    _ladder(cells, cfg, _read_windows)
     out = []
     for c in cells:
         if c.error is None and c.scalar is None:

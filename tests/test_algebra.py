@@ -172,7 +172,6 @@ class TestComposeBch:
         assert s.R == pytest.approx(0.470967847474640044, abs=1e-14)
         assert s.Phi == pytest.approx(math.pi - 2.59770844967199376, abs=1e-13)
         assert s.beta_mod == pytest.approx(0.807295694111816174, abs=1e-14)
-        assert s.upsilon == pytest.approx(0.101807341644359023, abs=1e-13)
 
     def test_unsqueezed_state_reports_basis_mismatch(self):
         # with no squeeze, alpha reduces to tanh(rho)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -331,6 +332,38 @@ class TestSweep:
         traj = propagate_converged(tanh_profile(1.0, 40.0, 10.0, 0.05), SimulationConfig())
         assert (traj.n_slices, len(traj.delta_history)) == (2048, 3)
         assert calls == [("_read_r", 1)] * 4  # levels 256 to 2048
+
+    def test_every_group_steps_in_kinds_order(self, monkeypatch):
+        # the ladder sorts its cells once: every group it hands _propagate,
+        # on the default lattice of interleaved ramps and jumps, is already
+        # in _KINDS order, ramps before jumps
+        groups, propagate = [], evolution._propagate
+
+        def propagate_spy(cells, cfg, n):
+            groups.append([evolution._KINDS.index(c.p.kind) for c in cells])
+            return propagate(cells, cfg, n)
+
+        monkeypatch.setattr(evolution, "_propagate", propagate_spy)
+        assert len(reference_sweep_data()) == 80
+        assert groups[0].count(0) == 70 and groups[0].count(2) == 10
+        assert all(kinds == sorted(kinds) for kinds in groups), groups
+
+    def test_a_group_goes_before_the_next_one_steps(self, monkeypatch):
+        # the ladder keeps no reference to a group's records once they are
+        # read: each group's chi_rec buffer is gone when the next group steps
+        buffers, propagate = [], evolution._propagate
+
+        def propagate_spy(cells, cfg, n):
+            alive = [n_prev for n_prev, ref in buffers if ref() is not None]
+            assert not alive, f"the records of level {alive} outlive their reading"
+            runs = propagate(cells, cfg, n)
+            chi_rec = next(run[1].base for run in runs if isinstance(run, tuple))
+            buffers.append((n, weakref.ref(chi_rec)))
+            return runs
+
+        monkeypatch.setattr(evolution, "_propagate", propagate_spy)
+        assert len(reference_sweep_data()) == 80
+        assert len(buffers) == 3
 
     def test_coefficients_stay_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
         # each chunk of a level computes the slice maps of all its cells, of

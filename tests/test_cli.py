@@ -171,12 +171,18 @@ class TestEvolve:
         assert "\nt0 = none\n" in out
 
     def test_profile_file_past_its_last_sample_exits_3(self, tmp_path, capsys):
+        # a span that leaves the table at either end fails before any slice
         prof = tmp_path / "omega.txt"
-        prof.write_text("0 1\n3 1\n4 2\n7 2\n")
-        assert main(["evolve", "--profile-file", str(prof), "--t-end", "20"]) == EXIT_DOMAIN == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: time outside sampled range [0.0, 7.0]\n"
+        for table, t_end, err in [
+            ("0 1\n3 1\n4 2\n7 2\n", "20", "error: time outside sampled range [0.0, 7.0]\n"),
+            ("1 1\n3 1\n4 2\n7 2\n", "1", "error: t_end 1.0 must exceed t_start 1.0\n"),
+            ("1 1\n3 1\n4 2\n7 2\n", "0.5", "error: t_end 0.5 must exceed t_start 1.0\n"),
+        ]:
+            prof.write_text(table)
+            assert main(["evolve", "--profile-file", str(prof), "--t-end", t_end]) == EXIT_DOMAIN == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == err
 
     def test_dropped_summary_is_reported(self, capsys):
         # the window after the transition, [11.5, 12], is shorter than three

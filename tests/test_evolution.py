@@ -572,13 +572,14 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("stride", [1, 3, 64])
     def test_rows_match_each_cells_loop(self, monkeypatch, kernel_calls, stride):
-        # a ramp, a jump and a tabulated profile that starts at t = 1,
-        # stepped side by side as rows: the record times are each cell's own
-        # loop's, and chi differs only by the rounding of complex division
+        # a ramp, a tabulated profile that starts at t = 1 and a jump, in
+        # _KINDS order, stepped side by side as rows: the record times are
+        # each cell's own loop's, and chi differs only by the rounding of
+        # complex division
         profiles = [
             tanh_profile(1.0, 3.0, 10.0, 0.5),
-            jump_profile(1.0, 3.0, 10.0),
             sampled_profile([(1.0, 1.0), (8.0, 2.0), (14.0, 0.5)]),
+            jump_profile(1.0, 3.0, 10.0),
         ]
         cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
         cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
@@ -695,7 +696,7 @@ class TestGroupSteps:
         "tanh": RAMPS,
         "jump": JUMPS,
         "sampled": SAMPLED,
-        "mixed": [JUMPS[0], RAMPS[0], SAMPLED[0], RAMPS[1], JUMPS[1], RAMPS[2]],
+        "mixed": [*RAMPS, *SAMPLED, *JUMPS],  # _KINDS order, as _ladder hands groups over
     }
     N = 512
 
@@ -739,7 +740,7 @@ class TestGroupSteps:
         # the root of its negative half-step omega^2, and steps through the
         # identity
         steep = tanh_profile(1.0, 5.0, 10.0, 1e-3)
-        profiles = [self.RAMPS[0], steep, self.JUMPS[0], self.RAMPS[1]]
+        profiles = [self.RAMPS[0], steep, self.RAMPS[1], self.JUMPS[0]]
         cells, runs, seen = self._chunks(monkeypatch, profiles, 1)
         t_start, t_end = cells[1].span
         step = _own_steps(steep, t_start, (t_end - t_start) / self.N, 0, self.N)
@@ -872,6 +873,16 @@ class TestPostTransitionSummary:
         (cell,) = evolution.window_means([jump_profile(1.0, 200.0)], cfg)
         assert cell.error is None
         assert (cell.n_slices, cell.converged) == (2048, True)
+
+    def test_short_window_at_n_max_fails_the_cell(self):
+        # on one fixed grid of 256 slices the window after this jump holds
+        # fewer than _MIN_WINDOW_RECORDS records: the cell has no mean to
+        # report and fails alone, without a comparison
+        cfg = SimulationConfig(n_slices=256, n_max=256)
+        (cell,) = evolution.window_means([jump_profile(1.0, 100.0)], cfg)
+        assert (type(cell.error), str(cell.error)) == (WindowError, "too few records after the transition")
+        assert math.isnan(cell.R_final)
+        assert (cell.n_slices, cell.converged, cell.achieved_delta) == (cfg.n_max, None, None)
 
     def test_midpoint_is_half_sum_of_extrema(self, reference_runs):
         summary = reference_runs[0.5].summary

@@ -25,7 +25,6 @@ Conventions
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import (
     caller_stacklevel,
     require_finite,
 )
+from .records import FrozenRecord
 
 _CLAMP_WINDOW = 1e-12
 _CLAMP_TO = 1.0 - 1e-15
@@ -68,23 +68,20 @@ def _clamped_magnitude(mag, what: str):
     return mag
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
+class SqueezeParams(FrozenRecord):
     """Squeeze magnitude and phase relative to the initial basis."""
 
-    r: float
-    phi: float
+    __slots__ = ("r", "phi")
 
-    def __post_init__(self):
-        if not np.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeeze magnitude must be finite and >= 0, got {self.r}")
-        if not np.isfinite(self.phi):
-            raise ValueError(f"squeeze phase must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", float(_wrap_angle(self.phi)))
+    def __init__(self, r: float, phi: float):
+        if not np.isfinite(r) or r < 0.0:
+            raise ValueError(f"squeeze magnitude must be finite and >= 0, got {r}")
+        if not np.isfinite(phi):
+            raise ValueError(f"squeeze phase must be finite, got {phi}")
+        self._store(r, float(_wrap_angle(phi)))
 
 
-@dataclass(frozen=True)
-class InstSqueezeParams:
+class InstSqueezeParams(FrozenRecord):
     """Squeeze magnitude and phase relative to the instantaneous basis.
 
     beta_mod is the modulus of the central coefficient of the disentangled
@@ -93,60 +90,52 @@ class InstSqueezeParams:
     global phase, and fock_coefficients reads beta_mod alone.
     """
 
-    R: float
-    Phi: float
-    beta_mod: float | None = None
+    __slots__ = ("R", "Phi", "beta_mod")
 
-    def __post_init__(self):
-        if not np.isfinite(self.R) or self.R < 0.0:
-            raise ValueError(f"squeeze magnitude must be finite and >= 0, got {self.R}")
-        if not np.isfinite(self.Phi):
-            raise ValueError(f"squeeze phase must be finite, got {self.Phi}")
-        object.__setattr__(self, "Phi", float(_wrap_angle(self.Phi)))
-        expected = 1.0 - np.tanh(self.R) ** 2
-        if self.beta_mod is None:
-            object.__setattr__(self, "beta_mod", expected)
-        elif not 0.0 < self.beta_mod <= 1.0 or abs(self.beta_mod - expected) > _UNITARITY_TOL:
+    def __init__(self, R: float, Phi: float, beta_mod: float | None = None):
+        if not np.isfinite(R) or R < 0.0:
+            raise ValueError(f"squeeze magnitude must be finite and >= 0, got {R}")
+        if not np.isfinite(Phi):
+            raise ValueError(f"squeeze phase must be finite, got {Phi}")
+        expected = 1.0 - np.tanh(R) ** 2
+        if beta_mod is None:
+            beta_mod = expected
+        elif not 0.0 < beta_mod <= 1.0 or abs(beta_mod - expected) > _UNITARITY_TOL:
             raise ValueError(
-                f"beta_mod {self.beta_mod} inconsistent with R {self.R} "
+                f"beta_mod {beta_mod} inconsistent with R {R} "
                 f"(expected {expected})"
             )
+        self._store(R, float(_wrap_angle(Phi)), beta_mod)
 
 
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
+class BogoliubovCoeffs(FrozenRecord):
     """Hyperbolic coefficients mixing the ladder operators of two bases."""
 
-    gamma1: float
-    gamma2: float
-    rho: float
+    __slots__ = ("gamma1", "gamma2", "rho")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma1) and np.isfinite(self.gamma2) and np.isfinite(self.rho)):
+    def __init__(self, gamma1: float, gamma2: float, rho: float):
+        if not (np.isfinite(gamma1) and np.isfinite(gamma2) and np.isfinite(rho)):
             raise ValueError("Bogoliubov coefficients must be finite")
-        if self.gamma1 < 1.0:
-            raise ValueError(f"gamma1 must be >= 1, got {self.gamma1}")
-        scale = max(1.0, self.gamma1**2)
-        if abs(self.gamma1**2 - self.gamma2**2 - 1.0) > _IDENTITY_TOL * scale:
+        if gamma1 < 1.0:
+            raise ValueError(f"gamma1 must be >= 1, got {gamma1}")
+        scale = max(1.0, gamma1**2)
+        if abs(gamma1**2 - gamma2**2 - 1.0) > _IDENTITY_TOL * scale:
             raise ValueError(
                 f"gamma1^2 - gamma2^2 = "
-                f"{self.gamma1**2 - self.gamma2**2} violates the unit identity"
+                f"{gamma1**2 - gamma2**2} violates the unit identity"
             )
-        if abs(self.gamma1 - np.cosh(self.rho)) > 1e-9 * scale or abs(
-            self.gamma2 - np.sinh(self.rho)
-        ) > 1e-9 * scale:
+        if abs(gamma1 - np.cosh(rho)) > 1e-9 * scale or abs(gamma2 - np.sinh(rho)) > 1e-9 * scale:
             raise ValueError("gamma1, gamma2 inconsistent with rho")
+        self._store(gamma1, gamma2, rho)
 
 
-@dataclass(frozen=True)
-class BchCoeffs:
+class BchCoeffs(FrozenRecord):
     """Disentangled coefficients of a squeeze followed by a basis change."""
 
-    alpha: complex
-    beta: complex
-    gamma: complex
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
+    def __init__(self, alpha: complex, beta: complex, gamma: complex):
+        self._store(alpha, beta, gamma)  # the message below shows the record
         if not np.isfinite([self.alpha, self.beta, self.gamma]).all():
             raise ValueError(f"BCH coefficients must be finite, got {self}")
         a = abs(self.alpha)

@@ -10,7 +10,6 @@ decay constants of the secant ansatz to sweep data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -176,8 +175,7 @@ def reference_sweep_data(
     return [(*cell, pt.R_final) for cell, pt in zip(cells, points) if pt.error is None]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Fitted decay constants of the secant ansatz."""
 
     c1: float
@@ -273,8 +271,7 @@ def fit_ansatz(sweep_data) -> FitResult:
     return FitResult(c1, c2, rms, len(pts), grid)
 
 
-@dataclass(frozen=True)
-class ContourGrid:
+class ContourGrid(NamedTuple):
     """Final squeezing over a (ratio, omega0*epsilon) lattice with omega0 = 1."""
 
     ratios: np.ndarray

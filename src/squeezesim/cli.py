@@ -101,15 +101,16 @@ def _config_values(command: str, path: str) -> dict:
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     """Ladder, record, output and config flags of the subcommands that propagate."""
+    defaults = SimulationConfig()
     sub.add_argument("--t-end", type=float, default=None, dest="t_end",
                      help="simulation end time (default: transition end plus three periods)")
-    sub.add_argument("--n", type=int, default=SimulationConfig.n_slices,
+    sub.add_argument("--n", type=int, default=defaults.n_slices,
                      help="starting slice count for the convergence ladder "
                           "(default %(default)d)")
-    sub.add_argument("--tol", type=float, default=SimulationConfig.convergence_tol,
+    sub.add_argument("--tol", type=float, default=defaults.convergence_tol,
                      help="convergence tolerance on the squeeze magnitude "
                           "(default %(default)g)")
-    sub.add_argument("--stride", type=int, default=SimulationConfig.record_stride,
+    sub.add_argument("--stride", type=int, default=defaults.record_stride,
                      help="record every this many slices (a sweep cell records "
                           "every slice, so it does not change a sweep result)")
     sub.add_argument("--out", type=str, default=None, help="output file path")

@@ -28,7 +28,7 @@ to end, in one pass per block of whole cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -43,6 +43,7 @@ from .frequency import (
     eval_omega,
     transition_interval,
 )
+from .records import FrozenRecord, Record
 
 # A level of at least this many cells steps them side by side, one numpy row
 # per cell; a smaller level runs each cell's Python loop.  With the slice
@@ -76,49 +77,53 @@ _BETA1, _BETA2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 _MIN_WINDOW_RECORDS = 4
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(FrozenRecord):
     """Stepping and convergence controls for one propagation.
 
     A run starts at t = 0, or at the first sample time of a sampled profile.
     t_end = None resolves to t0 + 3*epsilon + three post-transition periods
     of the final frequency, or to the last sample time of a sampled profile;
-    an explicit t_end must be positive.  n_slices is the seed slice count;
+    an explicit t_end must be positive and finite, and a run whose resolved
+    end overflows fails with ValueError.  n_slices is the seed slice count;
     the convergence ladder doubles it until the quantity it compares (r(t)
     and the final R, or R over the post-transition window and its mean; see
     propagate_converged) moves by less than convergence_tol or n_max is
     hit; n_max = n_slices runs the single fixed grid of n_slices slices.
-    Records are kept every record_stride slices.
+    Records are kept every record_stride slices.  The defaults are those of
+    SimulationConfig(), which the CLI's flags read too.
     """
 
-    t_end: float | None = None
-    n_slices: int = 256
-    record_stride: int = 1
-    convergence_tol: float = 1e-4
-    n_max: int = 1 << 24
+    __slots__ = ("t_end", "n_slices", "record_stride", "convergence_tol", "n_max")
 
-    def __post_init__(self):
-        if self.n_slices < 1:
-            raise ValueError(f"n_slices must be >= 1, got {self.n_slices}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.n_slices % self.record_stride:
+    def __init__(
+        self,
+        t_end: float | None = None,
+        n_slices: int = 256,
+        record_stride: int = 1,
+        convergence_tol: float = 1e-4,
+        n_max: int = 1 << 24,
+    ):
+        if n_slices < 1:
+            raise ValueError(f"n_slices must be >= 1, got {n_slices}")
+        if record_stride < 1:
+            raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+        if n_slices % record_stride:
             raise ValueError(
-                f"n_slices ({self.n_slices}) must be a multiple of "
-                f"record_stride ({self.record_stride})"
+                f"n_slices ({n_slices}) must be a multiple of "
+                f"record_stride ({record_stride})"
             )
-        if self.t_end is not None and not (np.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
-            raise ValueError(f"convergence_tol must be > 0 and finite, got {self.convergence_tol}")
-        if self.n_max < self.n_slices:
+        if t_end is not None and not (np.isfinite(t_end) and t_end > 0.0):
+            raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+        if not (np.isfinite(convergence_tol) and convergence_tol > 0.0):
+            raise ValueError(f"convergence_tol must be > 0 and finite, got {convergence_tol}")
+        if n_max < n_slices:
             raise ValueError(
-                f"n_max ({self.n_max}) must be >= n_slices ({self.n_slices})"
+                f"n_max ({n_max}) must be >= n_slices ({n_slices})"
             )
+        self._store(t_end, n_slices, record_stride, convergence_tol, n_max)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Recorded evolution of the squeeze parameters along one propagation.
 
     Arrays are aligned per record: time, driving frequency, basis exponent
@@ -128,23 +133,32 @@ class Trajectory:
     n_slices steps.  delta_history holds one difference per level
     comparison of propagate_converged: the larger of the sup-norm change of
     r(t) and the change of R at the last record.  converged is None when no
-    comparison was made.
+    comparison was made.  A Trajectory is mutable, and len() counts its
+    records.
     """
 
-    t: np.ndarray
-    omega: np.ndarray
-    rho: np.ndarray
-    chi: np.ndarray
-    r: np.ndarray
-    phi: np.ndarray
-    R: np.ndarray
-    Phi: np.ndarray
-    beta_mod: np.ndarray
-    profile: FrequencyProfile
-    n_slices: int
-    converged: bool | None = None
-    achieved_delta: float | None = None
-    delta_history: list[float] = field(default_factory=list)
+    __slots__ = ("t", "omega", "rho", "chi", "r", "phi", "R", "Phi", "beta_mod", "profile",
+                 "n_slices", "converged", "achieved_delta", "delta_history")
+
+    def __init__(
+        self,
+        t: np.ndarray,
+        omega: np.ndarray,
+        rho: np.ndarray,
+        chi: np.ndarray,
+        r: np.ndarray,
+        phi: np.ndarray,
+        R: np.ndarray,
+        Phi: np.ndarray,
+        beta_mod: np.ndarray,
+        profile: FrequencyProfile,
+        n_slices: int,
+        converged: bool | None = None,
+        achieved_delta: float | None = None,
+        delta_history: list[float] | None = None,
+    ):
+        self._store(t, omega, rho, chi, r, phi, R, Phi, beta_mod, profile, n_slices,
+                    converged, achieved_delta, [] if delta_history is None else delta_history)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -154,8 +168,7 @@ class Trajectory:
         return float(np.max(np.abs(np.tanh(self.R) ** 2 + self.beta_mod - 1.0)))
 
 
-@dataclass(frozen=True)
-class PostTransitionSummary:
+class PostTransitionSummary(NamedTuple):
     """Oscillation statistics after the switch; summary_text prints every field."""
 
     window_start: float
@@ -190,7 +203,6 @@ class WindowMean(NamedTuple):
     error: Exception | None
 
 
-@dataclass(eq=False)
 class _Cell:
     """One propagation of a batched ladder: input, ladder state and outcome.
 
@@ -201,16 +213,17 @@ class _Cell:
     and records the (t_rec, chi_rec) _read_r last read.
     """
 
-    p: FrequencyProfile
-    start: float | None
-    span: tuple[float, float] = (0.0, 0.0)
-    n: int = 0
-    history: list[float] = field(default_factory=list)
-    converged: bool | None = None
-    q: np.ndarray | None = None
-    records: tuple[np.ndarray, np.ndarray] | None = None
-    error: Exception | None = None
-    scalar: float | None = None
+    __slots__ = ("p", "start", "span", "n", "history", "converged", "q", "records", "error", "scalar")
+
+    def __init__(self, p: FrequencyProfile, start: float | None,
+                 span: tuple[float, float] = (0.0, 0.0), n: int = 0):
+        self.p, self.start, self.span, self.n = p, start, span, n
+        self.history: list[float] = []
+        self.converged: bool | None = None
+        self.q: np.ndarray | None = None
+        self.records: tuple[np.ndarray, np.ndarray] | None = None
+        self.error: Exception | None = None
+        self.scalar: float | None = None
 
 
 def default_t_end(p: FrequencyProfile) -> float:
@@ -222,10 +235,14 @@ def default_t_end(p: FrequencyProfile) -> float:
 
 def _time_span(p: FrequencyProfile, cfg: SimulationConfig) -> tuple[float, float]:
     """(t_start, t_end) of a run: the first sample time of a sampled profile,
-    else 0; a sampled run that ends past its last sample raises eval_omega's
-    ValueError here, so no slice of it reads omega outside the table."""
+    else 0.  A default end that overflows raises the ValueError of an
+    explicit infinite one, and a sampled run that ends past its last sample
+    raises eval_omega's ValueError here, so no slice of it reads omega
+    outside the table."""
     t_start = p.samples[0][0] if p.kind == "sampled" else 0.0
     t_end = default_t_end(p) if cfg.t_end is None else cfg.t_end
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end} (transition end plus three periods)")
     if t_end <= t_start:
         raise ValueError(f"t_end {t_end} must exceed t_start {t_start}")
     if p.kind == "sampled":
@@ -684,7 +701,7 @@ def window_means(profiles: list[FrequencyProfile], cfg: SimulationConfig) -> lis
     """
     # R_final is a window mean: over sparse records it is a coarser
     # quadrature, whose error in n is erratic
-    cfg = replace(cfg, record_stride=1)
+    cfg = cfg._replace(record_stride=1)
     cells = []
     for p in profiles:
         cell = _Cell(p, None, n=cfg.n_slices)

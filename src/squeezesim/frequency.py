@@ -13,17 +13,16 @@ asymptotic frequencies it connects.  Three kinds are supported:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import caller_stacklevel, require_finite
+from .records import FrozenRecord
 
 _TAIL_FACTOR = 3.0  # the ramp is within 0.25% of its asymptotes beyond 3 epsilon
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
+class FrequencyProfile(FrozenRecord):
     """Evaluable omega(t) plus the transition metadata.
 
     A tanh ramp has epsilon > 0 and a jump epsilon 0.  Only the sampled kind
@@ -33,34 +32,38 @@ class FrequencyProfile:
     basis (sampled_profile defaults it to the first tabulated frequency).
     """
 
-    kind: str
-    omega0: float
-    omegaf: float
-    t0: float = 10.0
-    epsilon: float = 0.0
-    samples: tuple[tuple[float, float], ...] | None = None
+    __slots__ = ("kind", "omega0", "omegaf", "t0", "epsilon", "samples")
 
-    def __post_init__(self):
-        if self.kind not in ("tanh", "jump", "sampled"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if (self.kind == "sampled") != (self.samples is not None):
-            raise ValueError(f"samples belong to the sampled kind alone (kind {self.kind!r})")
-        if self.samples is not None:
-            if len(self.samples) < 2:
-                raise ValueError(f"need at least 2 samples, got {len(self.samples)}")
-            times, omegas = np.array(self.samples, dtype=float).T
+    def __init__(
+        self,
+        kind: str,
+        omega0: float,
+        omegaf: float,
+        t0: float = 10.0,
+        epsilon: float = 0.0,
+        samples: tuple[tuple[float, float], ...] | None = None,
+    ):
+        if kind not in ("tanh", "jump", "sampled"):
+            raise ValueError(f"unknown profile kind {kind!r}")
+        if (kind == "sampled") != (samples is not None):
+            raise ValueError(f"samples belong to the sampled kind alone (kind {kind!r})")
+        if samples is not None:
+            if len(samples) < 2:
+                raise ValueError(f"need at least 2 samples, got {len(samples)}")
+            times, omegas = np.array(samples, dtype=float).T
             if not np.all(np.diff(times) > 0.0) or not np.isfinite(times).all():
                 raise ValueError("sample times must be finite and strictly increasing")
             require_finite("sampled frequencies", omegas)
-            if self.omegaf != omegas[-1]:
-                raise ValueError(f"omegaf {self.omegaf} is not the last sample's {omegas[-1]}")
-        require_finite("frequencies", self.omega0, self.omegaf)
-        require_finite("t0", self.t0, positive=False)
-        require_finite("epsilon", self.epsilon, positive=False)
-        if self.kind == "tanh" and self.epsilon == 0.0:
+            if omegaf != omegas[-1]:
+                raise ValueError(f"omegaf {omegaf} is not the last sample's {omegas[-1]}")
+        require_finite("frequencies", omega0, omegaf)
+        require_finite("t0", t0, positive=False)
+        require_finite("epsilon", epsilon, positive=False)
+        if kind == "tanh" and epsilon == 0.0:
             raise ValueError("a tanh ramp needs epsilon > 0; epsilon 0 is a jump")
-        if self.kind == "jump" and self.epsilon != 0.0:
-            raise ValueError(f"a jump has epsilon 0, got {self.epsilon}")
+        if kind == "jump" and epsilon != 0.0:
+            raise ValueError(f"a jump has epsilon 0, got {epsilon}")
+        self._store(kind, omega0, omegaf, t0, epsilon, samples)
 
     def __call__(self, t):
         return eval_omega(self, t)

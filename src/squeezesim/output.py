@@ -10,8 +10,6 @@ or versions are embedded.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .analytic import ContourGrid, FitResult, SweepPoint, fitted_sp
@@ -164,7 +162,7 @@ def summary_text(traj: Trajectory, summary: PostTransitionSummary | None = None)
         ("Phi_end", traj.Phi[-1]),
     ]
     if summary is not None:
-        items += dataclasses.asdict(summary).items()
+        items += zip(summary._fields, summary)
     return report(items)
 
 
@@ -194,7 +192,7 @@ def contour_csv(grid: ContourGrid) -> str:
 
 def fit_text(fit: FitResult) -> str:
     """One `key = value` line per FitResult field, in field order."""
-    return report(dataclasses.asdict(fit).items())
+    return report(zip(fit._fields, fit))
 
 
 def write_text(path, text: str) -> None:

@@ -1,6 +1,5 @@
 """Unit tests for closed forms, sweeps, the ansatz fit and contour grids."""
 
-import dataclasses
 import math
 import warnings
 import weakref
@@ -212,7 +211,7 @@ class TestSweep:
             raise AssertionError("propagated a cell whose window is too short")
 
         monkeypatch.setattr(evolution, "_propagate", no_stepping)
-        bad = dataclasses.replace(FAST, t_end=12.0)
+        bad = FAST._replace(t_end=12.0)
         # two cells run their own loops, twenty would run as numpy rows
         for widths in ([0.5, 1.0], [0.5, 1.0] * 10):
             with pytest.warns(UserWarning, match="failed: WindowError: window") as record:
@@ -258,8 +257,8 @@ class TestSweep:
             (pt,) = sweep_final_sp(1.0, 5.0, [0.1], cfg)
         assert abs(pt.R_final - mode_function_oracle(1.0, 5.0, 0.1)) <= 1e-5
         for seed in (256, 4096):
-            sparse = dataclasses.replace(cfg, n_slices=seed)
-            dense = dataclasses.replace(sparse, record_stride=1)
+            sparse = cfg._replace(n_slices=seed)
+            dense = sparse._replace(record_stride=1)
             assert (
                 sweep_final_sp(1.0, 5.0, [0.1], sparse)[0].R_final
                 == sweep_final_sp(1.0, 5.0, [0.1], dense)[0].R_final
@@ -271,7 +270,7 @@ class TestSweep:
         (jump,) = sweep_final_sp(1.0, 5.0, [0.0], cfg)
         assert jump.R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
         p = jump_profile(1.0, 5.0)
-        traj = propagate_converged(p, dataclasses.replace(cfg, record_stride=1))
+        traj = propagate_converged(p, cfg._replace(record_stride=1))
         assert traj.converged is True
         assert len(traj.delta_history) == 1
         assert post_transition_summary(traj).R_final == jump.R_final
@@ -683,7 +682,7 @@ class TestContourGrid:
             pts = sweep_final_sp(1.0, float(k), g.omega0_eps, FAST)
             np.testing.assert_array_equal(g.R[i], [p.R_final for p in pts])
         # t_end = 11 leaves no cell three post-transition periods to average
-        short = dataclasses.replace(FAST, t_end=11.0)
+        short = FAST._replace(t_end=11.0)
         with pytest.warns(UserWarning, match="WindowError"):
             bad = contour_grid((1.5, 3.0), (0.0, 0.4), 2, 2, source="simulation", cfg=short)
         assert np.all(np.isnan(bad.R))

@@ -1,7 +1,6 @@
 """Command-line interface tests, driven through main() for speed."""
 
 import argparse
-import dataclasses
 import math
 import os
 import re
@@ -91,6 +90,18 @@ class TestEvolve:
             assert main(["evolve", "--omega0", "1e-200", "--omegaf", "1"]) == EXIT_STEP_SINGULARITY
         err = capsys.readouterr().err
         assert err == "error: step singularity: slice 1 is too coarse for the ramp\n"
+
+    @pytest.mark.parametrize("flags", [["--omegaf", "3", "--eps", "1e308"], ["--omegaf", "1e-308"]],
+                             ids=["wide-ramp", "slow-final-frequency"])
+    def test_overflowing_default_end_is_domain_error(self, flags, capsys):
+        # the default end t0 + 3 eps + 3 pi/omegaf overflows to inf: it is
+        # rejected as an explicit --t-end inf is, before any slice steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "transition window starts before t = 0", UserWarning)
+            assert main(["evolve"] + flags) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err == "error: t_end must be finite and > 0, got inf (transition end plus three periods)\n"
 
     def test_failed_levels_build_no_record_times(self, capsys):
         # the same run climbs to n_max = 2^24 slices, every level failing in
@@ -594,6 +605,19 @@ class TestSweep:
         code = main(["sweep", "--omegaf", "3", "--eps", ","])
         assert code == EXIT_DOMAIN
 
+    def test_overflowing_default_end_fails_its_cell(self, capsys):
+        # eps 1e308 puts the default end at inf: that cell fails with the
+        # domain error of evolve, keeps its nan row and warns once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--omegaf", "3", "--eps", "0.5,1e308"]) == EXIT_OK
+        failed = [str(w.message) for w in caught if "sweep cell" in str(w.message)]
+        assert failed == ["sweep cell (omegaf=3, eps=1e+308) failed: ValueError: t_end must be "
+                          "finite and > 0, got inf (transition end plus three periods)"]
+        rows = capsys.readouterr().out.split()[1:]
+        assert [row.split(",")[1] for row in rows] == [rows[0].split(",")[1], "nan"]
+        assert rows[0].split(",")[1] != "nan"
+
     def test_steep_ramps_resolved_from_default_seed(self, capsys, mode_function_oracle):
         # at 256 slices omega changes about 5x between the nodes of the
         # slice across t0, too much for a real CF4 half-step frequency; the
@@ -643,7 +667,7 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["evolve", "sweep", "contour", "fit"])
 def test_ladder_seed_default_is_the_config_default(command):
     # one seed: every subcommand that propagates starts where the library does
-    assert cli.build_parser().parse_args([command]).n == SimulationConfig.n_slices
+    assert cli.build_parser().parse_args([command]).n == SimulationConfig().n_slices
 
 
 class TestContour:
@@ -723,7 +747,7 @@ class TestVerify:
         run = reference_runs["jump"]
         t = run.traj.t
         r = t if shape == "monotone" else -((t - t[-1] + 0.5) ** 2)
-        runs = dict(reference_runs, jump=checks.Run(dataclasses.replace(run.traj, r=r), run.summary))
+        runs = dict(reference_runs, jump=checks.Run(run.traj._replace(r=r), run.summary))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check = next(c for c in checks.physics_checks(runs) if c.name == "jump-extrema")

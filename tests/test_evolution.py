@@ -1,6 +1,5 @@
 """Unit tests for the propagation machinery and its convergence ladder."""
 
-import dataclasses
 import math
 import re
 import warnings
@@ -362,12 +361,12 @@ class TestLadderDeltas:
         p = tanh_profile(1.0, 40.0, 10.0, 2.0)
         cfg = SimulationConfig(t_end=12.0, n_slices=self.N, n_max=self.N)
         coarse = propagate_converged(p, cfg)
-        fine = propagate_converged(p, dataclasses.replace(cfg, n_slices=2 * self.N, n_max=2 * self.N))
+        fine = propagate_converged(p, cfg._replace(n_slices=2 * self.N, n_max=2 * self.N))
         assert np.array_equal(fine.t[::2], coarse.t)
         sup = float(np.max(np.abs(fine.r[::2] - coarse.r)))
         final = abs(float(fine.R[-1] - coarse.R[-1]))
         assert final > sup
-        ladder = propagate_converged(p, dataclasses.replace(cfg, n_max=2 * self.N))
+        ladder = propagate_converged(p, cfg._replace(n_max=2 * self.N))
         assert ladder.delta_history[0] == max(sup, final)
 
     def test_window_R_and_its_mean(self):
@@ -805,7 +804,7 @@ class TestPostTransitionSummary:
         # slice, and its window mean and spread hold to the ladder tolerance
         p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         cfg = SimulationConfig(n_slices=256, record_stride=8, n_max=256)
-        runs = [propagate_converged(p, dataclasses.replace(cfg, record_stride=k)) for k in (8, 1)]
+        runs = [propagate_converged(p, cfg._replace(record_stride=k)) for k in (8, 1)]
         sparse, dense = map(post_transition_summary, runs)
         in_window = [int(np.count_nonzero(run.t > sparse.window_start)) for run in runs]
         assert in_window == [7, 55]

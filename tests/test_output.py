@@ -1,6 +1,5 @@
 """Unit tests for the text serialisation layer."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -204,7 +203,7 @@ class TestSummaryText:
         _, traj, summary = small_run
         head, text = summary_text(traj), summary_text(traj, summary)
         assert text.startswith(head)
-        names = [f.name for f in dataclasses.fields(summary)]
+        names = list(summary._fields)
         tail = text[len(head):].splitlines()
         assert [line.split(" = ")[0] for line in tail] == names
         assert tail == report((name, getattr(summary, name)) for name in names).splitlines()

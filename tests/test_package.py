@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +78,18 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params if a.arg not in read]
     assert unread == []
+
+
+def test_import_builds_no_dataclasses():
+    # a generated class costs its methods' exec at every import: a fresh CLI
+    # import loads no dataclasses, and no package class is a dataclass
+    src = str(Path(squeezesim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, squeezesim.cli; print(sorted(m for m in sys.modules if m == 'dataclasses'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+    generated = [
+        f"{name}.{key}" for name in MODULES for key, value in vars(importlib.import_module(name)).items()
+        if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
+    ]
+    assert generated == []

@@ -35,11 +35,10 @@ from .errors import (
     caller_stacklevel,
     require_finite,
 )
-from .records import FrozenRecord
+from .records import Record
 
 _CLAMP_WINDOW = 1e-12
 _CLAMP_TO = 1.0 - 1e-15
-_IDENTITY_TOL = 1e-12
 _UNITARITY_TOL = 1e-10
 
 def _wrap_angle(x):
@@ -68,7 +67,7 @@ def _clamped_magnitude(mag, what: str):
     return mag
 
 
-class SqueezeParams(FrozenRecord):
+class SqueezeParams(Record):
     """Squeeze magnitude and phase relative to the initial basis."""
 
     __slots__ = ("r", "phi")
@@ -81,7 +80,7 @@ class SqueezeParams(FrozenRecord):
         self._store(r, float(_wrap_angle(phi)))
 
 
-class InstSqueezeParams(FrozenRecord):
+class InstSqueezeParams(Record):
     """Squeeze magnitude and phase relative to the instantaneous basis.
 
     beta_mod is the modulus of the central coefficient of the disentangled
@@ -108,28 +107,27 @@ class InstSqueezeParams(FrozenRecord):
         self._store(R, float(_wrap_angle(Phi)), beta_mod)
 
 
-class BogoliubovCoeffs(FrozenRecord):
-    """Hyperbolic coefficients mixing the ladder operators of two bases."""
+class BogoliubovCoeffs(Record):
+    """Hyperbolic coefficients (gamma1, gamma2) = (cosh rho, sinh rho) mixing
+    the ladder operators of two bases, fixed by the exponent rho alone."""
 
-    __slots__ = ("gamma1", "gamma2", "rho")
+    __slots__ = ("rho",)
 
-    def __init__(self, gamma1: float, gamma2: float, rho: float):
-        if not (np.isfinite(gamma1) and np.isfinite(gamma2) and np.isfinite(rho)):
-            raise ValueError("Bogoliubov coefficients must be finite")
-        if gamma1 < 1.0:
-            raise ValueError(f"gamma1 must be >= 1, got {gamma1}")
-        scale = max(1.0, gamma1**2)
-        if abs(gamma1**2 - gamma2**2 - 1.0) > _IDENTITY_TOL * scale:
-            raise ValueError(
-                f"gamma1^2 - gamma2^2 = "
-                f"{gamma1**2 - gamma2**2} violates the unit identity"
-            )
-        if abs(gamma1 - np.cosh(rho)) > 1e-9 * scale or abs(gamma2 - np.sinh(rho)) > 1e-9 * scale:
-            raise ValueError("gamma1, gamma2 inconsistent with rho")
-        self._store(gamma1, gamma2, rho)
+    def __init__(self, rho: float):
+        if not np.isfinite(rho):
+            raise ValueError(f"rho must be finite, got {rho}")
+        self._store(float(rho))
+
+    @property
+    def gamma1(self) -> float:
+        return float(np.cosh(self.rho))
+
+    @property
+    def gamma2(self) -> float:
+        return float(np.sinh(self.rho))
 
 
-class BchCoeffs(FrozenRecord):
+class BchCoeffs(Record):
     """Disentangled coefficients of a squeeze followed by a basis change."""
 
     __slots__ = ("alpha", "beta", "gamma")
@@ -157,9 +155,7 @@ def rho_of(omega, omega0):
 
 def bogoliubov_coeffs(rho: float) -> BogoliubovCoeffs:
     """Bogoliubov coefficients (cosh rho, sinh rho) for a given exponent."""
-    if not np.isfinite(rho):
-        raise ValueError(f"rho must be finite, got {rho}")
-    return BogoliubovCoeffs(float(np.cosh(rho)), float(np.sinh(rho)), float(rho))
+    return BogoliubovCoeffs(rho)
 
 
 def _squeeze_of(c, what: str):

@@ -251,9 +251,11 @@ def fit_ansatz(sweep_data) -> FitResult:
     size = np.inf
     for _ in range(50):
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        if not np.linalg.norm(step) < size:  # a non-finite step stops too
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(step)
+        if not norm < size:  # a non-finite step stops too
             break
-        c, size = c + step, np.linalg.norm(step)
+        c, size = c + step, norm
         res, jac = residuals(c)
     c1, c2 = float(abs(c[0])), float(c[1])
     if np.linalg.cond(jac) > 1e8:

@@ -43,7 +43,7 @@ from .frequency import (
     eval_omega,
     transition_interval,
 )
-from .records import FrozenRecord, Record
+from .records import Record
 
 # A level of at least this many cells steps them side by side, one numpy row
 # per cell; a smaller level runs each cell's Python loop.  With the slice
@@ -77,7 +77,7 @@ _BETA1, _BETA2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 _MIN_WINDOW_RECORDS = 4
 
 
-class SimulationConfig(FrozenRecord):
+class SimulationConfig(Record):
     """Stepping and convergence controls for one propagation.
 
     A run starts at t = 0, or at the first sample time of a sampled profile.
@@ -89,8 +89,8 @@ class SimulationConfig(FrozenRecord):
     and the final R, or R over the post-transition window and its mean; see
     propagate_converged) moves by less than convergence_tol or n_max is
     hit; n_max = n_slices runs the single fixed grid of n_slices slices.
-    Records are kept every record_stride slices.  The defaults are those of
-    SimulationConfig(), which the CLI's flags read too.
+    Records are kept every record_stride slices; counts are integers.  The
+    defaults are those of SimulationConfig(), which the CLI's flags read too.
     """
 
     __slots__ = ("t_end", "n_slices", "record_stride", "convergence_tol", "n_max")
@@ -103,10 +103,11 @@ class SimulationConfig(FrozenRecord):
         convergence_tol: float = 1e-4,
         n_max: int = 1 << 24,
     ):
-        if n_slices < 1:
-            raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-        if record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+        for name, count in (("n_slices", n_slices), ("record_stride", record_stride), ("n_max", n_max)):
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
         if n_slices % record_stride:
             raise ValueError(
                 f"n_slices ({n_slices}) must be a multiple of "
@@ -133,12 +134,14 @@ class Trajectory(Record):
     n_slices steps.  delta_history holds one difference per level
     comparison of propagate_converged: the larger of the sup-norm change of
     r(t) and the change of R at the last record.  converged is None when no
-    comparison was made.  A Trajectory is mutable, and len() counts its
-    records.
+    comparison was made, and achieved_delta is the last difference.  A
+    Trajectory equals only itself, and len() counts its records.
     """
 
     __slots__ = ("t", "omega", "rho", "chi", "r", "phi", "R", "Phi", "beta_mod", "profile",
-                 "n_slices", "converged", "achieved_delta", "delta_history")
+                 "n_slices", "converged", "delta_history")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -154,14 +157,17 @@ class Trajectory(Record):
         profile: FrequencyProfile,
         n_slices: int,
         converged: bool | None = None,
-        achieved_delta: float | None = None,
         delta_history: list[float] | None = None,
     ):
         self._store(t, omega, rho, chi, r, phi, R, Phi, beta_mod, profile, n_slices,
-                    converged, achieved_delta, [] if delta_history is None else delta_history)
+                    converged, [] if delta_history is None else delta_history)
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def achieved_delta(self) -> float | None:
+        return self.delta_history[-1] if self.delta_history else None
 
     def unitarity_defect(self) -> float:
         """Largest |alpha|^2 + |beta| - 1 deviation across the records."""
@@ -500,7 +506,6 @@ def _finalize(c: _Cell) -> Trajectory:
         profile=p,
         n_slices=c.n,
         converged=c.converged,
-        achieved_delta=c.history[-1] if c.history else None,
         delta_history=c.history,
     )
 

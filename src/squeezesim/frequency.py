@@ -17,36 +17,32 @@ import warnings
 import numpy as np
 
 from .errors import caller_stacklevel, require_finite
-from .records import FrozenRecord
+from .records import Record
 
 _TAIL_FACTOR = 3.0  # the ramp is within 0.25% of its asymptotes beyond 3 epsilon
 
 
-class FrequencyProfile(FrozenRecord):
+class FrequencyProfile(Record):
     """Evaluable omega(t) plus the transition metadata.
 
-    A tanh ramp has epsilon > 0 and a jump epsilon 0.  Only the sampled kind
-    holds samples: at least two (t, omega) pairs with finite, strictly
-    increasing times and positive, finite frequencies, the last of which is
-    omegaf.  Its t0 and epsilon are unused, and omega0 fixes the reference
-    basis (sampled_profile defaults it to the first tabulated frequency).
+    Its kind is read from its fields: samples make it sampled, else epsilon
+    > 0 makes a tanh ramp and epsilon 0 a jump.  Samples are at least two
+    (t, omega) pairs with finite, strictly increasing times and positive,
+    finite frequencies, the last of which is omegaf.  A sampled profile's
+    t0 and epsilon are unused, and omega0 fixes the reference basis
+    (sampled_profile defaults it to the first tabulated frequency).
     """
 
-    __slots__ = ("kind", "omega0", "omegaf", "t0", "epsilon", "samples")
+    __slots__ = ("omega0", "omegaf", "t0", "epsilon", "samples")
 
     def __init__(
         self,
-        kind: str,
         omega0: float,
         omegaf: float,
         t0: float = 10.0,
         epsilon: float = 0.0,
         samples: tuple[tuple[float, float], ...] | None = None,
     ):
-        if kind not in ("tanh", "jump", "sampled"):
-            raise ValueError(f"unknown profile kind {kind!r}")
-        if (kind == "sampled") != (samples is not None):
-            raise ValueError(f"samples belong to the sampled kind alone (kind {kind!r})")
         if samples is not None:
             if len(samples) < 2:
                 raise ValueError(f"need at least 2 samples, got {len(samples)}")
@@ -59,11 +55,13 @@ class FrequencyProfile(FrozenRecord):
         require_finite("frequencies", omega0, omegaf)
         require_finite("t0", t0, positive=False)
         require_finite("epsilon", epsilon, positive=False)
-        if kind == "tanh" and epsilon == 0.0:
-            raise ValueError("a tanh ramp needs epsilon > 0; epsilon 0 is a jump")
-        if kind == "jump" and epsilon != 0.0:
-            raise ValueError(f"a jump has epsilon 0, got {epsilon}")
-        self._store(kind, omega0, omegaf, t0, epsilon, samples)
+        self._store(omega0, omegaf, t0, epsilon, samples)
+
+    @property
+    def kind(self) -> str:
+        if self.samples is not None:
+            return "sampled"
+        return "tanh" if self.epsilon > 0.0 else "jump"
 
     def __call__(self, t):
         return eval_omega(self, t)
@@ -73,9 +71,7 @@ def tanh_profile(
     omega0: float = 1.0, omegaf: float = 3.0, t0: float = 10.0, epsilon: float = 0.5
 ) -> FrequencyProfile:
     """Smooth ramp between omega0 and omegaf; epsilon = 0 degenerates to a jump."""
-    if epsilon == 0.0:
-        return jump_profile(omega0, omegaf, t0)
-    p = FrequencyProfile("tanh", omega0, omegaf, t0, epsilon)
+    p = FrequencyProfile(omega0, omegaf, t0, 0.0 if epsilon == 0.0 else epsilon)  # 0 and -0.0 store the jump's 0.0
     if t0 < _TAIL_FACTOR * epsilon:
         warnings.warn(
             f"transition window starts before t = 0 (t0 = {t0}, epsilon = {epsilon}); "
@@ -88,7 +84,7 @@ def tanh_profile(
 
 def jump_profile(omega0: float = 1.0, omegaf: float = 3.0, t0: float = 10.0) -> FrequencyProfile:
     """Instantaneous frequency switch at t0."""
-    return FrequencyProfile("jump", omega0, omegaf, t0, 0.0)
+    return FrequencyProfile(omega0, omegaf, t0, 0.0)
 
 
 def sampled_profile(
@@ -102,7 +98,7 @@ def sampled_profile(
     pts = tuple((float(t), float(w)) for t, w in samples)
     omegas = [w for _, w in pts] or [float("nan")]  # an empty table fails the profile's own check
     ref = omegas[0] if omega0 is None else float(omega0)
-    return FrequencyProfile("sampled", ref, omegas[-1], 0.0, 0.0, pts)
+    return FrequencyProfile(ref, omegas[-1], 0.0, 0.0, pts)
 
 
 def load_samples(path) -> FrequencyProfile:

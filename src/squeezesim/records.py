@@ -1,21 +1,21 @@
 """Value semantics for the package's records, read from their __slots__.
 
-A record class lists its fields, in order, as __slots__ and writes its own
-__init__, which validates and normalises the arguments and stores them in
-slot order with _store.  Record gives the field-listing repr, equality
-between records of the same class with equal fields, and _replace, a copy
-with some fields changed that runs the class's own __init__, so a copy
-validates as a new record does.  FrozenRecord adds hashing and rejects
-assignment and deletion with AttributeError.  No method is generated when a
-class is created, which keeps importing the package cheap.
+A record class lists its fields, the ones nothing else determines, in
+order as __slots__ and writes its own __init__, which validates and
+normalises the arguments and stores them in slot order with _store.  Record
+gives the field-listing repr, equality and hashing between records of the
+same class with equal fields, and _replace, a copy with some fields changed
+that runs the class's own __init__, so a copy validates as a new record
+does.  Assignment and deletion raise AttributeError.  No method is
+generated when a class is created, which keeps importing the package cheap.
 """
 
 
-_SET = object.__setattr__  # a frozen record's own __setattr__ refuses
+_SET = object.__setattr__  # a record's own __setattr__ refuses
 
 
 class Record:
-    """A mutable record: unhashable, as its fields can change."""
+    """An immutable record, equal to and hashable by its fields."""
 
     __slots__ = ()
 
@@ -35,18 +35,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def _replace(self, **changes):
         """A new record of this class with the given fields changed."""
         return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)
-
-
-class FrozenRecord(Record):
-    """An immutable record, hashable by its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {type(value).__name__} to field {name!r} "

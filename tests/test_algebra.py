@@ -43,12 +43,16 @@ class TestSqueezeParams:
     def test_rejects_negative_magnitude(self):
         with pytest.raises(ValueError):
             SqueezeParams(-0.1, 0.0)
+        with pytest.raises(ValueError):
+            InstSqueezeParams(-0.1, 0.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SqueezeParams(float("nan"), 0.0)
         with pytest.raises(ValueError):
             SqueezeParams(1.0, float("inf"))
+        with pytest.raises(ValueError):
+            InstSqueezeParams(float("inf"), 0.0)
 
 
 class TestInstSqueezeParams:
@@ -70,17 +74,20 @@ class TestBogoliubov:
     def test_identity_frequency_is_trivial(self):
         g = bogoliubov_coeffs(0.0)
         assert (g.gamma1, g.gamma2) == (1.0, 0.0)
+        assert type(g).__slots__ == ("rho",)
 
     def test_hyperbolic_identity(self):
         for rho in (-2.0, -0.3, 0.0, 0.3, 2.0):
             g = bogoliubov_coeffs(rho)
+            assert (g.gamma1, g.gamma2) == (float(np.cosh(rho)), float(np.sinh(rho)))
             assert g.gamma1**2 - g.gamma2**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            BogoliubovCoeffs(0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            BogoliubovCoeffs(2.0, 0.1, 0.0)  # breaks the unit identity
+        # rho alone fixes the pair, so a non-finite rho is all there is to reject
+        with pytest.raises(ValueError, match="rho must be finite"):
+            BogoliubovCoeffs(float("nan"))
+        with pytest.raises(ValueError, match="rho must be finite"):
+            bogoliubov_coeffs(float("inf"))
 
     def test_rho_of_values(self):
         assert rho_of(3.0, 1.0) == pytest.approx(0.5 * LN3, abs=1e-15)
@@ -244,6 +251,8 @@ class TestQuadratureVariance:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             quadrature_variance((0.6, 0.9), 0.25)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            quadrature_variance(SqueezeParams(0.6, 0.9), float("nan"))
 
 
 class TestCrossBasisVariance:

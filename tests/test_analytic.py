@@ -618,6 +618,16 @@ class TestFitAnsatz:
         # Jacobian columns are parallel wherever the fit stops
         assert any("rank deficient" in m for m in messages)
 
+    def test_underflowing_model_fits_without_numpy_warnings(self):
+        # the model value underflows at every point, so the normal matrix is
+        # singular and the polish step overflows; the fit keeps its start
+        data = [(1, 3, 1e3, 0.1), (1, 5, 2e3, 0.2), (1, 0.5, 1e3, 0.05)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_ansatz(data)
+        assert (fit.c1, fit.c2) == (1.0, 0.5)
+        assert [w.category for w in caught] == [FitConditionWarning]
+
     def test_noise_tolerance(self):
         rng = np.random.default_rng(7)
         data = []

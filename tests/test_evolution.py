@@ -58,6 +58,18 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n_max=2048, n_slices=4096)
 
+    @pytest.mark.parametrize("name", ["n_slices", "record_stride", "n_max"])
+    def test_counts_must_be_integers(self, name):
+        # a float count would fail only inside numpy, with a TypeError that
+        # ends a whole sweep rather than failing its cells
+        value = getattr(SimulationConfig(), name)
+        for bad in (float(value), np.float64(value)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimulationConfig(**{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimulationConfig()._replace(**{name: bad})
+        assert getattr(SimulationConfig(**{name: np.int64(value)}), name) == value
+
 
 class TestStepCoeffs:
     def test_frozen_value(self):

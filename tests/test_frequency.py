@@ -60,8 +60,6 @@ class TestTanhProfile:
             tanh_profile(1.0, 3.0, -1.0)
         with pytest.raises(ValueError):
             tanh_profile(1.0, 3.0, 10.0, -0.5)
-        with pytest.raises(ValueError):
-            FrequencyProfile("spline", 1.0, 3.0)
 
 
 class TestJumpProfile:
@@ -113,27 +111,33 @@ class TestSampledProfile:
             sampled_profile([(0.0, 1.0), (1.0, -2.0)])
 
 
+class TestProfileKind:
+    def test_kind_follows_from_the_fields(self):
+        # epsilon > 0 is a ramp and epsilon 0 a jump, as tanh_profile builds
+        # them; samples make a sampled profile whatever t0 and epsilon say
+        ramp = FrequencyProfile(1.0, 3.0, 10.0, 0.5)
+        assert ramp.kind == "tanh" and ramp == tanh_profile(1.0, 3.0, 10.0, 0.5)
+        assert ramp._replace(epsilon=0.0) == jump_profile(1.0, 3.0, 10.0)
+        assert FrequencyProfile(1.0, 2.0, 10.0, 0.5, ((0.0, 1.0), (1.0, 2.0))).kind == "sampled"
+        assert "kind" not in FrequencyProfile.__slots__
+        with pytest.raises(AttributeError):
+            ramp.kind = "jump"
+
+
 class TestInconsistentKinds:
-    # each of these evaluated or reported something wrong instead of failing:
-    # a nan omega at t0, a TypeError inside eval_omega, a jump's transition
-    # interval of nonzero width; samples built directly skipped every check,
-    # so unsorted times were interpolated (omega(0.5) = 1.5) and a negative
-    # frequency (omega(1.5) = -2) ran the ladder to "converged"
+    # a profile's kind is read from its fields, so only its samples can be
+    # inconsistent; samples built directly skipped every check, so unsorted
+    # times were interpolated (omega(0.5) = 1.5) and a negative frequency
+    # (omega(1.5) = -2) ran the ladder to "converged"
     @pytest.mark.parametrize(
         "args, match",
         [
-            (("tanh", 1.0, 3.0, 10.0, 0.0), "tanh ramp needs epsilon > 0"),
-            (("jump", 1.0, 3.0, 10.0, 0.7), "jump has epsilon 0"),
-            (("sampled", 1.0, 2.0), "sampled kind alone"),
-            (("tanh", 1.0, 2.0, 10.0, 0.5, ((0.0, 1.0), (1.0, 2.0))), "sampled kind alone"),
-            (("sampled", 1.0, 2.0, 0.0, 0.0, ((0, 1), (2, 3), (1, 5))), "strictly increasing"),
-            (("sampled", 1.0, 7.0, 0.0, 0.0, ((0, 1), (2, -3))), "positive"),
-            (("sampled", 1.0, 7.0, 0.0, 0.0, ((0, 1), (2, 3))), "last sample"),
-            (("sampled", 1.0, 1.0, 0.0, 0.0, ((0, 1),)), "at least 2"),
+            ((1.0, 2.0, 0.0, 0.0, ((0, 1), (2, 3), (1, 5))), "strictly increasing"),
+            ((1.0, 7.0, 0.0, 0.0, ((0, 1), (2, -3))), "positive"),
+            ((1.0, 7.0, 0.0, 0.0, ((0, 1), (2, 3))), "last sample"),
+            ((1.0, 1.0, 0.0, 0.0, ((0, 1),)), "at least 2"),
         ],
-        ids=["tanh-without-width", "jump-with-width", "sampled-without-samples",
-             "tanh-with-samples", "unsorted-samples", "negative-sample",
-             "omegaf-not-last-sample", "one-sample"],
+        ids=["unsorted-samples", "negative-sample", "omegaf-not-last-sample", "one-sample"],
     )
     def test_rejected(self, args, match):
         with pytest.raises(ValueError, match=match):

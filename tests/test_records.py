@@ -26,7 +26,7 @@ from squeezesim import (
 VALIDATING = [
     (SqueezeParams(0.5, 0.1), "r", -1.0),
     (InstSqueezeParams(0.5, 0.1), "Phi", float("inf")),
-    (bogoliubov_coeffs(0.3), "gamma1", 0.5),
+    (bogoliubov_coeffs(0.3), "rho", float("nan")),
     (compose_bch(SqueezeParams(0.5, 0.1), bogoliubov_coeffs(0.3)), "alpha", 1.5 + 0j),
     (tanh_profile(1.0, 3.0, 10.0, 0.5), "epsilon", -1.0),
     (SimulationConfig(), "n_slices", 0),
@@ -75,29 +75,37 @@ def test_replace_runs_the_normalisation_and_rejects_unknown_fields():
     assert InstSqueezeParams(0.5, 0.1)._replace(R=0.0, beta_mod=None).beta_mod == 1.0
     with pytest.raises(TypeError):
         sp._replace(R=1.0)
+    with pytest.raises(TypeError):  # a derived field is not one to replace
+        bogoliubov_coeffs(0.3)._replace(gamma1=1.0)
     assert SimulationConfig()._replace(n_slices=512) == SimulationConfig(n_slices=512)
 
 
 def test_profile_is_still_callable_and_keyword_constructible():
-    p = FrequencyProfile(kind="jump", omega0=1.0, omegaf=3.0, t0=10.0)
-    assert p(9.0) == 1.0 and p(11.0) == 3.0
-    assert p == FrequencyProfile("jump", 1.0, 3.0)
-    assert p != FrequencyProfile("jump", 1.0, 3.0, 11.0)
+    p = FrequencyProfile(omega0=1.0, omegaf=3.0, t0=10.0)
+    assert p(9.0) == 1.0 and p(11.0) == 3.0 and p.kind == "jump"
+    assert p == FrequencyProfile(1.0, 3.0)
+    assert p != FrequencyProfile(1.0, 3.0, 11.0)
 
 
-def test_trajectory_is_mutable_unhashable_and_counts_records():
+def test_trajectory_is_immutable_equals_only_itself_and_counts_records():
     arrays = [np.zeros(3) for _ in range(9)]
-    traj = Trajectory(*arrays, profile=tanh_profile(), n_slices=2)
+    traj = Trajectory(*arrays, profile=tanh_profile(), n_slices=2, delta_history=[1e-3, 2e-5])
     assert len(traj) == 3
-    assert traj.delta_history == []
-    assert Trajectory(*arrays, tanh_profile(), 2).delta_history is not traj.delta_history
-    traj.converged = True
-    assert traj.converged is True
-    with pytest.raises(TypeError):
-        hash(traj)
+    assert traj.achieved_delta == 2e-5
+    assert Trajectory(*arrays, tanh_profile(), 2).delta_history == []
+    assert Trajectory(*arrays, tanh_profile(), 2).achieved_delta is None
+    with pytest.raises(AttributeError):
+        traj.converged = True
+    with pytest.raises(AttributeError):
+        traj.achieved_delta = 0.0
+    # equal fields do not make equal runs, and comparing them reads no array
+    twin = traj._replace()
+    assert twin == twin and twin != traj and traj == traj
+    assert len({traj, twin}) == 2
     r = np.ones(3)
-    moved = traj._replace(r=r)
+    moved = traj._replace(r=r, converged=True)
     assert moved.r is r and moved.t is traj.t and moved.converged is True
+    assert moved.delta_history == traj.delta_history
 
 
 def test_results_are_named_tuples():

@@ -40,6 +40,8 @@ from .records import Record
 _CLAMP_WINDOW = 1e-12
 _CLAMP_TO = 1.0 - 1e-15
 _UNITARITY_TOL = 1e-10
+# the largest |rho| whose cosh and sinh are finite floats lies just below this
+_RHO_LIMIT = float(np.arccosh(np.finfo(float).max))
 
 def _wrap_angle(x):
     """Wrap an angle (or array of angles) to the interval (-pi, pi]."""
@@ -114,8 +116,11 @@ class BogoliubovCoeffs(Record):
     __slots__ = ("rho",)
 
     def __init__(self, rho: float):
-        if not np.isfinite(rho):
-            raise ValueError(f"rho must be finite, got {rho}")
+        if not abs(rho) < _RHO_LIMIT:
+            raise ValueError(
+                f"rho must be finite with |rho| < {_RHO_LIMIT} "
+                f"(cosh overflows beyond), got {rho}"
+            )
         self._store(float(rho))
 
     @property
@@ -153,9 +158,7 @@ def rho_of(omega, omega0):
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
-def bogoliubov_coeffs(rho: float) -> BogoliubovCoeffs:
-    """Bogoliubov coefficients (cosh rho, sinh rho) for a given exponent."""
-    return BogoliubovCoeffs(rho)
+bogoliubov_coeffs = BogoliubovCoeffs
 
 
 def _squeeze_of(c, what: str):

@@ -83,11 +83,17 @@ class TestBogoliubov:
             assert g.gamma1**2 - g.gamma2**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_construction_rejected(self):
-        # rho alone fixes the pair, so a non-finite rho is all there is to reject
-        with pytest.raises(ValueError, match="rho must be finite"):
-            BogoliubovCoeffs(float("nan"))
+        # rho alone fixes the pair, so a rho whose cosh is not a finite float
+        # is all there is to reject
+        for rho in (float("nan"), float("inf"), -float("inf"), 710.48, -711.0):
+            with pytest.raises(ValueError, match="rho must be finite"):
+                BogoliubovCoeffs(rho)
         with pytest.raises(ValueError, match="rho must be finite"):
             bogoliubov_coeffs(float("inf"))
+        edge = float(np.nextafter(np.arccosh(np.finfo(float).max), 0.0))
+        for rho in (edge, -edge):
+            g = BogoliubovCoeffs(rho)
+            assert np.isfinite([g.gamma1, g.gamma2]).all()
 
     def test_rho_of_values(self):
         assert rho_of(3.0, 1.0) == pytest.approx(0.5 * LN3, abs=1e-15)

@@ -92,7 +92,9 @@ def test_trajectory_is_immutable_equals_only_itself_and_counts_records():
     traj = Trajectory(*arrays, profile=tanh_profile(), n_slices=2, delta_history=[1e-3, 2e-5])
     assert len(traj) == 3
     assert traj.achieved_delta == 2e-5
-    assert Trajectory(*arrays, tanh_profile(), 2).delta_history == []
+    fresh = Trajectory(*arrays, tanh_profile(), 2)
+    assert fresh.delta_history == []
+    assert Trajectory(*arrays, tanh_profile(), 2).delta_history is not fresh.delta_history
     assert Trajectory(*arrays, tanh_profile(), 2).achieved_delta is None
     with pytest.raises(AttributeError):
         traj.converged = True

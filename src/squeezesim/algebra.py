@@ -24,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -152,9 +153,19 @@ class BchCoeffs(Record):
 
 def rho_of(omega, omega0):
     """Basis-change squeeze exponent 0.5*ln(omega/omega0): a float for scalar
-    frequencies, else an array; ValueError unless each is positive and finite."""
+    frequencies, else an array; ValueError unless each is positive and finite.
+    Where the ratio is not a normal positive float (it under- or overflowed)
+    it is 0.5*(ln omega - ln omega0) instead, so no ratio of finite
+    frequencies gives an infinite exponent."""
     require_finite("frequencies", omega, omega0)
-    rho = 0.5 * np.log(np.divide(omega, omega0))
+    with np.errstate(over="ignore"):  # an infinite ratio is taken apart below
+        ratio = np.divide(omega, omega0)
+    normal = (ratio >= sys.float_info.min) & (ratio < np.inf)  # float_info.min: the smallest normal float
+    if normal.all():
+        rho = 0.5 * np.log(ratio)
+    else:
+        logs = 0.5 * (np.log(omega) - np.log(omega0))
+        rho = np.where(normal, 0.5 * np.log(np.where(normal, ratio, 1.0)), logs)
     return float(rho) if np.ndim(rho) == 0 else rho
 
 

@@ -5,11 +5,14 @@ and ends at t_end.  The span is cut into n slices of equal width tau, each
 run as the fourth-order commutator-free Magnus step (CF4; Blanes & Moan,
 Appl. Numer. Math. 56 (2006)): two exact constant-frequency half-steps whose
 omega^2 combine the samples at the slice's two Gauss nodes, with an error of
-O(tau^4).  A jump, whose steps start at t0 at the earliest, is exact at
-every n.  Each step is a Bogoliubov (SU(1,1)) transformation of the
+O(tau^4).  Each step is a Bogoliubov (SU(1,1)) transformation of the
 vacuum, so a slice is their product, one Moebius map of a single complex
 variable chi, built in real arithmetic; chi advances once per slice, and
 the squeeze parameters of the state follow from it at the recorded slices.
+A jump is not stepped: the omega0 vacuum is stationary up to t0, and from
+there omega is omega_f, so its chi at a record t is exactly that of one
+constant-omega_f step of width t - t0 from chi = 0, read on the same record
+times as the stepped runs.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
@@ -18,10 +21,11 @@ one (_read_r), or, for a run that reports only the post-transition window
 mean (a sweep cell), R at the records after the window start together with
 its window mean (_read_windows).  One ladder, which takes its reader from
 its caller, serves a single run and a batch of runs that share a
-configuration, and one function steps each level, chunk by chunk: a chunk's
-slice maps come from one vectorised pass over all the level's runs, into
-buffers that every chunk reuses, and its recurrence runs side by side as
-numpy rows from _ROW_CELLS runs up, else as each run's own Python loop.
+configuration, and one function runs each level: chunk by chunk, a chunk's
+slice maps come from one vectorised pass over all the level's stepped runs,
+into buffers that every chunk reuses, and its recurrence runs side by side
+as numpy rows from _ROW_CELLS stepped runs up, else as each run's own
+Python loop; the level's jumps take their records from one vectorised map.
 The reader takes the whole level too: the sweep cells' windows are read end
 to end, in one pass per block of whole cells.
 """
@@ -59,8 +63,9 @@ _ROW_RECORDS = 1 << 20
 # chunk's coefficient buffers and its lists of Python complex values stay
 # small enough to sit in cache, which larger chunks measurably lose
 _BLOCK = 1 << 12
-# profile kinds in column order: ramps and sampled profiles, which step in
-# two CF4 half-steps, then jumps, so the CF4 pass fills one slice of columns
+# profile kinds in column order: ramps and sampled profiles, which step
+# slice by slice in two CF4 half-steps, then jumps, which do not step (each
+# record is one exact map), so the stepped columns are one leading slice
 _KINDS = ("tanh", "sampled", "jump")
 
 # CF4: the Gauss nodes c = 1/2 -+ sqrt(3)/6 of a slice, and the weights
@@ -321,79 +326,97 @@ def _maps(omega, omega0, width, out=None):
 
 
 class _Group:
-    """The cells of one _propagate call as the columns of its step buffers.
+    """The stepped cells of one _propagate call as the columns of its step buffers.
 
-    cells come in _KINDS order (_ladder sorts them), so the ramps and
-    sampled profiles fill the columns cf4 and the jumps those after.  Their
-    spans, tau and profile parameters are column arrays, and every chunk
-    reuses the (2, chunk, k) omega and width of each slice's two steps (a
-    jump's second has zero width), the out of _maps and nodes, the (2,
-    chunk, cf4) CF4 node times.
+    cells are ramps and then sampled profiles (_KINDS order; jumps do not
+    step), so the ramps fill the columns ramps.  Their spans, tau and
+    profile parameters are column arrays, and every chunk reuses the (2,
+    chunk, k) omega and width of each slice's two CF4 half-steps, the out
+    of _maps and the node times.  coarse lists the ramps whose slices are
+    wider than 4 epsilon: such a level steps the ramp as a jump, and does
+    not count unless the ramp is sudden to the tolerance tol, that is, its
+    state after the ramp lies within tol of the jump's.  That distance, in
+    the units of r, is (omegaf - omega0)^2 epsilon / (4 omega0) to first
+    order in epsilon (|the integral of omega^2 - omega_jump^2| over 2
+    omega0), and it bounds the change of r and R at every
+    later record, since the evolution after the ramp is an isometry of the
+    disc.
     """
 
-    def __init__(self, cells: list[_Cell], n: int, chunk: int):
+    def __init__(self, cells: list[_Cell], n: int, chunk: int, tol: float):
         self.cells = cells
         k = len(cells)
-        cf4 = k - sum(c.p.kind == "jump" for c in cells)
-        self.ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
-        self.cf4, self.jumps = slice(0, cf4), slice(cf4, k)
-        self.t_start, self.t_end = np.array([c.span for c in self.cells]).T
-        self.tau = (self.t_end - self.t_start) / n
+        self.ramps = ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
+        self.t_start, t_end = np.array([c.span for c in self.cells]).T
+        self.tau = (t_end - self.t_start) / n
         self.omega0, self.omegaf, self.t0, self.epsilon = np.array(
             [(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in self.cells]
         ).T
         self.omega, self.width = np.empty((2, 2, chunk, k))
-        self.width[:, :, self.cf4] = 0.5 * self.tau[self.cf4]
-        self.omega[1, :, self.jumps], self.width[1, :, self.jumps] = self.omega0[self.jumps], 0.0
-        self.nodes, (self.maps, self.work) = np.empty((2, chunk, cf4)), _map_buffers((chunk, k))
+        self.width[:] = 0.5 * self.tau
+        self.nodes, (self.maps, self.work) = np.empty((2, chunk, k)), _map_buffers((chunk, k))
+        self.coarse = []
+        for i in np.flatnonzero(self.tau[ramps] / 4.0 > self.epsilon[ramps]).tolist():
+            p = cells[i].p
+            gap = p.omegaf - p.omega0  # gap * gap may overflow, to a ramp that is not sudden
+            if gap * gap * p.epsilon / p.omega0 / 4.0 >= tol:
+                self.coarse.append(i)
 
 
 def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarray, ...]:
     """Moebius maps (A, B, C) of slices first+1 .. first+m of a group's cells.
 
-    Views of the group's buffers, one row per slice and one column per cell.
-    A ramp's or sampled profile's map is the product of the slice's two CF4
-    half-steps, a jump's that of one exact step, run only for the part of
-    the slice past t0 (the omega0 vacuum is stationary before it), and a
-    step of zero width.  A cell whose half-step omega^2 is not positive gets
-    _UnresolvedSlice in errors, and the column of every cell in errors
-    becomes the identity (A = C = 0, B = 1) once, after its maps.  No value
-    warns: a healthy column's map that is not finite is the caller's to report.
+    Views of the group's buffers, one row per slice and one column per cell:
+    the product of the slice's two CF4 half-steps.  A cell whose half-step
+    omega^2 is not positive, or a coarse ramp (see _Group) from its first
+    slice on, gets _UnresolvedSlice in errors, and the column of every cell
+    in errors becomes the identity (A = C = 0, B = 1) once, after its maps.
+    No value warns: a healthy column's map that is not finite is the
+    caller's to report.
     """
     k = np.arange(first, first + m, dtype=float)
-    omega, width = g.omega[:, :m], g.width[:, :m]
-    cf4, ramps, jumps = g.cf4, g.ramps, g.jumps
+    nodes, half, ramps = g.nodes[:, :m], g.omega[:, :m], g.ramps
     with np.errstate(all="ignore"):
-        if cf4.stop:
-            nodes, half = g.nodes[:, :m], omega[:, :, cf4]
-            np.multiply((k + _NODES[:, None])[:, :, None], g.tau[cf4], out=nodes)
-            np.add(g.t_start[cf4], nodes, out=nodes)
-            ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
-            _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
-            for i in range(ramps.stop, cf4.stop):  # sampled profiles, one column each
-                nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
-            # an omega^2 that overflows makes a half-step inf - inf or -inf
-            # (beta2 is negative), which the test below marks unresolved
-            w_sq = np.square(nodes, out=nodes)
-            np.multiply(_BETA2, w_sq[::-1], out=half)
-            np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
-            np.multiply(2.0, half, out=half)
-            resolved = half > 0.0
-            for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
-                if errors[i] is None:
-                    step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
-                    errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
-            np.sqrt(half, out=half)
-        if jumps.stop > jumps.start:
-            t0, tau = g.t0[jumps], g.tau[jumps]
-            ts = g.t_start[jumps] + (k + 1.0)[:, None] * tau
-            omega[0, :, jumps] = _jump_omega(ts, g.omega0[jumps], g.omegaf[jumps], t0)
-            np.clip(ts - t0, 0.0, tau, out=width[0, :, jumps])
-        a, b, c = _maps(omega, g.omega0, width, (g.maps[:, :m], g.work[:, :, :m]))
+        np.multiply((k + _NODES[:, None])[:, :, None], g.tau, out=nodes)
+        np.add(g.t_start, nodes, out=nodes)
+        ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
+        _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
+        for i in range(ramps.stop, len(g.cells)):  # sampled profiles, one column each
+            nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
+        # an omega^2 that overflows makes a half-step inf - inf or -inf
+        # (beta2 is negative), which the test below marks unresolved
+        w_sq = np.square(nodes, out=nodes)
+        np.multiply(_BETA2, w_sq[::-1], out=half)
+        np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
+        np.multiply(2.0, half, out=half)
+        resolved = half > 0.0
+        if g.coarse:
+            resolved[:, :, g.coarse] = False
+        for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
+            if errors[i] is None:
+                step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
+                errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
+        np.sqrt(half, out=half)
+        a, b, c = _maps(half, g.omega0, g.width[:, :m], (g.maps[:, :m], g.work[:, :, :m]))
     failed = [i for i, e in enumerate(errors) if e is not None]
     if failed:
         a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
     return a, b, c
+
+
+def _sudden_chi(omegaf, omega0, width) -> np.ndarray:
+    """chi after one exact constant-omegaf step of each width from chi = 0:
+    the A of the step's _maps (its second step has zero width), under
+    omegaf and omega0 that broadcast against width, and exactly 0 where the
+    width is not positive, for which no map is evaluated.  A map that is not
+    finite is the caller's to report."""
+    after = width > 0.0
+    chi = np.zeros(width.shape, dtype=complex)
+    if after.any():
+        w0, wf = (np.broadcast_to(w, width.shape)[after] for w in (omega0, omegaf))
+        with np.errstate(all="ignore"):
+            chi[after] = _maps(np.array([wf, w0]), w0, np.array([width[after], np.zeros_like(w0)]))[0]
+    return chi
 
 
 def _step_loop(a, b, c, chi, rec, per_record: int) -> None:
@@ -430,52 +453,73 @@ def _step_rows(a, b, c, chi, rec, per_record: int) -> None:
 
 
 def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
-    """Run the recurrence of a group of cells, in _KINDS order, over n slices.
+    """Run a group of cells, in _KINDS order, over n slices.
 
-    Slices run in chunks of whole record strides, about _BLOCK cell-slices
-    each, and each slice is one step through its map.  A group of at least
-    _ROW_CELLS cells steps as numpy rows (_step_rows), a smaller one through
-    each cell's Python loop (_step_loop); a cell's records differ between
-    the two only in the rounding of complex division.  A cell's slice maps
-    (_slice_steps) do not depend on its neighbours or the chunking, and a
-    failed cell steps through the identity; the records are allocated once
-    a chunk leaves a cell running.  Finiteness is checked once per chunk at
-    record granularity: StepSingularityError names the slice of a cell's
-    first non-finite record (a non-finite chi stays non-finite).  Returns,
-    per cell as given, its (t_rec, chi_rec) or the exception that ended it.
+    The ramps and sampled profiles step: slices run in chunks of whole
+    record strides, about _BLOCK cell-slices each, and each slice is one
+    step through its map.  At least _ROW_CELLS stepped cells step as numpy
+    rows (_step_rows), fewer through each cell's Python loop (_step_loop); a
+    cell's records differ between the two only in the rounding of complex
+    division.  A cell's slice maps (_slice_steps) do not depend on its
+    neighbours or the chunking, and a failed cell steps through the
+    identity; the records are allocated once a chunk leaves a cell running,
+    or for the jumps.  A jump's chi at each record time t is _sudden_chi's
+    of width t - t0 (from the run's start if t0 is before it), all the
+    group's jumps in one call, so it does not depend on n but through its
+    record times.  Finiteness is checked at record granularity:
+    StepSingularityError names the slice of a cell's first non-finite record
+    (a non-finite chi stays non-finite).  Returns, per cell as given, its
+    (t_rec, chi_rec) or the exception that ended it.
     """
     k = len(cells)
+    cf4 = k - sum(c.p.kind == "jump" for c in cells)  # the jumps come last
     stride = cfg.record_stride
-    chunk = stride * max(1, _BLOCK // k // stride)
-    g = _Group(cells, n, min(chunk, n))
+    shape = (n // stride + 1, k)
     chi_rec = None
-    errors: list[Exception | None] = [None] * k
-    chi = np.zeros(k, dtype=complex)
-    kernel = _step_rows if k >= _ROW_CELLS else _step_loop
-    for j in range(0, n, chunk):
-        m = min(chunk, n - j)
-        maps = _slice_steps(g, j, m, errors)
-        if None not in errors:
-            break
+    errors: list[Exception | None] = [None] * cf4
+    if cf4:
+        chunk = stride * max(1, _BLOCK // cf4 // stride)
+        g = _Group(cells[:cf4], n, min(chunk, n), cfg.convergence_tol)
+        chi = np.zeros(cf4, dtype=complex)
+        kernel = _step_rows if cf4 >= _ROW_CELLS else _step_loop
+        for j in range(0, n, chunk):
+            m = min(chunk, n - j)
+            maps = _slice_steps(g, j, m, errors)
+            if None not in errors:
+                break
+            if chi_rec is None:
+                chi_rec = np.empty(shape, dtype=complex)
+                chi_rec[0] = 0.0  # every later row of a stepped cell is written by its chunk
+            rec = chi_rec[1 + j // stride : 1 + (j + m) // stride, :cf4]
+            kernel(*maps, chi, rec, stride)
+            bad = ~np.isfinite(rec)
+            for i in np.flatnonzero(bad.any(axis=0)).tolist():
+                if errors[i] is None:
+                    errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
+    runs: list = errors + [None] * (k - cf4)
+    ran = [col for col in range(k) if runs[col] is None]
+    if not ran:  # record times only for the cells that ran: the others end in their error
+        return runs
+    steps = np.arange(shape[0], dtype=float) * stride
+    # t_start + j * tau, built in one buffer; it can pass t_end, and a
+    # sampled profile, by an ulp
+    t_start, t_end = np.array([cells[col].span for col in ran]).T
+    t_rec = np.multiply(steps, ((t_end - t_start) / n)[:, None])
+    np.add(t_start[:, None], t_rec, out=t_rec)
+    np.minimum(t_rec, t_end[:, None], out=t_rec)
+    if cf4 < k:  # the jumps, the last rows of t_rec
         if chi_rec is None:
-            chi_rec = np.empty((n // stride + 1, k), dtype=complex)
-            chi_rec[0] = 0.0  # every later row is written by its chunk
-        rec = chi_rec[1 + j // stride : 1 + (j + m) // stride]
-        kernel(*maps, chi, rec, stride)
-        bad = ~np.isfinite(rec)
+            chi_rec = np.empty(shape, dtype=complex)
+        omega0, omegaf, t0 = np.array([(c.p.omega0, c.p.omegaf, c.p.t0) for c in cells[cf4:]]).T
+        t_jump = t_rec[cf4 - k :]
+        onset = np.maximum(t0, t_start[cf4 - k :])[:, None]
+        jumps = chi_rec[:, cf4:]
+        jumps[:] = _sudden_chi(omegaf[:, None], omega0[:, None], t_jump - onset).T
+        bad = ~np.isfinite(jumps)
         for i in np.flatnonzero(bad.any(axis=0)).tolist():
-            if errors[i] is None:
-                errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
-    runs = list(errors)
-    ran = [col for col in range(k) if errors[col] is None]
-    if ran:  # record times only for the cells that ran: the others end in their error
-        steps = np.arange(n // stride + 1, dtype=float) * stride
-        # t_start + j * tau, built in one buffer; it can pass t_end, and a
-        # sampled profile, by an ulp
-        t_rec = np.multiply(steps, g.tau[ran, None])
-        np.add(g.t_start[ran, None], t_rec, out=t_rec)
-        np.minimum(t_rec, g.t_end[ran, None], out=t_rec)
-        for col, t in zip(ran, t_rec):
+            runs[cf4 + i] = StepSingularityError(int(np.argmax(bad[:, i])) * stride)
+    for col, t in zip(ran, t_rec):
+        if runs[col] is None:
             runs[col] = (t, chi_rec[:, col])
     return runs
 
@@ -670,9 +714,10 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     last record, from which post_transition_summary reads the oscillation,
     as well; an R whose magnitude tanh R reached 1 there is beyond double
     precision and raises SaturationError.  A level with a slice too coarse
-    for the ramp (a CF4 half-step omega^2 that is not positive) is abandoned
-    for twice its slices and does not count; at n_max it raises
-    StepSingularityError.  Returns the last level, converged
+    for the ramp (a CF4 half-step omega^2 that is not positive, or slices
+    wider than 4 epsilon for a ramp that is not sudden to the tolerance; see
+    _Group) is abandoned for twice its slices and does not count; at n_max
+    it raises StepSingularityError.  Returns the last level, converged
     once a difference drops below convergence_tol.  n_max = n_slices runs
     one fixed grid (converged None).  window_means runs the same ladder,
     reading R after the transition instead.

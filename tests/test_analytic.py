@@ -233,11 +233,13 @@ class TestSweep:
         assert pts[0].R_final == pytest.approx(0.2199, abs=1e-3)
 
     def test_floor_at_n_max_fails_as_step_singularity(self):
-        # eps 1e-4 is still too steep for its slices at n_max = 512
+        # eps 1e-4 is still too steep for its slices at n_max = 512: they
+        # are about 60 eps wide, so from the first one on they are coarser
+        # than the 4 eps a level needs to count
         cfg = SimulationConfig(n_slices=256, n_max=512)
         with pytest.warns(UserWarning, match=r"\(omegaf=5, eps=0.0001\) failed: StepSing"):
             floor, ramp = sweep_final_sp(1.0, 5.0, [1e-4, 0.5], cfg)
-        assert floor.error == "StepSingularityError: slice 431 is too coarse for the ramp"
+        assert floor.error == "StepSingularityError: slice 1 is too coarse for the ramp"
         assert ramp == sweep_final_sp(1.0, 5.0, [0.5], cfg)[0]
         assert ramp.error is None
 
@@ -285,15 +287,16 @@ class TestSweep:
                 assert cell.R_final == post_transition_summary(traj).R_final, (omegaf, eps, n)
 
     def test_stepping_stays_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
-        # every level of at least _ROW_CELLS cells steps once, as numpy rows;
-        # a smaller level steps through each cell's loop
+        # every level of at least _ROW_CELLS stepped cells steps once, as
+        # numpy rows; a smaller level steps through each cell's loop, and
+        # the ten jumps, which do not step, count towards neither
         calls = []
         propagate = evolution._propagate
 
         def propagate_spy(cells, cfg, n):
             kernel_calls.clear()
             runs = propagate(cells, cfg, n)
-            calls.append((n, len(cells), set(kernel_calls)))
+            calls.append((n, sum(c.p.kind != "jump" for c in cells), set(kernel_calls)))
             return runs
 
         monkeypatch.setattr(evolution, "_propagate", propagate_spy)
@@ -309,9 +312,9 @@ class TestSweep:
                 if total >= evolution._ROW_CELLS:
                     assert at_n == [(total, {("rows", total)})], (n, at_n)
                 else:
-                    assert at_n == [(k, {("loop", k)}) for k, _ in at_n], (n, at_n)
+                    assert at_n == [(k, {("loop", k)} if k else set()) for k, _ in at_n], (n, at_n)
                     small += 1
-            assert calls[0] == (cfg.n_slices, 80, {("rows", 80)})
+            assert calls[0] == (cfg.n_slices, 70, {("rows", 70)})
         assert small  # from seed 256 the last level holds one cell
 
     def test_each_level_is_read_once(self, monkeypatch):
@@ -365,24 +368,27 @@ class TestSweep:
         assert len(buffers) == 3
 
     def test_coefficients_stay_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
-        # each chunk of a level computes the slice maps of all its cells, of
-        # every profile kind, in one _maps call, however many cells it holds.
+        # each chunk of a level computes the slice maps of all its stepped
+        # cells, ramps here, in one _maps call, however many cells it holds,
+        # and the level's jumps take one more call for all their records.
         # A chunk holds about evolution._BLOCK cell-slices, so a level of
         # more cells runs more chunks, and the calls are counted per chunk
         # (one kernel call each); computed per cell, they would be 20 or 80
         calls, levels = [], []
         maps, propagate = evolution._maps, evolution._propagate
 
-        def maps_spy(*args):
-            calls.append(None)
-            return maps(*args)
+        def maps_spy(omega, *args):
+            calls.append(np.ndim(omega))  # (2, slices, cells), or (2, records) of jumps
+            return maps(omega, *args)
 
         def propagate_spy(cells, cfg, n):
             calls.clear()
             kernel_calls.clear()
             runs = propagate(cells, cfg, n)
             kinds = len({c.p.kind for c in cells})
-            levels.append((len(cells), kinds, len(calls), len(kernel_calls)))
+            jumps = any(c.p.kind == "jump" for c in cells)
+            assert calls.count(2) == jumps, (len(cells), calls)
+            levels.append((len(cells), kinds, calls.count(3), len(kernel_calls)))
             return runs
 
         monkeypatch.setattr(evolution, "_maps", maps_spy)
@@ -411,7 +417,9 @@ class TestSweep:
 
 # 20 ramps at ratio 5 that a t_end of 14 and an n_max of 4096 split into
 # every outcome: eps 0 is a jump; 0.001 and 0.003 hit the resolution floor
-# at the seed and reach n_max unconverged; 1.0 leaves a window of 1 < 3 pi/5
+# at the seed, 0.001 until n_max (its slices are wider than 4 eps below it),
+# where it runs its one level without a comparison, and 0.003 reaches n_max
+# unconverged; 1.0 leaves a window of 1 < 3 pi/5
 BATCH_CFG = SimulationConfig(n_slices=256, n_max=4096, t_end=14.0, convergence_tol=5e-6)
 BATCH_EPS = [0.0, 0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25,
              0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 1.0]
@@ -439,9 +447,10 @@ class TestBatchedSweep:
                 assert abs(pt.R_final - alone.R_final) <= 1e-13, eps
         assert sorted(caught) == sorted(alone_caught)
         assert [w[0].split(")")[0] for w in caught] == [
-            "sweep cell (omegaf=5, eps=0.001", "sweep cell (omegaf=5, eps=0.003",
-            "sweep cell (omegaf=5, eps=1",
+            "sweep cell (omegaf=5, eps=0.003", "sweep cell (omegaf=5, eps=1",
         ]
+        assert evolution.window_means([tanh_profile(1.0, 5.0, 10.0, 0.001)], BATCH_CFG)[0][1:4] == (
+            4096, None, None)
         assert points[-1].error.startswith("WindowError: window [13.0, 14.0]")
         assert points[0].R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
 

@@ -33,6 +33,7 @@ from squeezesim.cli import (
     EXIT_COMPOSITION,
     EXIT_DEGENERATE_DATA,
     EXIT_DOMAIN,
+    EXIT_NAN,
     EXIT_OK,
     EXIT_STEP_SINGULARITY,
     EXIT_USAGE,
@@ -233,8 +234,8 @@ class TestEvolve:
 
     def test_saturated_run_without_a_summary_exits_4(self, capsys):
         # the same jump ended at 12 has no summary window, and its ladder,
-        # not the summary, fails it: at its seed R at t_end is 18.7 where
-        # the sudden switch gives 115.1
+        # not the summary, fails it: at its seed R at t_end is clamped to
+        # 17.6 where the sudden switch gives 115.1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
             argv = ["evolve", "--omega0", "1e-100", "--omegaf", "1", "--eps", "0", "--t-end", "12"]
@@ -242,8 +243,35 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: saturation: instantaneous squeeze R = 18.715 at t_end is beyond double precision\n"
+            "error: saturation: instantaneous squeeze R = 17.6164 at t_end is beyond double precision\n"
         )
+
+    def test_slices_wider_than_the_ramp_give_no_answer(self, capsys):
+        # at t_end 1e9 the ladder's slices are far wider than the ramp, so
+        # every level would step it as a jump and report the sudden R =
+        # 0.549306 as converged, where the ramp gives 0.2199377: no level
+        # counts, and at n_max the run fails as a singular step
+        assert main(["evolve", "--omegaf", "3", "--eps", "0.5", "--t-end", "1e9"]) == EXIT_STEP_SINGULARITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step singularity: slice 1 is too coarse for the ramp\n"
+
+    def test_non_finite_record_exits_9(self, monkeypatch, capsys):
+        # no known input reaches it (README), so the ladder's trajectory is
+        # given a nan R: evolve reports it as one line and prints no report
+        propagate = cli.propagate_converged
+
+        def with_nan(p, cfg):
+            traj = propagate(p, cfg)
+            big_r = traj.R.copy()
+            big_r[5] = math.nan
+            return traj._replace(R=big_r)
+
+        monkeypatch.setattr(cli, "propagate_converged", with_nan)
+        assert main(["evolve", "--omegaf", "3"]) == EXIT_NAN == 9
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite R at record 5 (t = 0.142984)\n"
 
     def test_saturated_sweep_cell_fails(self, capsys):
         # a sweep cell's R is read over its window, where it saturates too:
@@ -492,8 +520,7 @@ adiabatic = false
         (["evolve", "--omega0", "1e200", "--omegaf", "1e-200", "--eps", "0"],
          EXIT_STEP_SINGULARITY, "", []),
         (["sweep", "--omega0", "1e200", "--omegaf", "1e-200", "--eps", "0"], EXIT_OK,
-         "epsilon,R_sim,R_formula,rel_err\n0.00000000000e+00,nan,nan,nan\n",
-         ["divide by zero encountered in log", "invalid value encountered in multiply"]),
+         "epsilon,R_sim,R_formula,rel_err\n0.00000000000e+00,nan,4.60517018599e+02,nan\n", []),
     ],
     ids=["evolve-tiny-width", "sweep-tiny-width", "contour-tiny-width",
          "evolve-extreme-ratio", "sweep-extreme-ratio"],
@@ -501,8 +528,8 @@ adiabatic = false
 def test_extreme_inputs_step_without_numpy_warnings(argv, status, out, formula_warnings, capsys):
     # a tiny width overflows (t - t0)/eps, and omega/omega0 = 1e-400
     # underflows to 0 in the slice maps; neither warns, and the answer is
-    # what it was.  The sweep's formula column still takes the log of that
-    # underflowed ratio: rho_of gives -inf, where rho_f is about -460.5
+    # what it was.  The sweep's formula column takes rho_f of that ratio
+    # from two logs, -460.5, with no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == status
@@ -521,7 +548,7 @@ class TestExitStatus:
             (["evolve", "--omegaf", "3", "--stride", "3"], 3,
              "error: n_slices (256) must be a multiple of record_stride (3)"),
             (["evolve", "--omegaf", "1e-9", "--eps", "0", "--n", "64"], 4,
-             "error: saturation: squeeze magnitude "),
+             "error: saturation: instantaneous squeeze magnitude "),
             (["fit", "--source", "simulation", "--t-end", "5"], 8,
              "error: degenerate data: need at least 2 data points, got 0"),
         ],
@@ -754,7 +781,10 @@ class TestVerify:
         assert not check.passed
         assert check.detail.endswith("period rel err nan")
 
-    def test_corrupted_step_sign_fails_jump_oracle(self, monkeypatch, capsys):
+    def test_corrupted_step_sign_fails_near_sudden_oracle(self, monkeypatch, capsys):
+        # a flipped B spoils every stepped slice; the jump, one map from
+        # chi = 0 that reads only A, is untouched, and the near-sudden ramp
+        # ends 1.099 from the closed form
         maps = evolution._maps
 
         def flipped(*args):
@@ -764,11 +794,20 @@ class TestVerify:
         monkeypatch.setattr(evolution, "_maps", flipped)
         code = main(["verify"])
         out = capsys.readouterr().out
-        assert "[FAIL] jump-oracle" in out
+        assert "[FAIL] near-sudden-oracle: sup deviation 1.099e+00" in out
         assert code == EXIT_CHECK_FAILED
         # the corrupted step must not leak into later runs
         monkeypatch.undo()
         assert main(["verify"]) == EXIT_OK
+
+    def test_wrong_jump_width_fails_jump_oracle(self, monkeypatch, capsys):
+        # the jump's exact map run 1% too long: only jump-oracle can see it
+        sudden = evolution._sudden_chi
+        monkeypatch.setattr(evolution, "_sudden_chi", lambda wf, w0, width: sudden(wf, w0, 1.01 * width))
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        assert "[FAIL] jump-oracle: sup deviation 1.252e-01" in out
+        assert code == EXIT_CHECK_FAILED
 
 
 def _answer(run, argv, capsys):

@@ -255,6 +255,34 @@ class TestCF4:
                 propagate_converged(p, SimulationConfig(n_slices=n, n_max=n))
 
 
+class TestCoarseSlices:
+    # a level whose slices are wider than 4 eps steps the ramp as a jump;
+    # it counts only if the ramp is sudden to the tolerance, that is, if
+    # its state lies within tol of the jump's after the ramp
+
+    @pytest.mark.parametrize("omega0, omegaf", [(1.0, 3.0), (200.0, 1.0), (0.01, 2.0), (1.0, 40.0)])
+    def test_distance_from_the_jump_is_first_order(self, omega0, omegaf):
+        # the disc distance, in r's units, between a resolved narrow ramp
+        # and the jump at t0 + 20 eps is (omegaf - omega0)^2 eps/(4 omega0)
+        eps = 1e-7
+        p = tanh_profile(omega0, omegaf, 20.0 * eps, eps)
+        traj = propagate_converged(p, SimulationConfig(t_end=40.0 * eps, n_slices=4096, n_max=8192))
+        a = traj.chi[-1]
+        b = complex(evolution._sudden_chi(omegaf, omega0, np.array([traj.t[-1] - p.t0]))[0])
+        dist = math.atanh(abs((a - b) / (1.0 - b.conjugate() * a)))
+        assert dist == pytest.approx((omegaf - omega0) ** 2 * eps / (4.0 * omega0), rel=1e-3)
+
+    def test_a_level_of_wide_slices_counts_only_for_a_sudden_ramp(self):
+        # 256 slices over 13.1 are about 500 eps wide; at ratio 3 the
+        # distance from the jump is eps itself, so a ramp of 0.9 tol is
+        # sudden and answers, and one of 1.1 tol fails from its first slice
+        cfg = SimulationConfig(n_slices=256, n_max=256)
+        sudden = propagate_converged(tanh_profile(1.0, 3.0, 10.0, 0.9e-4), cfg)
+        assert np.all(np.isfinite(sudden.r))
+        with pytest.raises(StepSingularityError, match="^slice 1 is too coarse for the ramp$"):
+            propagate_converged(tanh_profile(1.0, 3.0, 10.0, 1.1e-4), cfg)
+
+
 class TestRatioInversionDuality:
     # Rescaling time by k and reversing it maps the ramp 1 -> k of width eps
     # onto the ramp 1 -> 1/k of width k eps, and |beta| is invariant under
@@ -314,8 +342,9 @@ class TestPropagateConverged:
 
     def test_flipped_slice_map_breaks_physics(self, monkeypatch):
         # a slice map with the sign of its coefficient B flipped must
-        # visibly damage the result
-        p = jump_profile(1.0, 3.0, 10.0)
+        # visibly damage the result.  A ramp: a jump's records are the A of
+        # one map from chi = 0 and never read B
+        p = tanh_profile(1.0, 3.0, 10.0, 0.5)
         cfg = SimulationConfig(n_slices=1 << 14, record_stride=16, n_max=1 << 14)
         clean = propagate_converged(p, cfg)
         maps = evolution._maps
@@ -343,6 +372,27 @@ class TestPropagateConverged:
         traj = propagate_converged(p, SimulationConfig(n_slices=256, n_max=512))
         assert traj.n_slices == 512 and len(traj.delta_history) == 1
         assert calls.count("squeeze") == 2
+
+    # verify's jump grid, and the default ladder, which stops at 512 slices
+    JUMP_GRIDS = {"verify": SimulationConfig(n_slices=1 << 16, record_stride=16, n_max=1 << 16),
+                  "default": SimulationConfig()}
+
+    @pytest.mark.parametrize("grid", JUMP_GRIDS)
+    @pytest.mark.parametrize("ratio", [1.0 / 200.0, 0.2, 3.0, 40.0, 200.0])
+    def test_jump_records_are_the_closed_form(self, grid, ratio):
+        # a jump is not stepped: each record is one exact omega_f map of
+        # width t - t0 from the vacuum, so r matches the sudden closed form
+        # (arcsinh, no code shared with the maps) at every record to
+        # rounding, and is exactly 0 up to t0.  Stepped slice by slice, the
+        # 1/200 jump was 4.3e-8 off
+        p = jump_profile(1.0, ratio, 10.0)
+        traj = propagate_converged(p, self.JUMP_GRIDS[grid])
+        after = traj.t > p.t0
+        assert np.all(traj.chi[~after] == 0.0) and np.count_nonzero(after) >= 3
+        exact = jump_sp_closed_form(1.0, ratio, traj.t[after] - p.t0)
+        assert np.max(np.abs(traj.r[after] - exact)) <= 1e-11
+        if grid == "default":
+            assert (traj.n_slices, traj.delta_history, traj.converged) == (512, [0.0], True)
 
     @pytest.mark.parametrize("n_slices", [4096, 5000])
     def test_jump_is_exact_at_every_level(self, n_slices):
@@ -548,9 +598,9 @@ class TestLevelRead:
             assert (means[i].n_slices, str(means[i].error)) == (alone.n_slices, str(alone.error))
         assert warned == alone_warned
         assert [text for text, _ in warned] == [
-            "squeeze magnitude reached 1; clamped 96 value(s)",
+            "squeeze magnitude reached 1; clamped 73 value(s)",
             "squeeze magnitude reached 1; clamped 176 value(s)",
-            "instantaneous squeeze magnitude reached 1; clamped 152 value(s)",
+            "instantaneous squeeze magnitude reached 1; clamped 157 value(s)",
         ]
         assert str(means[15].error).endswith("exceeds 1 beyond the clamping window")
         assert str(means[16].error) == (
@@ -584,9 +634,11 @@ class TestRecurrence:
     @pytest.mark.parametrize("stride", [1, 3, 64])
     def test_rows_match_each_cells_loop(self, monkeypatch, kernel_calls, stride):
         # a ramp, a tabulated profile that starts at t = 1 and a jump, in
-        # _KINDS order, stepped side by side as rows: the record times are
-        # each cell's own loop's, and chi differs only by the rounding of
-        # complex division
+        # _KINDS order: the two stepped cells step side by side as rows
+        # (the jump does not step, and the kernel choice does not count
+        # it), the record times are each cell's own loop's, and chi differs
+        # only by the rounding of complex division; the jump's is bitwise
+        # its own
         profiles = [
             tanh_profile(1.0, 3.0, 10.0, 0.5),
             sampled_profile([(1.0, 1.0), (8.0, 2.0), (14.0, 0.5)]),
@@ -594,18 +646,18 @@ class TestRecurrence:
         ]
         cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
         cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
-        monkeypatch.setattr(evolution, "_ROW_CELLS", len(cells))
+        monkeypatch.setattr(evolution, "_ROW_CELLS", 2)
         rows = evolution._propagate(cells, cfg, self.N)
         for chunk in (1, 100):
             monkeypatch.setattr(evolution, "_BLOCK", chunk)
             for (t, chi), (t_c, chi_c) in zip(rows, evolution._propagate(cells, cfg, self.N)):
                 assert np.array_equal(t, t_c) and np.array_equal(chi, chi_c)
-        assert set(kernel_calls) == {("rows", len(cells))}
+        assert set(kernel_calls) == {("rows", 2)}
         kernel_calls.clear()
         for c, (t, chi) in zip(cells, rows):
             ((t_ref, chi_ref),) = evolution._propagate([c], cfg, self.N)
             assert np.array_equal(t, t_ref)
-            assert np.max(np.abs(chi - chi_ref)) <= 1e-13
+            assert np.max(np.abs(chi - chi_ref)) <= (0.0 if c.p.kind == "jump" else 1e-13)
         assert set(kernel_calls) == {("loop", 1)}
 
     @pytest.mark.parametrize(
@@ -674,13 +726,10 @@ def _own_map(omega, omega0, width):
 
 
 def _own_steps(p, t_start, tau, first, m):
-    """One cell's (A, B, C) of slices first+1 .. first+m, one per slice, or
-    the number of its first slice whose half-step omega^2 is not positive."""
+    """One stepped cell's (A, B, C) of slices first+1 .. first+m, one per
+    slice, or the number of its first slice whose half-step omega^2 is not
+    positive."""
     k = np.arange(first, first + m, dtype=float)
-    if p.kind == "jump":  # its exact step, then one of zero width
-        ts = t_start + (k + 1.0) * tau
-        omega = np.array([np.where(ts < p.t0, p.omega0, p.omegaf), np.full(m, p.omega0)])
-        return _own_map(omega, p.omega0, np.array([np.clip(ts - p.t0, 0.0, tau), np.zeros(m)]))
     nodes = (t_start + (k[:, None] + _NODES) * tau).ravel()
     if p.kind == "tanh":
         mid, amp = 0.5 * (p.omegaf + p.omega0), 0.5 * (p.omegaf - p.omega0)
@@ -696,9 +745,22 @@ def _own_steps(p, t_start, tau, first, m):
     return _own_map(np.sqrt(half).T, p.omega0, np.full((2, m), 0.5 * tau))
 
 
+def _own_jump(p, t):
+    """A jump's chi at record times t: 0 up to t0, then the A of one exact
+    omega_f step of width t - t0 followed by one of zero width."""
+    width = t - p.t0
+    after = width > 0.0
+    chi = np.zeros(len(t), dtype=complex)
+    w = width[after]
+    omega = np.array([np.full(len(w), p.omegaf), np.full(len(w), p.omega0)])
+    chi[after] = _own_map(omega, p.omega0, np.array([w, np.zeros(len(w))]))[0]
+    return chi
+
+
 class TestGroupSteps:
-    # _slice_steps computes a chunk's slice maps for all cells of a group
-    # in one pass; every cell's are bitwise its own arithmetic's
+    # _slice_steps computes a chunk's slice maps for all stepped cells of a
+    # group in one pass; every cell's are bitwise its own arithmetic's.  A
+    # jump never reaches it: its records are bitwise one exact map each
     RAMPS = [tanh_profile(1.0, 3.0, 10.0, 0.5), tanh_profile(1.0, 0.2, 10.0, 0.1),
              tanh_profile(1.0, 5.0, 10.0, 1.6)]
     JUMPS = [jump_profile(1.0, 3.0, 10.0), jump_profile(1.0, 0.5, 10.0)]
@@ -716,7 +778,7 @@ class TestGroupSteps:
         per chunk (first, m, cells in column order, (A, B, C))."""
         cfg = SimulationConfig(t_end=14.0, n_slices=self.N, record_stride=stride, n_max=self.N)
         cells = [evolution._Cell(p, None, evolution._time_span(p, cfg)) for p in profiles]
-        monkeypatch.setattr(evolution, "_BLOCK", 100 * len(cells))
+        monkeypatch.setattr(evolution, "_BLOCK", 100 * sum(p.kind != "jump" for p in profiles))
         seen = []
         steps = evolution._slice_steps
 
@@ -735,22 +797,47 @@ class TestGroupSteps:
     @pytest.mark.parametrize("kinds", GROUPS)
     def test_matches_each_cells_own_arithmetic(self, monkeypatch, kinds, stride):
         cells, runs, seen = self._chunks(monkeypatch, self.GROUPS[kinds], stride)
-        assert [(first, m) for first, m, *_ in seen] == [(j, 100) for j in range(0, 500, 100)] + [(500, 12)]
+        stepped = [c for c in cells if c.p.kind != "jump"]
+        chunks = [(j, 100) for j in range(0, 500, 100)] + [(500, 12)]
+        assert [(first, m) for first, m, *_ in seen] == (chunks if stepped else [])
         for first, m, group, maps in seen:
-            assert sorted(map(id, group)) == sorted(map(id, cells))
+            assert list(map(id, group)) == list(map(id, stepped))
             for i, c in enumerate(group):
                 t_start, t_end = c.span
                 own = _own_steps(c.p, t_start, (t_end - t_start) / self.N, first, m)
                 for x, own_x in zip(maps, own):
                     assert _same_bits(x[:, i], own_x), (kinds, i)
-        assert not any(isinstance(run, Exception) for run in runs)
+        for c, (t, chi) in zip(cells, runs, strict=True):
+            if c.p.kind == "jump":
+                assert _same_bits(chi, _own_jump(c.p, t)), kinds
+
+    def test_never_sees_a_jump(self, monkeypatch):
+        # on a level of the default lattice, which interleaves ten jumps
+        # with its ramps, no chunk's maps hold a jump column, and a group of
+        # jumps alone makes no _slice_steps call at all
+        seen, steps = [], evolution._slice_steps
+
+        def spy(group, first, m, errors):
+            seen.append([c.p.kind for c in group.cells])
+            assert group.omega.shape[-1] == len(group.cells) == len(errors)
+            return steps(group, first, m, errors)
+
+        monkeypatch.setattr(evolution, "_slice_steps", spy)
+        lattice = [tanh_profile(1.0, omegaf, epsilon=eps)
+                   for omegaf in (2.0, 0.5, 10.0) for eps in (0.0, 0.4, 1.6)]
+        assert all(m.error is None for m in evolution.window_means(lattice, SimulationConfig()))
+        assert seen[0] == ["tanh"] * 6 and all(set(kinds) == {"tanh"} for kinds in seen)
+        seen.clear()
+        jumps = [p for p in lattice if p.kind == "jump"]
+        assert all(m.error is None for m in evolution.window_means(jumps, SimulationConfig()))
+        assert seen == []
 
     def test_unresolved_cell_fails_alone_and_quietly(self, monkeypatch):
-        # omega 1 -> 5 over eps 1e-3 is too steep for 512 slices: that cell
-        # fails at the slice its own arithmetic names, without a warning from
-        # the root of its negative half-step omega^2, and steps through the
-        # identity
-        steep = tanh_profile(1.0, 5.0, 10.0, 1e-3)
+        # omega 1 -> 10 over eps 0.01 is too steep for 512 slices, which are
+        # still narrower than 4 eps: that cell fails at the slice its own
+        # arithmetic names, without a warning from the root of its negative
+        # half-step omega^2, and steps through the identity
+        steep = tanh_profile(1.0, 10.0, 10.0, 0.01)
         profiles = [self.RAMPS[0], steep, self.RAMPS[1], self.JUMPS[0]]
         cells, runs, seen = self._chunks(monkeypatch, profiles, 1)
         t_start, t_end = cells[1].span

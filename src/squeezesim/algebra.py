@@ -161,11 +161,7 @@ def rho_of(omega, omega0):
     with np.errstate(over="ignore"):  # an infinite ratio is taken apart below
         ratio = np.divide(omega, omega0)
     normal = (ratio >= sys.float_info.min) & (ratio < np.inf)  # float_info.min: the smallest normal float
-    if normal.all():
-        rho = 0.5 * np.log(ratio)
-    else:
-        logs = 0.5 * (np.log(omega) - np.log(omega0))
-        rho = np.where(normal, 0.5 * np.log(np.where(normal, ratio, 1.0)), logs)
+    rho = np.where(normal, 0.5 * np.log(np.where(normal, ratio, 1.0)), 0.5 * (np.log(omega) - np.log(omega0)))
     return float(rho) if np.ndim(rho) == 0 else rho
 
 

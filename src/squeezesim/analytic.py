@@ -123,8 +123,9 @@ def _sweep_points(cells, cfg: SimulationConfig | None) -> list[SweepPoint]:
             error = f"{type(mean.error).__name__}: {mean.error}"
             outcome = f"failed: {error}"
         elif mean.converged is False:
-            outcome = (f"did not converge: n_slices {mean.n_slices}, last delta "
-                       f"{mean.achieved_delta:.3g} (tol {cfg.convergence_tol:g})")
+            delta = ("no comparison, every level below it was too coarse" if mean.achieved_delta is None
+                     else f"last delta {mean.achieved_delta:.3g}")
+            outcome = f"did not converge: n_slices {mean.n_slices}, {delta} (tol {cfg.convergence_tol:g})"
         if outcome is not None:
             warnings.warn(
                 f"sweep cell (omegaf={omegaf:g}, eps={eps:g}) {outcome}",

@@ -12,7 +12,9 @@ the squeeze parameters of the state follow from it at the recorded slices.
 A jump is not stepped: the omega0 vacuum is stationary up to t0, and from
 there omega is omega_f, so its chi at a record t is exactly that of one
 constant-omega_f step of width t - t0 from chi = 0, read on the same record
-times as the stepped runs.
+times as the stepped runs.  A ramp narrower than a quarter of its slices is
+mapped as its jump where that is within the tolerance, and is otherwise
+too coarse for them.
 
 Convergence is assessed by doubling n until the quantity the caller reads
 moves by less than a tolerance between consecutive refinements: the squeeze
@@ -25,9 +27,9 @@ configuration, and one function runs each level: chunk by chunk, a chunk's
 slice maps come from one vectorised pass over all the level's stepped runs,
 into buffers that every chunk reuses, and its recurrence runs side by side
 as numpy rows from _ROW_CELLS stepped runs up, else as each run's own
-Python loop; the level's jumps take their records from one vectorised map.
-The reader takes the whole level too: the sweep cells' windows are read end
-to end, in one pass per block of whole cells.
+Python loop; the level's mapped runs take their records from one
+vectorised map.  The reader takes the whole level too: the sweep cells'
+windows are read end to end, in one pass per block of whole cells.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ _ROW_RECORDS = 1 << 20
 _BLOCK = 1 << 12
 # profile kinds in column order: ramps and sampled profiles, which step
 # slice by slice in two CF4 half-steps, then jumps, which do not step (each
-# record is one exact map), so the stepped columns are one leading slice
+# record is one exact map), so the stepped cells lead and the jumps trail
 _KINDS = ("tanh", "sampled", "jump")
 
 # CF4: the Gauss nodes c = 1/2 -+ sqrt(3)/6 of a slice, and the weights
@@ -138,8 +140,10 @@ class Trajectory(Record):
     central composition coefficient, recorded at the last ladder level of
     n_slices steps.  delta_history holds one difference per level
     comparison of propagate_converged: the larger of the sup-norm change of
-    r(t) and the change of R at the last record.  converged is None when no
-    comparison was made, and achieved_delta is the last difference.  A
+    r(t) and the change of R at the last record.  converged is None on a
+    single fixed grid (n_max = n_slices), False when the ladder ended
+    unconverged, also with no comparison when every level below the last
+    was too coarse, and achieved_delta is the last difference.  A
     Trajectory equals only itself, and len() counts its records.
     """
 
@@ -325,28 +329,31 @@ def _maps(omega, omega0, width, out=None):
     return a, b, c
 
 
+def _jump_distance(p: FrequencyProfile) -> float:
+    """How far, at most, a tanh ramp's state is from its jump's at any time,
+    in the units of r: ln 2 epsilon |omegaf^2 - omega0^2| / (2 omega0), the
+    integral of |omega^2 - omega_jump^2| over 2 omega0, which bounds the
+    ramp's first-order departure from the jump whatever the phase it turns
+    through.  After the ramp both evolve under omegaf, an isometry of the
+    disc, so the bound holds at every later time; inf if it overflows."""
+    return math.log(2.0) * p.epsilon * abs(p.omegaf - p.omega0) * (p.omegaf + p.omega0) / (2.0 * p.omega0)
+
+
 class _Group:
     """The stepped cells of one _propagate call as the columns of its step buffers.
 
-    cells are ramps and then sampled profiles (_KINDS order; jumps do not
-    step), so the ramps fill the columns ramps.  Their spans, tau and
-    profile parameters are column arrays, and every chunk reuses the (2,
-    chunk, k) omega and width of each slice's two CF4 half-steps, the out
-    of _maps and the node times.  coarse lists the ramps whose slices are
-    wider than 4 epsilon: such a level steps the ramp as a jump, and does
-    not count unless the ramp is sudden to the tolerance tol, that is, its
-    state after the ramp lies within tol of the jump's.  That distance, in
-    the units of r, is (omegaf - omega0)^2 epsilon / (4 omega0) to first
-    order in epsilon (|the integral of omega^2 - omega_jump^2| over 2
-    omega0), and it bounds the change of r and R at every
-    later record, since the evolution after the ramp is an isometry of the
-    disc.
+    cells are ramps, those too coarse for the level already failed, and
+    then sampled profiles (_KINDS order; see _propagate for the cells that
+    do not step), so the ramps fill the columns ramps.  Their spans, tau
+    and profile parameters are column arrays, and every chunk reuses the
+    (2, chunk, k) omega and width of each slice's two CF4 half-steps, the
+    out of _maps and the node times.
     """
 
-    def __init__(self, cells: list[_Cell], n: int, chunk: int, tol: float):
+    def __init__(self, cells: list[_Cell], n: int, chunk: int):
         self.cells = cells
         k = len(cells)
-        self.ramps = ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
+        self.ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
         self.t_start, t_end = np.array([c.span for c in self.cells]).T
         self.tau = (t_end - self.t_start) / n
         self.omega0, self.omegaf, self.t0, self.epsilon = np.array(
@@ -355,12 +362,6 @@ class _Group:
         self.omega, self.width = np.empty((2, 2, chunk, k))
         self.width[:] = 0.5 * self.tau
         self.nodes, (self.maps, self.work) = np.empty((2, chunk, k)), _map_buffers((chunk, k))
-        self.coarse = []
-        for i in np.flatnonzero(self.tau[ramps] / 4.0 > self.epsilon[ramps]).tolist():
-            p = cells[i].p
-            gap = p.omegaf - p.omega0  # gap * gap may overflow, to a ramp that is not sudden
-            if gap * gap * p.epsilon / p.omega0 / 4.0 >= tol:
-                self.coarse.append(i)
 
 
 def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarray, ...]:
@@ -368,11 +369,10 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
 
     Views of the group's buffers, one row per slice and one column per cell:
     the product of the slice's two CF4 half-steps.  A cell whose half-step
-    omega^2 is not positive, or a coarse ramp (see _Group) from its first
-    slice on, gets _UnresolvedSlice in errors, and the column of every cell
-    in errors becomes the identity (A = C = 0, B = 1) once, after its maps.
-    No value warns: a healthy column's map that is not finite is the
-    caller's to report.
+    omega^2 is not positive gets _UnresolvedSlice in errors, and the column
+    of every cell in errors becomes the identity (A = C = 0, B = 1) once,
+    after its maps.  No value warns: a healthy column's map that is not
+    finite is the caller's to report.
     """
     k = np.arange(first, first + m, dtype=float)
     nodes, half, ramps = g.nodes[:, :m], g.omega[:, :m], g.ramps
@@ -390,8 +390,6 @@ def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarra
         np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
         np.multiply(2.0, half, out=half)
         resolved = half > 0.0
-        if g.coarse:
-            resolved[:, :, g.coarse] = False
         for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
             if errors[i] is None:
                 step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
@@ -463,23 +461,42 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     division.  A cell's slice maps (_slice_steps) do not depend on its
     neighbours or the chunking, and a failed cell steps through the
     identity; the records are allocated once a chunk leaves a cell running,
-    or for the jumps.  A jump's chi at each record time t is _sudden_chi's
-    of width t - t0 (from the run's start if t0 is before it), all the
-    group's jumps in one call, so it does not depend on n but through its
-    record times.  Finiteness is checked at record granularity:
-    StepSingularityError names the slice of a cell's first non-finite record
-    (a non-finite chi stays non-finite).  Returns, per cell as given, its
-    (t_rec, chi_rec) or the exception that ended it.
+    or for the mapped cells.
+
+    A jump does not step, and neither does a ramp whose slices are wider
+    than 4 epsilon, which they cannot resolve: such a ramp is mapped as its
+    jump if that is within the tolerance of it at every time
+    (_jump_distance), and is otherwise _UnresolvedSlice at slice 1 before
+    any slice steps.  Like every failed cell it keeps its column, which
+    steps through the identity: the kernel choice counts the columns, so a
+    failure does not move its neighbours' rounding.  A mapped cell's chi at
+    each record time t is _sudden_chi's of width t - t0 (from the run's
+    start if t0 is before it), all the group's mapped cells in one call, so
+    it does not depend on n but through its record times.  Finiteness is
+    checked at record granularity: StepSingularityError names the slice of
+    a cell's first non-finite record (a non-finite chi stays non-finite).
+    Returns, per cell as given, its (t_rec, chi_rec) or the exception that
+    ended it.
     """
-    k = len(cells)
-    cf4 = k - sum(c.p.kind == "jump" for c in cells)  # the jumps come last
+    runs: list = [None] * len(cells)
+    stepped, mapped = [], []  # the columns of chi_rec, in this order
+    for i, c in enumerate(cells):
+        coarse = c.p.kind == "tanh" and (c.span[1] - c.span[0]) / n / 4.0 > c.p.epsilon
+        if c.p.kind == "jump" or coarse and _jump_distance(c.p) < cfg.convergence_tol:
+            mapped.append(i)
+        else:
+            stepped.append(i)
+            if coarse:
+                runs[i] = _UnresolvedSlice(1, "slice 1 is too coarse for the ramp")
+    cols = stepped + mapped
+    cf4 = len(stepped)
     stride = cfg.record_stride
-    shape = (n // stride + 1, k)
+    shape = (n // stride + 1, len(cols))
     chi_rec = None
-    errors: list[Exception | None] = [None] * cf4
-    if cf4:
+    errors: list[Exception | None] = [runs[i] for i in stepped]
+    if None in errors:
         chunk = stride * max(1, _BLOCK // cf4 // stride)
-        g = _Group(cells[:cf4], n, min(chunk, n), cfg.convergence_tol)
+        g = _Group([cells[i] for i in stepped], n, min(chunk, n))
         chi = np.zeros(cf4, dtype=complex)
         kernel = _step_rows if cf4 >= _ROW_CELLS else _step_loop
         for j in range(0, n, chunk):
@@ -496,31 +513,33 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
             for i in np.flatnonzero(bad.any(axis=0)).tolist():
                 if errors[i] is None:
                     errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
-    runs: list = errors + [None] * (k - cf4)
-    ran = [col for col in range(k) if runs[col] is None]
+    for i, error in zip(stepped, errors):
+        runs[i] = error
+    ran = [col for col, i in enumerate(cols) if runs[i] is None]
     if not ran:  # record times only for the cells that ran: the others end in their error
         return runs
     steps = np.arange(shape[0], dtype=float) * stride
     # t_start + j * tau, built in one buffer; it can pass t_end, and a
     # sampled profile, by an ulp
-    t_start, t_end = np.array([cells[col].span for col in ran]).T
+    t_start, t_end = np.array([cells[cols[col]].span for col in ran]).T
     t_rec = np.multiply(steps, ((t_end - t_start) / n)[:, None])
     np.add(t_start[:, None], t_rec, out=t_rec)
     np.minimum(t_rec, t_end[:, None], out=t_rec)
-    if cf4 < k:  # the jumps, the last rows of t_rec
+    if mapped:  # the last columns, and the last rows of t_rec
         if chi_rec is None:
             chi_rec = np.empty(shape, dtype=complex)
-        omega0, omegaf, t0 = np.array([(c.p.omega0, c.p.omegaf, c.p.t0) for c in cells[cf4:]]).T
-        t_jump = t_rec[cf4 - k :]
-        onset = np.maximum(t0, t_start[cf4 - k :])[:, None]
-        jumps = chi_rec[:, cf4:]
-        jumps[:] = _sudden_chi(omegaf[:, None], omega0[:, None], t_jump - onset).T
-        bad = ~np.isfinite(jumps)
-        for i in np.flatnonzero(bad.any(axis=0)).tolist():
-            runs[cf4 + i] = StepSingularityError(int(np.argmax(bad[:, i])) * stride)
+        q = len(mapped)
+        omega0, omegaf, t0 = np.array([(cells[i].p.omega0, cells[i].p.omegaf, cells[i].p.t0) for i in mapped]).T
+        onset = np.maximum(t0, t_start[-q:])[:, None]
+        chi_map = chi_rec[:, cf4:]
+        chi_map[:] = _sudden_chi(omegaf[:, None], omega0[:, None], t_rec[-q:] - onset).T
+        bad = ~np.isfinite(chi_map)
+        for j in np.flatnonzero(bad.any(axis=0)).tolist():
+            runs[mapped[j]] = StepSingularityError(int(np.argmax(bad[:, j])) * stride)
     for col, t in zip(ran, t_rec):
-        if runs[col] is None:
-            runs[col] = (t, chi_rec[:, col])
+        i = cols[col]
+        if runs[i] is None:
+            runs[i] = (t, chi_rec[:, col])
     return runs
 
 
@@ -656,17 +675,20 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read) -> None:
     groups of at most _ROW_RECORDS records or one cell, then doubles n up
     to n_max.  A cell leaves a level converged, failed, at the last level
     or climbing to 2 n (past a resolution floor, too), so climbing cells
-    share n.  A failure ends only its cell.  read(cells, runs) reads a
-    group's cells that ran, with their (t_rec, chi_rec), in one call, and
-    gives for each cell its (q, scalar) or the exception that ends it: q
-    is compared in sup norm at the shared records and covers a suffix of
-    them that holds the last one, and scalar is what the cell reports, a
-    Python float, None while the level's records cannot hold it.  A level's
-    delta, the larger of the sup change of q and the change of scalar, is
-    taken only against a previous one that ran and held its scalar; coarse
-    record times are bitwise among the fine ones (2 j (tau/2) == j tau) and
-    the record step halves, so every finer level holds them too.  A group's
-    records are dropped once read, before the next group steps.
+    share n.  A failure ends only its cell, and a cell that ran its last
+    level without a comparison, every lower one too coarse, is not
+    converged (unless n_max = n_slices, one fixed grid).  read(cells,
+    runs) reads a group's cells that ran, with their (t_rec, chi_rec), in
+    one call, and gives for each cell its (q, scalar) or the exception that
+    ends it: q is compared in sup norm at the shared records and covers a
+    suffix of them that holds the last one, and scalar is what the cell
+    reports, a Python float, None while the level's records cannot hold
+    it.  A level's delta, the larger of the sup change of q and the change
+    of scalar, is taken only against a previous one that ran and held its
+    scalar; coarse record times are bitwise among the fine ones (2 j
+    (tau/2) == j tau) and the record step halves, so every finer level
+    holds them too.  A group's records are dropped once read, before the
+    next group steps.
     """
     n = cfg.n_slices
     climbing = sorted((c for c in cells if c.error is None), key=lambda c: _KINDS.index(c.p.kind))
@@ -703,6 +725,10 @@ def _ladder(cells: list[_Cell], cfg: SimulationConfig, read) -> None:
                 c.q, c.scalar = q, scalar
         climbing = [c for c in climbing if c.error is None and not c.converged]
         n *= 2
+    if cfg.n_max > cfg.n_slices:  # a ladder with no comparison did not converge
+        for c in climbing:
+            if c.converged is None and c.scalar is not None:
+                c.converged = False
 
 
 def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajectory:
@@ -715,10 +741,11 @@ def propagate_converged(p: FrequencyProfile, cfg: SimulationConfig) -> Trajector
     as well; an R whose magnitude tanh R reached 1 there is beyond double
     precision and raises SaturationError.  A level with a slice too coarse
     for the ramp (a CF4 half-step omega^2 that is not positive, or slices
-    wider than 4 epsilon for a ramp that is not sudden to the tolerance; see
-    _Group) is abandoned for twice its slices and does not count; at n_max
-    it raises StepSingularityError.  Returns the last level, converged
-    once a difference drops below convergence_tol.  n_max = n_slices runs
+    wider than 4 epsilon for a ramp further than the tolerance from its
+    jump; see _propagate) is abandoned for twice its slices and does not
+    count; at n_max it raises StepSingularityError.  Returns the last
+    level, converged once a difference drops below convergence_tol, and
+    not converged if it never compared two levels.  n_max = n_slices runs
     one fixed grid (converged None).  window_means runs the same ladder,
     reading R after the transition instead.
     """

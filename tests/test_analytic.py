@@ -417,9 +417,8 @@ class TestSweep:
 
 # 20 ramps at ratio 5 that a t_end of 14 and an n_max of 4096 split into
 # every outcome: eps 0 is a jump; 0.001 and 0.003 hit the resolution floor
-# at the seed, 0.001 until n_max (its slices are wider than 4 eps below it),
-# where it runs its one level without a comparison, and 0.003 reaches n_max
-# unconverged; 1.0 leaves a window of 1 < 3 pi/5
+# at the seed and reach n_max unconverged, 0.001 without a comparison (its
+# slices are wider than 4 eps below n_max); 1.0 leaves a window of 1 < 3 pi/5
 BATCH_CFG = SimulationConfig(n_slices=256, n_max=4096, t_end=14.0, convergence_tol=5e-6)
 BATCH_EPS = [0.0, 0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25,
              0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 1.0]
@@ -447,10 +446,13 @@ class TestBatchedSweep:
                 assert abs(pt.R_final - alone.R_final) <= 1e-13, eps
         assert sorted(caught) == sorted(alone_caught)
         assert [w[0].split(")")[0] for w in caught] == [
-            "sweep cell (omegaf=5, eps=0.003", "sweep cell (omegaf=5, eps=1",
+            "sweep cell (omegaf=5, eps=0.001", "sweep cell (omegaf=5, eps=0.003",
+            "sweep cell (omegaf=5, eps=1",
         ]
+        assert caught[0][0] == ("sweep cell (omegaf=5, eps=0.001) did not converge: n_slices 4096, "
+                                "no comparison, every level below it was too coarse (tol 5e-06)")
         assert evolution.window_means([tanh_profile(1.0, 5.0, 10.0, 0.001)], BATCH_CFG)[0][1:4] == (
-            4096, None, None)
+            4096, False, None)
         assert points[-1].error.startswith("WindowError: window [13.0, 14.0]")
         assert points[0].R_final == pytest.approx(0.5 * math.log(5.0), abs=1e-12)
 

@@ -470,7 +470,9 @@ def test_each_failed_cell_warns_once(argv, status, failed, capsys):
 
 
 # the report of a ramp whose width, 1e-320, is far below every |t - t0| at
-# which omega is read: (t - t0)/eps overflows and tanh of it is +-1, a jump
+# which omega is read: (t - t0)/eps overflows and tanh of it is +-1, a jump.
+# Its slices are far wider than 4 eps, and it is within tol of its jump at
+# every time, so each record is the jump's map and the report the jump's
 _TINY_WIDTH_REPORT = """\
 profile_kind = tanh
 omega0 = 1.00000000000e+00
@@ -479,25 +481,25 @@ epsilon = 9.99988867183e-321
 t0 = 1.00000000000e+01
 t_start = 0.00000000000e+00
 t_end = 1.31415926536e+01
-n_slices = 4096
-n_records = 4097
+n_slices = 512
+n_records = 513
 converged = true
-achieved_delta = 6.36974717860e-06
+achieved_delta = 0.00000000000e+00
 unitarity_defect = 8.88178419700e-16
-r_end = 2.28935355440e-03
-phi_end = -1.56793463599e+00
+r_end = 4.89858719659e-16
+phi_end = -1.57079632679e+00
 R_end = 5.49306144334e-01
-Phi_end = -3.13815861857e+00
+Phi_end = -3.14159265359e+00
 window_start = 1.00000000000e+01
 window_end = 1.31415926536e+01
-r_min = 1.12576614697e-13
+r_min = 0.00000000000e+00
 r_max = 1.09861228867e+00
 r_midpoint = 5.49306144334e-01
 amplitude = 1.09861228867e+00
 period = 1.04719755120e+00
 n_maxima = 3
 R_final = 5.49306144334e-01
-R_std = 3.38610049537e-14
+R_std = 2.25848164458e-16
 adiabaticity_measure = inf
 adiabatic = false
 """
@@ -509,12 +511,12 @@ adiabatic = false
         (["evolve", "--omegaf", "3", "--eps", "1e-320"], EXIT_OK, _TINY_WIDTH_REPORT, []),
         (["sweep", "--omegaf", "3", "--eps", "1e-320"], EXIT_OK,
          "epsilon,R_sim,R_formula,rel_err\n"
-         "9.99988867183e-321,5.49312514056e-01,5.49306144334e-01,1.15959415220e-05\n", []),
+         "9.99988867183e-321,5.49306144334e-01,5.49306144334e-01,2.02113709464e-16\n", []),
         (["contour", "--source", "simulation", "--n-ratio", "2", "--n-eps", "2",
           "--eps-max", "1e-310"], EXIT_OK,
          "ratio,omega0_eps,R\n"
          "1.50000000000e+00,0.00000000000e+00,2.02732554054e-01\n"
-         "1.50000000000e+00,1.00000000000e-310,2.02756999118e-01\n"
+         "1.50000000000e+00,1.00000000000e-310,2.02732554054e-01\n"
          "1.00000000000e+01,0.00000000000e+00,1.15129254650e+00\n"
          "1.00000000000e+01,1.00000000000e-310,1.15129254650e+00\n", []),
         (["evolve", "--omega0", "1e200", "--omegaf", "1e-200", "--eps", "0"],
@@ -527,9 +529,9 @@ adiabatic = false
 )
 def test_extreme_inputs_step_without_numpy_warnings(argv, status, out, formula_warnings, capsys):
     # a tiny width overflows (t - t0)/eps, and omega/omega0 = 1e-400
-    # underflows to 0 in the slice maps; neither warns, and the answer is
-    # what it was.  The sweep's formula column takes rho_f of that ratio
-    # from two logs, -460.5, with no warning
+    # underflows to 0 in the slice maps; neither warns.  A ramp of tiny
+    # width answers as its jump.  The sweep's formula column takes rho_f of
+    # that ratio from two logs, -460.5, with no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == status

@@ -256,31 +256,65 @@ class TestCF4:
 
 
 class TestCoarseSlices:
-    # a level whose slices are wider than 4 eps steps the ramp as a jump;
-    # it counts only if the ramp is sudden to the tolerance, that is, if
-    # its state lies within tol of the jump's after the ramp
+    # a ramp whose slices are wider than 4 eps does not step: each record
+    # is its jump's map if the jump is within tol of the ramp at every time
+    # (_jump_distance), and the level is too coarse for the ramp otherwise
 
-    @pytest.mark.parametrize("omega0, omegaf", [(1.0, 3.0), (200.0, 1.0), (0.01, 2.0), (1.0, 40.0)])
-    def test_distance_from_the_jump_is_first_order(self, omega0, omegaf):
+    @pytest.mark.parametrize("omega0, omegaf", [(1.0, 3.0), (200.0, 1.0), (0.01, 2.0), (1.0, 40.0), (1.0, 1.1)])
+    def test_jump_distance_bounds_the_ramp_at_every_time(self, omega0, omegaf):
         # the disc distance, in r's units, between a resolved narrow ramp
-        # and the jump at t0 + 20 eps is (omegaf - omega0)^2 eps/(4 omega0)
+        # and its jump peaks at the first-order value max(|I0|, |I|)/(2
+        # omega0): I0 = eps d (omega0 ln 2 + d (ln 2 - 1/2)/2), the integral
+        # of omega^2 - omega0^2 up to t0, and I = -eps d^2/2, that of
+        # omega^2 - omega_jump^2 over the ramp (d = omegaf - omega0).
+        # _jump_distance bounds it, and by less than 3x
         eps = 1e-7
         p = tanh_profile(omega0, omegaf, 20.0 * eps, eps)
         traj = propagate_converged(p, SimulationConfig(t_end=40.0 * eps, n_slices=4096, n_max=8192))
-        a = traj.chi[-1]
-        b = complex(evolution._sudden_chi(omegaf, omega0, np.array([traj.t[-1] - p.t0]))[0])
-        dist = math.atanh(abs((a - b) / (1.0 - b.conjugate() * a)))
-        assert dist == pytest.approx((omegaf - omega0) ** 2 * eps / (4.0 * omega0), rel=1e-3)
+        jump = evolution._sudden_chi(omegaf, omega0, traj.t - p.t0)
+        dist = np.arctanh(np.abs((traj.chi - jump) / (1.0 - np.conj(jump) * traj.chi)))
+        d = omegaf - omega0
+        first = eps * d * (omega0 * math.log(2.0) + d * (math.log(2.0) - 0.5) / 2.0)
+        assert dist.max() == pytest.approx(max(abs(first), eps * d * d / 2.0) / (2.0 * omega0), rel=1e-3)
+        assert dist.max() <= evolution._jump_distance(p) < 3.0 * dist.max()
 
-    def test_a_level_of_wide_slices_counts_only_for_a_sudden_ramp(self):
-        # 256 slices over 13.1 are about 500 eps wide; at ratio 3 the
-        # distance from the jump is eps itself, so a ramp of 0.9 tol is
-        # sudden and answers, and one of 1.1 tol fails from its first slice
-        cfg = SimulationConfig(n_slices=256, n_max=256)
-        sudden = propagate_converged(tanh_profile(1.0, 3.0, 10.0, 0.9e-4), cfg)
-        assert np.all(np.isfinite(sudden.r))
+    def test_a_ramp_within_tol_of_its_jump_is_mapped_as_it(self, monkeypatch):
+        # 256 slices over 14 are about 2000 eps wide; at ratio 3 the jump
+        # is within 4 ln 2 eps of the ramp, so a ramp of 0.9 tol/(4 ln 2)
+        # answers as its jump, bitwise and without a step, and one of 1.1
+        # tol/(4 ln 2) fails from its first slice
+        cfg = SimulationConfig(t_end=14.0, n_slices=256, n_max=256)
+        unit = 4.0 * math.log(2.0)
+        jump = propagate_converged(jump_profile(1.0, 3.0, 10.0), cfg)
+        monkeypatch.setattr(evolution, "_slice_steps", None)  # no slice steps
+        near = propagate_converged(tanh_profile(1.0, 3.0, 10.0, 0.9e-4 / unit), cfg)
+        assert np.array_equal(near.chi, jump.chi) and np.array_equal(near.t, jump.t)
         with pytest.raises(StepSingularityError, match="^slice 1 is too coarse for the ramp$"):
-            propagate_converged(tanh_profile(1.0, 3.0, 10.0, 1.1e-4), cfg)
+            propagate_converged(tanh_profile(1.0, 3.0, 10.0, 1.1e-4 / unit), cfg)
+
+    def test_transition_stays_at_t0_however_wide_the_slices(self):
+        # at t_end 1e9 even 2^24 slices are 60 wide, so both CF4 nodes of
+        # the first slice lay past t0 = 10 and every level put the switch
+        # at t = 0, agreeing to rounding on an r out of phase by 3 t0
+        cfg = SimulationConfig(t_end=1e9)
+        tiny = propagate_converged(tanh_profile(1.0, 3.0, 10.0, 1e-320), cfg)
+        jump = propagate_converged(jump_profile(1.0, 3.0, 10.0), cfg)
+        assert np.array_equal(tiny.chi, jump.chi) and np.array_equal(tiny.t, jump.t)
+        assert tiny.converged is True
+
+    def test_mapped_ramp_is_within_its_bound_long_after(self):
+        # ratio 1.1 at eps 1e-3 is 7.3e-5 from its jump.  Its reference is
+        # the resolved ramp up to t0 + 30 eps, then one exact omega_f map to
+        # t_end 1e4, where the ladder's slices are 1200 eps wide
+        p = tanh_profile(1.0, 1.1, 10.0, 1e-3)
+        t1, t_end = p.t0 + 30.0 * p.epsilon, 1e4
+        chi1 = propagate_converged(p, SimulationConfig(t_end=t1)).chi[-1]
+        a, b, c = evolution._maps(np.array([[p.omegaf], [p.omega0]]), p.omega0, np.array([[t_end - t1], [0.0]]))
+        ref = complex(a[0] + b[0] * chi1 / (1.0 - c[0] * chi1))
+        traj = propagate_converged(p, SimulationConfig(t_end=t_end))
+        bound = evolution._jump_distance(p)
+        assert bound < 1e-4 and traj.converged is True
+        assert abs(traj.r[-1] - math.atanh(abs(ref))) <= bound
 
 
 class TestRatioInversionDuality:

@@ -165,6 +165,17 @@ def rho_of(omega, omega0):
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
+def _tanh_rho(omega, omega0) -> np.ndarray:
+    """t = tanh(rho) = (omega - omega0)/(omega + omega0) of the basis change
+    rho_of(omega, omega0), as an array.  Where omega + omega0 overflows both
+    terms are halved, which is exact for frequencies that large, so no pair
+    of finite frequencies reads t = 0."""
+    with np.errstate(over="ignore"):  # an infinite sum is taken apart below
+        total = np.add(omega, omega0)
+    t, big = np.subtract(omega, omega0) / total, np.isinf(total)
+    return np.where(big, (0.5 * omega - 0.5 * omega0) / (0.5 * omega + 0.5 * omega0), t) if big.any() else t
+
+
 bogoliubov_coeffs = BogoliubovCoeffs
 
 

@@ -9,6 +9,7 @@ decay constants of the secant ansatz to sweep data.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -48,9 +49,10 @@ def jump_sp_closed_form(omega0: float, omegaf: float, t):
 
 def _secant(rf, c1, c2, wmin, eps):
     """The secant ansatz and its argument, (rf sech z, z = c1 (rf + c2) wmin eps) for
-    rf = |rho_f| and wmin = omega_min; a wide ramp's cosh overflows, to an R of 0."""
-    with np.errstate(over="ignore"):
-        z = c1 * (rf + c2) * wmin * eps
+    rf = |rho_f| and wmin = omega_min; a wide ramp's cosh overflows, to an R of 0,
+    and z is 0 at eps = 0, also where c1 (rf + c2) wmin overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is replaced by 0
+        z = np.where(eps == 0.0, 0.0, c1 * (rf + c2) * wmin * eps)
         return rf / np.cosh(z), z
 
 
@@ -66,8 +68,10 @@ def fitted_sp(omega0: float, omegaf: float, epsilon, c1: float = 2.0, c2: float 
     require_finite("epsilon", eps, positive=False)
     ratio = omegaf / omega0
     if ratio > _VALIDITY_RATIO or ratio < 1.0 / _VALIDITY_RATIO:
+        # a ratio that under- or overflowed is named by its two frequencies
+        named = f"{ratio:.6g}" if sys.float_info.min <= ratio < np.inf else f"{omegaf:.6g}/{omega0:.6g}"
         warnings.warn(
-            f"frequency ratio {ratio:.6g} outside the calibrated range "
+            f"frequency ratio {named} outside the calibrated range "
             f"[{1.0 / _VALIDITY_RATIO}, {_VALIDITY_RATIO}]",
             ValidityWarning,
             stacklevel=caller_stacklevel(),

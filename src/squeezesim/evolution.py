@@ -23,13 +23,14 @@ one (_read_r), or, for a run that reports only the post-transition window
 mean (a sweep cell), R at the records after the window start together with
 its window mean (_read_windows).  One ladder, which takes its reader from
 its caller, serves a single run and a batch of runs that share a
-configuration, and one function runs each level: chunk by chunk, a chunk's
-slice maps come from one vectorised pass over all the level's stepped runs,
-into buffers that every chunk reuses, and its recurrence runs side by side
-as numpy rows from _ROW_CELLS stepped runs up, else as each run's own
-Python loop; the level's mapped runs take their records from one
-vectorised map.  The reader takes the whole level too: the sweep cells'
-windows are read end to end, in one pass per block of whole cells.
+configuration, and one function runs each level: a generator yields the
+slice maps of all the level's stepped runs chunk by chunk, each chunk from
+one vectorised pass into buffers that the generator owns, and a chunk's
+recurrence runs side by side as numpy rows from _ROW_CELLS stepped runs up,
+else as each run's own Python loop; the level's mapped runs keep the
+records of one vectorised map, apart from the stepped runs' ones.  The
+reader takes the whole level too: the sweep cells' windows are read end to
+end, in one pass per block of whole cells.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _CLAMP_TO, _clamped_magnitude, _compose, _move, _squeeze_of, _wrap_angle, rho_of
+from .algebra import _CLAMP_TO, _clamped_magnitude, _compose, _move, _squeeze_of, _tanh_rho, _wrap_angle, rho_of
 from .errors import CompositionError, SaturationError, StepSingularityError, WindowError, require_finite
 from .frequency import (
     FrequencyProfile,
@@ -286,16 +287,18 @@ def _map_buffers(shape):
 def _maps(omega, omega0, width, out=None):
     """Moebius maps chi -> A + B chi / (1 - C chi) of slices of two steps.
 
-    omega and width, of shape (2, ...), hold each slice's steps in the order
-    they run; omega0 broadcasts against them.  Divided by cos(omega width), a
-    step's SU(1,1) matrix M of chi -> (u chi + v)/(v* chi + u*) has u = 1 - iP
-    and v = -iQ, with t = tan(omega width), (P, Q) = (cosh, sinh)(2 rho) t and
-    e^(2 rho) = omega/omega0.  The slice's M2 M1 has determinant D = (1 +
-    t1^2)(1 + t2^2) = |u|^2 - |v|^2, A = v/u*, C = -v*/u* and B = D/u*^2;
-    each term is written so that none cancels, and u and v are scaled by
-    1/(|Re u| + |Im u|) so that no square overflows.  A zero-width step is
-    the identity, and a one-step slice has A == C.  out, if given, is the
-    _map_buffers of the slices' shape, which receives the maps.
+    omega, of shape (2, ...), holds each slice's steps in the order they
+    run; width and omega0 broadcast against it (a width without the leading
+    2, such as one tau/2 per cell, serves both steps).  Divided by
+    cos(omega width), a step's SU(1,1) matrix M of chi -> (u chi + v)/(v*
+    chi + u*) has u = 1 - iP and v = -iQ, with t = tan(omega width), (P, Q)
+    = (cosh, sinh)(2 rho) t and e^(2 rho) = omega/omega0.  The slice's M2 M1
+    has determinant D = (1 + t1^2)(1 + t2^2) = |u|^2 - |v|^2, A = v/u*, C =
+    -v*/u* and B = D/u*^2; each term is written so that none cancels, and u
+    and v are scaled by 1/(|Re u| + |Im u|) so that no square overflows.  A
+    zero-width step is the identity, and a one-step slice has A == C.  out,
+    if given, is the _map_buffers of the slices' shape, which receives the
+    maps.
     """
     (a, b, c), (t, p, q, x, (e12, e21)) = _map_buffers(np.shape(omega)[1:]) if out is None else out
     np.tan(np.multiply(omega, width, out=t), out=t)
@@ -339,67 +342,55 @@ def _jump_distance(p: FrequencyProfile) -> float:
     return math.log(2.0) * p.epsilon * abs(p.omegaf - p.omega0) * (p.omegaf + p.omega0) / (2.0 * p.omega0)
 
 
-class _Group:
-    """The stepped cells of one _propagate call as the columns of its step buffers.
+def _slice_steps(cells: list[_Cell], n: int, chunk: int, errors: list):
+    """Moebius maps (A, B, C) of the n slices of a level's stepped cells, chunk by chunk.
 
     cells are ramps, those too coarse for the level already failed, and
     then sampled profiles (_KINDS order; see _propagate for the cells that
-    do not step), so the ramps fill the columns ramps.  Their spans, tau
-    and profile parameters are column arrays, and every chunk reuses the
-    (2, chunk, k) omega and width of each slice's two CF4 half-steps, the
-    out of _maps and the node times.
+    do not step).  Their spans, tau and ramp parameters are built once, and
+    every chunk reuses the buffers of its node times, CF4 half-step omega
+    and maps.  Yields (first, m, (A, B, C)) for slices first+1 .. first+m,
+    m = chunk but at the end: views of those buffers, one row per slice
+    and one column per cell, the product of the slice's two half-steps, of
+    width tau/2 each.  A cell whose half-step omega^2 is not positive gets
+    _UnresolvedSlice in errors, and the column of every cell in errors at a
+    chunk becomes the identity (A = C = 0, B = 1), after its maps.  No
+    value warns: a healthy column's map that is not finite is the caller's
+    to report.
     """
-
-    def __init__(self, cells: list[_Cell], n: int, chunk: int):
-        self.cells = cells
-        k = len(cells)
-        self.ramps = slice(0, sum(c.p.kind == "tanh" for c in cells))
-        self.t_start, t_end = np.array([c.span for c in self.cells]).T
-        self.tau = (t_end - self.t_start) / n
-        self.omega0, self.omegaf, self.t0, self.epsilon = np.array(
-            [(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in self.cells]
-        ).T
-        self.omega, self.width = np.empty((2, 2, chunk, k))
-        self.width[:] = 0.5 * self.tau
-        self.nodes, (self.maps, self.work) = np.empty((2, chunk, k)), _map_buffers((chunk, k))
-
-
-def _slice_steps(g: _Group, first: int, m: int, errors: list) -> tuple[np.ndarray, ...]:
-    """Moebius maps (A, B, C) of slices first+1 .. first+m of a group's cells.
-
-    Views of the group's buffers, one row per slice and one column per cell:
-    the product of the slice's two CF4 half-steps.  A cell whose half-step
-    omega^2 is not positive gets _UnresolvedSlice in errors, and the column
-    of every cell in errors becomes the identity (A = C = 0, B = 1) once,
-    after its maps.  No value warns: a healthy column's map that is not
-    finite is the caller's to report.
-    """
-    k = np.arange(first, first + m, dtype=float)
-    nodes, half, ramps = g.nodes[:, :m], g.omega[:, :m], g.ramps
-    with np.errstate(all="ignore"):
-        np.multiply((k + _NODES[:, None])[:, :, None], g.tau, out=nodes)
-        np.add(g.t_start, nodes, out=nodes)
-        ramp = g.omega0[ramps], g.omegaf[ramps], g.t0[ramps], g.epsilon[ramps]
-        _ramp_omega(nodes[:, :, ramps], *ramp, out=nodes[:, :, ramps])
-        for i in range(ramps.stop, len(g.cells)):  # sampled profiles, one column each
-            nodes[:, :, i] = eval_omega(g.cells[i].p, nodes[:, :, i])
-        # an omega^2 that overflows makes a half-step inf - inf or -inf
-        # (beta2 is negative), which the test below marks unresolved
-        w_sq = np.square(nodes, out=nodes)
-        np.multiply(_BETA2, w_sq[::-1], out=half)
-        np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
-        np.multiply(2.0, half, out=half)
-        resolved = half > 0.0
-        for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
-            if errors[i] is None:
-                step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
-                errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
-        np.sqrt(half, out=half)
-        a, b, c = _maps(half, g.omega0, g.width[:, :m], (g.maps[:, :m], g.work[:, :, :m]))
-    failed = [i for i, e in enumerate(errors) if e is not None]
-    if failed:
-        a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
-    return a, b, c
+    ramps = sum(c.p.kind == "tanh" for c in cells)
+    t_start, t_end = np.array([c.span for c in cells]).T
+    tau = (t_end - t_start) / n
+    omega0, omegaf, t0, epsilon = np.array([(c.p.omega0, c.p.omegaf, c.p.t0, c.p.epsilon) for c in cells]).T
+    ramp = omega0[:ramps], omegaf[:ramps], t0[:ramps], epsilon[:ramps]
+    size = (min(chunk, n), len(cells))
+    (nodes, omega), (maps, work) = np.empty((2, 2, *size)), _map_buffers(size)
+    for first in range(0, n, chunk):
+        m = min(chunk, n - first)
+        x, half = nodes[:, :m], omega[:, :m]
+        with np.errstate(all="ignore"):
+            np.multiply((np.arange(first, first + m, dtype=float) + _NODES[:, None])[:, :, None], tau, out=x)
+            np.add(t_start, x, out=x)
+            _ramp_omega(x[:, :, :ramps], *ramp, out=x[:, :, :ramps])
+            for i in range(ramps, len(cells)):  # sampled profiles, one column each
+                x[:, :, i] = eval_omega(cells[i].p, x[:, :, i])
+            # an omega^2 that overflows makes a half-step inf - inf or -inf
+            # (beta2 is negative), which the test below marks unresolved
+            w_sq = np.square(x, out=x)
+            np.multiply(_BETA2, w_sq[::-1], out=half)
+            np.add(np.multiply(_BETA1, w_sq, out=w_sq), half, out=half)
+            np.multiply(2.0, half, out=half)
+            resolved = half > 0.0
+            for i in np.flatnonzero(~resolved.all(axis=(0, 1))).tolist():
+                if errors[i] is None:
+                    step = first + int(np.argmax(~resolved[:, :, i].all(axis=0))) + 1
+                    errors[i] = _UnresolvedSlice(step, f"slice {step} is too coarse for the ramp")
+            np.sqrt(half, out=half)
+            a, b, c = _maps(half, omega0, 0.5 * tau, (maps[:, :m], work[:, :, :m]))
+        failed = [i for i, e in enumerate(errors) if e is not None]
+        if failed:
+            a[:, failed], b[:, failed], c[:, failed] = 0.0, 1.0, 0.0
+        yield first, m, (a, b, c)
 
 
 def _sudden_chi(omegaf, omega0, width) -> np.ndarray:
@@ -453,15 +444,15 @@ def _step_rows(a, b, c, chi, rec, per_record: int) -> None:
 def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     """Run a group of cells, in _KINDS order, over n slices.
 
-    The ramps and sampled profiles step: slices run in chunks of whole
-    record strides, about _BLOCK cell-slices each, and each slice is one
-    step through its map.  At least _ROW_CELLS stepped cells step as numpy
-    rows (_step_rows), fewer through each cell's Python loop (_step_loop); a
-    cell's records differ between the two only in the rounding of complex
-    division.  A cell's slice maps (_slice_steps) do not depend on its
-    neighbours or the chunking, and a failed cell steps through the
-    identity; the records are allocated once a chunk leaves a cell running,
-    or for the mapped cells.
+    The ramps and sampled profiles step, through the slice maps that
+    _slice_steps yields in chunks of whole record strides, about _BLOCK
+    cell-slices each: each slice is one step through its map.  At least
+    _ROW_CELLS stepped cells step as numpy rows (_step_rows), fewer through
+    each cell's Python loop (_step_loop); a cell's records differ between
+    the two only in the rounding of complex division.  A cell's slice maps
+    do not depend on its neighbours or the chunking, and a failed cell
+    steps through the identity; the stepped cells' records, one column
+    each, are allocated once a chunk leaves a cell running.
 
     A jump does not step, and neither does a ramp whose slices are wider
     than 4 epsilon, which they cannot resolve: such a ramp is mapped as its
@@ -471,15 +462,15 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
     steps through the identity: the kernel choice counts the columns, so a
     failure does not move its neighbours' rounding.  A mapped cell's chi at
     each record time t is _sudden_chi's of width t - t0 (from the run's
-    start if t0 is before it), all the group's mapped cells in one call, so
-    it does not depend on n but through its record times.  Finiteness is
-    checked at record granularity: StepSingularityError names the slice of
-    a cell's first non-finite record (a non-finite chi stays non-finite).
-    Returns, per cell as given, its (t_rec, chi_rec) or the exception that
-    ended it.
+    start if t0 is before it), all the group's mapped cells in one call
+    whose rows are their records, so it does not depend on n but through
+    its record times.  Finiteness is checked at record granularity:
+    StepSingularityError names the slice of a cell's first non-finite
+    record (a non-finite chi stays non-finite).  Returns, per cell as given,
+    its (t_rec, chi_rec) or the exception that ended it.
     """
     runs: list = [None] * len(cells)
-    stepped, mapped = [], []  # the columns of chi_rec, in this order
+    stepped, mapped = [], []
     for i, c in enumerate(cells):
         coarse = c.p.kind == "tanh" and (c.span[1] - c.span[0]) / n / 4.0 > c.p.epsilon
         if c.p.kind == "jump" or coarse and _jump_distance(c.p) < cfg.convergence_tol:
@@ -488,26 +479,22 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
             stepped.append(i)
             if coarse:
                 runs[i] = _UnresolvedSlice(1, "slice 1 is too coarse for the ramp")
-    cols = stepped + mapped
-    cf4 = len(stepped)
     stride = cfg.record_stride
-    shape = (n // stride + 1, len(cols))
-    chi_rec = None
+    records = n // stride + 1
+    chi_rec = None  # the stepped cells' records, one column each
     errors: list[Exception | None] = [runs[i] for i in stepped]
     if None in errors:
+        cf4 = len(stepped)
         chunk = stride * max(1, _BLOCK // cf4 // stride)
-        g = _Group([cells[i] for i in stepped], n, min(chunk, n))
         chi = np.zeros(cf4, dtype=complex)
         kernel = _step_rows if cf4 >= _ROW_CELLS else _step_loop
-        for j in range(0, n, chunk):
-            m = min(chunk, n - j)
-            maps = _slice_steps(g, j, m, errors)
+        for j, m, maps in _slice_steps([cells[i] for i in stepped], n, chunk, errors):
             if None not in errors:
                 break
             if chi_rec is None:
-                chi_rec = np.empty(shape, dtype=complex)
-                chi_rec[0] = 0.0  # every later row of a stepped cell is written by its chunk
-            rec = chi_rec[1 + j // stride : 1 + (j + m) // stride, :cf4]
+                chi_rec = np.empty((records, cf4), dtype=complex)
+                chi_rec[0] = 0.0  # every later row is written by its chunk
+            rec = chi_rec[1 + j // stride : 1 + (j + m) // stride]
             kernel(*maps, chi, rec, stride)
             bad = ~np.isfinite(rec)
             for i in np.flatnonzero(bad.any(axis=0)).tolist():
@@ -515,39 +502,33 @@ def _propagate(cells: list[_Cell], cfg: SimulationConfig, n: int) -> list:
                     errors[i] = StepSingularityError(j + (int(np.argmax(bad[:, i])) + 1) * stride)
     for i, error in zip(stepped, errors):
         runs[i] = error
-    ran = [col for col, i in enumerate(cols) if runs[i] is None]
-    if not ran:  # record times only for the cells that ran: the others end in their error
+    ran = [col for col, i in enumerate(stepped) if runs[i] is None]
+    if not ran and not mapped:  # record times only for the cells that ran: the others end in their error
         return runs
-    steps = np.arange(shape[0], dtype=float) * stride
-    # t_start + j * tau, built in one buffer; it can pass t_end, and a
-    # sampled profile, by an ulp
-    t_start, t_end = np.array([cells[cols[col]].span for col in ran]).T
-    t_rec = np.multiply(steps, ((t_end - t_start) / n)[:, None])
+    # t_start + j * tau, built in one buffer, one row per cell that ran and
+    # then one per mapped cell; it can pass t_end, and a sampled profile, by
+    # an ulp
+    t_start, t_end = np.array([cells[i].span for i in [stepped[col] for col in ran] + mapped]).T
+    t_rec = np.multiply(np.arange(records, dtype=float) * stride, ((t_end - t_start) / n)[:, None])
     np.add(t_start[:, None], t_rec, out=t_rec)
     np.minimum(t_rec, t_end[:, None], out=t_rec)
-    if mapped:  # the last columns, and the last rows of t_rec
-        if chi_rec is None:
-            chi_rec = np.empty(shape, dtype=complex)
-        q = len(mapped)
-        omega0, omegaf, t0 = np.array([(cells[i].p.omega0, cells[i].p.omegaf, cells[i].p.t0) for i in mapped]).T
-        onset = np.maximum(t0, t_start[-q:])[:, None]
-        chi_map = chi_rec[:, cf4:]
-        chi_map[:] = _sudden_chi(omegaf[:, None], omega0[:, None], t_rec[-q:] - onset).T
-        bad = ~np.isfinite(chi_map)
-        for j in np.flatnonzero(bad.any(axis=0)).tolist():
-            runs[mapped[j]] = StepSingularityError(int(np.argmax(bad[:, j])) * stride)
     for col, t in zip(ran, t_rec):
-        i = cols[col]
-        if runs[i] is None:
-            runs[i] = (t, chi_rec[:, col])
+        runs[stepped[col]] = (t, chi_rec[:, col])
+    if mapped:  # each mapped cell's t_rec starts at its t_start, bitwise
+        omega0, omegaf, t0 = np.array([(cells[i].p.omega0, cells[i].p.omegaf, cells[i].p.t0) for i in mapped]).T
+        t_map = t_rec[len(ran) :]
+        chi_map = _sudden_chi(omegaf[:, None], omega0[:, None], t_map - np.maximum(t0[:, None], t_map[:, :1]))
+        for i, t, chi in zip(mapped, t_map, chi_map):
+            bad = ~np.isfinite(chi)
+            runs[i] = StepSingularityError(int(np.argmax(bad)) * stride) if bad.any() else (t, chi)
     return runs
 
 
 def _instantaneous(p: FrequencyProfile, t_rec: np.ndarray):
-    """omega at the records and the t = tanh(rho) = (omega - omega0)/(omega + omega0)
-    by which their instantaneous basis is reached from the omega0 one."""
+    """omega at the records and the t = tanh(rho) (_tanh_rho) by which
+    their instantaneous basis is reached from the omega0 one."""
     omega = np.asarray(eval_omega(p, t_rec), dtype=float)
-    return omega, (omega - p.omega0) / (omega + p.omega0)
+    return omega, _tanh_rho(omega, p.omega0)
 
 
 def _finalize(c: _Cell) -> Trajectory:
@@ -615,7 +596,7 @@ def _window_block(cells: list[_Cell], windows: list) -> list | None:
     _ramp_omega(t[:ramps], omega0[:ramps], omegaf[:ramps], t0[:ramps], epsilon[:ramps], out=omega[:ramps])
     omega[ramps:] = _jump_omega(t[ramps:], omega0[ramps:], omegaf[ramps:], t0[ramps:])
     try:
-        mag = np.abs(_move(chi, (omega - omega0) / (omega + omega0))[0])
+        mag = np.abs(_move(chi, _tanh_rho(omega, omega0))[0])
     except CompositionError:
         return None
     if (np.abs(chi) >= 1.0).any() or (mag >= _CLAMP_TO).any():

@@ -5,6 +5,7 @@ the same defining formulas and are frozen here to 18 significant digits.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from squeezesim import (
     rho_of,
     variance_cross_basis,
 )
+from squeezesim.algebra import _tanh_rho
 
 LN3 = math.log(3.0)
 
@@ -119,6 +121,29 @@ class TestBogoliubov:
                 rho_of(np.array([1.0, bad]), 1.0)
             with pytest.raises(ValueError, match="frequencies must be positive and finite"):
                 rho_of(omega, np.array([1.0, bad, 1.0, 1.0, 1.0, 1.0]))
+
+
+class TestTanhRho:
+    def test_is_the_plain_quotient_unless_the_sum_overflows(self):
+        # 20,000 pairs log-uniform over the positive floats and 20,000 of
+        # two frequencies above 0.3 DBL_MAX: bitwise (omega - omega0)/(omega
+        # + omega0) wherever the sum is finite, and tanh(rho) where it
+        # overflows, which the plain quotient reads as 0
+        rng = np.random.default_rng(37)
+        top = sys.float_info.max
+        omega, omega0 = np.concatenate([np.exp(rng.uniform(math.log(5e-324), math.log(top), (2, 20_000))),
+                                        top * rng.uniform(0.3, 1.0, (2, 20_000))], axis=1)
+        with np.errstate(over="ignore"):
+            total = omega + omega0
+        plain = (omega - omega0) / total
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = _tanh_rho(omega, omega0)
+        finite = np.isfinite(total)
+        assert 20_000 < finite.sum() < 40_000
+        assert t[finite].tobytes() == plain[finite].tobytes()
+        np.testing.assert_allclose(t[~finite], np.tanh(rho_of(omega[~finite], omega0[~finite])), rtol=0, atol=1e-15)
+        assert _tanh_rho(np.array([1.5e308]), 1e308).tolist() == [0.2]
 
 
 class TestChiToSqueeze:

@@ -105,6 +105,25 @@ class TestFittedSp:
             assert fitted_sp(1.0, 3.0, 5e3) == 0.0
             assert fitted_sp(1.0, 3.0, np.array([0.5, 5e3]))[1] == 0.0
 
+    def test_sudden_limit_of_huge_frequencies_is_rho_f(self):
+        # c1 (|rho_f| + c2) omega_min overflows to inf, which times eps = 0
+        # was nan with a RuntimeWarning; z is 0 there, and sech 0 = 1
+        rho_f = 0.5 * math.log(1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fitted_sp(1e308, 1.5e308, 0.0) == rho_f
+            assert fitted_sp(1e308, 1.5e308, np.array([0.0, 0.1])).tolist() == [rho_f, 0.0]
+
+    def test_validity_warning_names_frequencies_whose_ratio_is_not_normal(self):
+        # 1e-200/1e200 underflows to 0 and 1e200/1e-200 overflows to inf;
+        # a normal ratio keeps its one number
+        for omega0, omegaf, named in [(1e200, 1e-200, "1e-200/1e+200"), (1e-200, 1e200, "1e+200/1e-200"),
+                                      (1.0, 200.0, "200"), (1e300, 1e-10, "1e-10/1e+300")]:
+            with pytest.warns(ValidityWarning) as record:
+                fitted_sp(omega0, omegaf, 0.0)
+            assert [str(w.message) for w in record] == [
+                f"frequency ratio {named} outside the calibrated range [0.1, 10.0]"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fitted_sp(1.0, 3.0, -0.1)
@@ -352,20 +371,21 @@ class TestSweep:
 
     def test_a_group_goes_before_the_next_one_steps(self, monkeypatch):
         # the ladder keeps no reference to a group's records once they are
-        # read: each group's chi_rec buffer is gone when the next group steps
+        # read: each group's record buffers, the stepped cells' and the
+        # mapped cells', are gone when the next group steps
         buffers, propagate = [], evolution._propagate
 
         def propagate_spy(cells, cfg, n):
             alive = [n_prev for n_prev, ref in buffers if ref() is not None]
             assert not alive, f"the records of level {alive} outlive their reading"
             runs = propagate(cells, cfg, n)
-            chi_rec = next(run[1].base for run in runs if isinstance(run, tuple))
-            buffers.append((n, weakref.ref(chi_rec)))
+            bases = {id(run[1].base): run[1].base for run in runs if isinstance(run, tuple)}
+            buffers.extend((n, weakref.ref(base)) for base in bases.values())
             return runs
 
         monkeypatch.setattr(evolution, "_propagate", propagate_spy)
         assert len(reference_sweep_data()) == 80
-        assert len(buffers) == 3
+        assert [n for n, _ in buffers] == [256, 256, 512, 512, 1024]  # the jumps converge at 512
 
     def test_coefficients_stay_batched_on_the_default_lattice(self, monkeypatch, kernel_calls):
         # each chunk of a level computes the slice maps of all its stepped
@@ -482,12 +502,12 @@ class TestBatchedSweep:
         # the slice maps of the eps 0.3 ramp are nan from slice 100 on
         steps = evolution._slice_steps
 
-        def poisoned(group, first, m, errors):
-            a, b, c = steps(group, first, m, errors)
-            for i, cell in enumerate(group.cells):
-                if cell.p.epsilon == 0.3:
-                    a[max(0, 99 - first) :, i] = np.nan
-            return a, b, c
+        def poisoned(cells, n, chunk, errors):
+            for first, m, (a, b, c) in steps(cells, n, chunk, errors):
+                for i, cell in enumerate(cells):
+                    if cell.p.epsilon == 0.3:
+                        a[max(0, 99 - first) :, i] = np.nan
+                yield first, m, (a, b, c)
 
         clean, _ = _swept(BATCH_EPS)
         monkeypatch.setattr(evolution, "_slice_steps", poisoned)

@@ -234,8 +234,9 @@ class TestCF4:
         ((omega, width),) = calls
         c, b = math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
         w1, w2 = 2.0 - 2.0 * c, 2.0 + 2.0 * c
-        assert omega.shape == width.shape == (2, 1, 1)  # two half-steps, one slice, one cell
-        assert width[:, 0, 0].tolist() == [1.0, 1.0]
+        assert omega.shape == (2, 1, 1)  # two half-steps, one slice, one cell
+        assert width.shape == (1,)  # one tau/2 per cell, for both half-steps
+        assert np.broadcast_to(width, omega.shape)[:, 0, 0].tolist() == [1.0, 1.0]
         expected = [2 * (b * w1**2 + (0.5 - b) * w2**2), 2 * ((0.5 - b) * w1**2 + b * w2**2)]
         np.testing.assert_allclose(omega[:, 0, 0] ** 2, expected, rtol=1e-14)
 
@@ -792,7 +793,7 @@ def _own_jump(p, t):
 
 
 class TestGroupSteps:
-    # _slice_steps computes a chunk's slice maps for all stepped cells of a
+    # _slice_steps yields each chunk's slice maps for all stepped cells of a
     # group in one pass; every cell's are bitwise its own arithmetic's.  A
     # jump never reaches it: its records are bitwise one exact map each
     RAMPS = [tanh_profile(1.0, 3.0, 10.0, 0.5), tanh_profile(1.0, 0.2, 10.0, 0.1),
@@ -816,10 +817,10 @@ class TestGroupSteps:
         seen = []
         steps = evolution._slice_steps
 
-        def spy(group, first, m, errors):
-            maps = steps(group, first, m, errors)
-            seen.append((first, m, list(group.cells), [x.copy() for x in maps]))
-            return maps
+        def spy(cells, n, chunk, errors):
+            for first, m, maps in steps(cells, n, chunk, errors):
+                seen.append((first, m, list(cells), [x.copy() for x in maps]))
+                yield first, m, maps
 
         monkeypatch.setattr(evolution, "_slice_steps", spy)
         with warnings.catch_warnings():
@@ -848,13 +849,14 @@ class TestGroupSteps:
     def test_never_sees_a_jump(self, monkeypatch):
         # on a level of the default lattice, which interleaves ten jumps
         # with its ramps, no chunk's maps hold a jump column, and a group of
-        # jumps alone makes no _slice_steps call at all
+        # jumps alone has _slice_steps yield no chunk at all
         seen, steps = [], evolution._slice_steps
 
-        def spy(group, first, m, errors):
-            seen.append([c.p.kind for c in group.cells])
-            assert group.omega.shape[-1] == len(group.cells) == len(errors)
-            return steps(group, first, m, errors)
+        def spy(cells, n, chunk, errors):
+            for first, m, maps in steps(cells, n, chunk, errors):
+                seen.append([c.p.kind for c in cells])
+                assert all(x.shape[-1] == len(cells) == len(errors) for x in maps)
+                yield first, m, maps
 
         monkeypatch.setattr(evolution, "_slice_steps", spy)
         lattice = [tanh_profile(1.0, omegaf, epsilon=eps)
